@@ -10,7 +10,7 @@ from .graphs import (
     parse_graph,
 )
 from .intpoly import IntPolynomial, cyclotomic
-from .liealg import GradedLieAlgebra, bracket_eval, build_graded_quotient, quotient_algebra
+from .liealg import GradedLieAlgebra, build_graded_quotient, quotient_algebra
 from .lyndon import LyndonBasis, lyndon_basis, witt_number
 from .spectra import (
     IndeterminateError,
@@ -64,7 +64,6 @@ __all__ = [
     "SpecError",
     "SynthesisConfig",
     "UnitRootCertificate",
-    "bracket_eval",
     "build_graded_quotient",
     "build_quotient",
     "char_poly",

@@ -290,6 +290,14 @@ def _scatter_block_diagonal(n, classes, mats):
     return g
 
 
+def _powered_degree_one(n, classes, matrices, exponents):
+    """The degree-one map: each class's component matrix to its exponent."""
+    powers = [linalg.mat_pow([[Fraction(x) for x in row] for row in a], j)
+              for a, j in zip(matrices, exponents)]
+    return _scatter_block_diagonal(
+        n, classes, [[[int(x) for x in row] for row in m] for m in powers])
+
+
 @dataclass
 class AutomorphismCertificate:
     graph_digest: str
@@ -318,17 +326,39 @@ class AutomorphismCertificate:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            graph_digest=data["graph_digest"],
-            k=data["k"],
-            classes=data["classes"],
-            components=data["components"],
-            exponents=data["exponents"],
-            degree_blocks={int(m): b for m, b in data["degree_blocks"].items()},
-            char_polys={int(m): p for m, p in data["char_polys"].items()},
-            unit_root_certs={int(m): c for m, c in data["unit_root_certs"].items()},
-            determinants={int(m): d for m, d in data["determinants"].items()},
-        )
+        """Parse a certificate: KeyError for a missing field, ValueError for
+        a field of the wrong type or shape."""
+
+        def require(ok, field):
+            if not ok:
+                raise ValueError(f"malformed certificate field {field!r}")
+
+        require(isinstance(data, dict), "(top level)")
+        classes, components, exponents = data["classes"], data["components"], data["exponents"]
+        require(isinstance(data["graph_digest"], str), "graph_digest")
+        require(type(data["k"]) is int, "k")
+        require(isinstance(classes, list) and all(isinstance(c, list) for c in classes), "classes")
+        require(isinstance(components, list) and len(components) == len(classes)
+                and all(isinstance(c, dict) and _is_square_int_matrix(c.get("matrix"), len(cl))
+                        for c, cl in zip(components, classes)), "components")
+        require(isinstance(exponents, list) and len(exponents) == len(classes)
+                and all(type(e) is int and e >= 0 for e in exponents), "exponents")
+        maps = {}
+        for name in ("degree_blocks", "char_polys", "unit_root_certs", "determinants"):
+            require(isinstance(data[name], dict), name)
+            maps[name] = {int(m): v for m, v in data[name].items()}
+        require(all(map(_is_square_int_matrix, maps["degree_blocks"].values())), "degree_blocks")
+        return cls(graph_digest=data["graph_digest"], k=data["k"], classes=classes,
+                   components=components, exponents=exponents, **maps)
+
+
+def _is_square_int_matrix(m, n=None):
+    """m is a list of n lists of n ints; n defaults to len(m)."""
+    if not isinstance(m, list):
+        return False
+    n = len(m) if n is None else n
+    return len(m) == n and all(isinstance(row, list) and len(row) == n
+                               and all(type(x) is int for x in row) for row in m)
 
 
 def _check_blocks(blocks, budget_bits=None):
@@ -400,12 +430,8 @@ def synthesize(graph, k, config=None):
                     f"(last failure: {last_failure})"
                 )
             spent += 1
-            mats = [linalg.mat_pow([[Fraction(x) for x in row] for row in c.matrix], j)
-                    for c, j in zip(per_class, exponents)]
-            g = _scatter_block_diagonal(
-                graph.n, partition.classes,
-                [[[int(x) for x in row] for row in m] for m in mats],
-            )
+            g = _powered_degree_one(graph.n, partition.classes,
+                                    [c.matrix for c in per_class], exponents)
             blocks = extend_to_algebra(algebra, g)
             ok, payload = _check_blocks(blocks)
             if not ok:
@@ -469,12 +495,9 @@ def verify_certificate(graph, cert):
             return fail("block-shape", f"degree-{m} block missing or of wrong size")
     passed("block-shape")
 
-    expected = _scatter_block_diagonal(
-        graph.n, partition.classes,
-        [[[int(x) for x in row] for row in
-          linalg.mat_pow([[Fraction(x) for x in r] for r in comp["matrix"]], j)]
-         for comp, j in zip(cert.components, cert.exponents)],
-    )
+    expected = _powered_degree_one(graph.n, partition.classes,
+                                   [comp["matrix"] for comp in cert.components],
+                                   cert.exponents)
     if cert.degree_blocks[1] != expected:
         return fail("degree-one-shape",
                     "degree-one block is not the recorded block-diagonal power")

@@ -157,7 +157,7 @@ def _cmd_verify(args):
     try:
         with open(args.certificate, encoding="utf-8") as fh:
             cert = AutomorphismCertificate.from_json(json.load(fh))
-    except (OSError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, KeyError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: cannot load certificate: {e}", file=sys.stderr)
         return 1
     ok, report = verify_certificate(g, cert)
@@ -178,21 +178,16 @@ def _cmd_derivations(args):
         algebra = build_quotient(g, spec)
         doc["quotient_step"] = spec.step
         doc["quotient_dims"] = list(algebra.dims)
-        der = derivation_algebra(algebra)
-        stable = derivation_algebra(algebra, v_stable=True)
-        doc["dim_der"] = der.dimension
-        doc["dim_der_v_stable"] = stable.dimension
-        if spec.step == 2:
-            rep = span_report(g, spec)
-            doc["span_report"] = rep.to_json()
-            doc["lift_check"] = lift_check(g, spec)
     else:
         algebra = quotient_algebra(g, args.k)
         doc["dims"] = list(algebra.dims)
-        der = derivation_algebra(algebra)
-        stable = derivation_algebra(algebra, v_stable=True)
-        doc["dim_der"] = der.dimension
-        doc["dim_der_v_stable"] = stable.dimension
+    der = derivation_algebra(algebra)
+    doc["dim_der"] = der.dimension
+    # the V-stable derivations are exactly the weight-zero basis elements
+    doc["dim_der_v_stable"] = der.weights.count(0)
+    if args.quotient and spec.step == 2:
+        doc["span_report"] = span_report(g, spec).to_json()
+        doc["lift_check"] = lift_check(g, spec)
     _emit(doc, args.format)
     return 0
 

@@ -28,8 +28,8 @@ from .graphs import coherent_components
 from .intpoly import IntPolynomial
 from .liealg import build_graded_quotient, non_edge_relations, quotient_algebra
 from .lyndon import standard_factorization
-from .spectra import unit_root_free
-from .anosov import ExtensionError, extend_to_algebra
+from .spectra import char_poly, unit_root_free
+from .anosov import ExtensionError, _scatter_block_diagonal, extend_to_algebra
 
 
 class SpecError(ValueError):
@@ -215,15 +215,8 @@ def _weight_kernel(algebra, target_degree, conditions):
                     img = linalg.reduce_mod_rows(mod_rows, mod_pivots, img)
                 col.extend(img)
             columns.append(col)
-    if not columns or not columns[0]:
-        rows = []
-    else:
-        rows = [[columns[u][e] for u in range(nunk)] for e in range(len(columns[0]))]
-    kernel = linalg.kernel_basis(rows, nunk) if rows else [
-        [Fraction(1) if t == s else Fraction(0) for t in range(nunk)] for s in range(nunk)
-    ]
     out = []
-    for vec in kernel:
+    for vec in linalg.kernel_basis(list(zip(*columns)), nunk):
         mat = [[Fraction(0)] * n for _ in range(dim_t)]
         for j in range(n):
             for p in range(dim_t):
@@ -284,11 +277,6 @@ def derivation_algebra(algebra, v_stable=False):
     return DerivationAlgebra(ambient_dim=algebra.dim, basis=basis, weights=weights)
 
 
-def _v_restrictions(algebra, conditions):
-    """Weight-zero solutions as n x n matrices on the vertex space."""
-    return _weight_kernel(algebra, 1, conditions)
-
-
 # -- Proposition 5.3 / 5.4 evidence -------------------------------------------
 
 
@@ -321,14 +309,8 @@ def _family_intersection(algebra, conditions, family):
                 img = linalg.reduce_mod_rows(mod_rows, mod_pivots, img)
             col.extend(img)
         cols.append(col)
-    rows = [[cols[u][e] for u in range(len(family))] for e in range(len(cols[0]))]
-    if not rows:
-        kernel = [[Fraction(1) if t == s else Fraction(0) for t in range(len(family))]
-                  for s in range(len(family))]
-    else:
-        kernel = linalg.kernel_basis(rows, len(family))
     out = []
-    for vec in kernel:
+    for vec in linalg.kernel_basis(list(zip(*cols)), len(family)):
         acc = [[Fraction(0)] * n for _ in range(n)]
         for c, mat in zip(vec, family):
             if c:
@@ -373,7 +355,7 @@ def span_report(graph, spec):
     algebra = build_quotient(graph, spec)
     n = graph.n
     conditions = [(rel, [], []) for _, rel in algebra.relation_generators]
-    computed = _v_restrictions(algebra, conditions)
+    computed = _weight_kernel(algebra, 1, conditions)  # n x n maps on V
     sprime = {a, b, c, d}
     outside = [v for v in range(n) if v not in sprime]
 
@@ -437,7 +419,7 @@ def lift_check(graph, spec):
     indices = spec.validate(graph)
     quotient = build_quotient(graph, spec)
     q_conditions = [(rel, [], []) for _, rel in quotient.relation_generators]
-    dim_quotient = len(_v_restrictions(quotient, q_conditions))
+    q_basis = _weight_kernel(quotient, 1, q_conditions)
 
     base = quotient_algebra(graph, 2)
     xrel = _step2_relation(graph, indices)
@@ -447,16 +429,15 @@ def lift_check(graph, spec):
     mod_rows, mod_pivots = linalg.rref([x_class], base.dim)
     conditions = [(rel, [], []) for _, rel in base.relation_generators]
     conditions.append((xrel, mod_rows, mod_pivots))
-    lifted = _v_restrictions(base, conditions)
+    lifted = _weight_kernel(base, 1, conditions)
 
     # every lift restricts to a quotient derivation; onto-ness is the claim
-    q_basis = _v_restrictions(quotient, q_conditions)
     q_rref, q_pivots = linalg.rref([_flatten(m) for m in q_basis], graph.n ** 2) \
         if q_basis else ([], [])
     for m in lifted:
         if not linalg.in_row_space(q_rref, q_pivots, _flatten(m)):
             return False
-    return len(lifted) == dim_quotient
+    return len(lifted) == len(q_basis)
 
 
 # -- bounded nonexistence search ----------------------------------------------
@@ -476,38 +457,6 @@ class SearchFinding:
             "certificate": self.certificate,
             "degree_blocks": {str(m): b for m, b in sorted(self.degree_blocks.items())},
         }
-
-
-def _char_poly_qq(block):
-    """Berkowitz over exact rationals, ascending coefficients."""
-    n = len(block)
-    if n == 0:
-        return [Fraction(1)]
-    a = [[Fraction(x) for x in row] for row in block]
-    p = [Fraction(1)]
-    for r in range(1, n + 1):
-        arr = a[r - 1][r - 1]
-        row = a[r - 1][: r - 1]
-        col = [a[i][r - 1] for i in range(r - 1)]
-        sub = [a[i][: r - 1] for i in range(r - 1)]
-        t = [Fraction(1), -arr]
-        vec = col
-        for _ in range(r - 1):
-            t.append(-sum(x * y for x, y in zip(row, vec)))
-            vec = [sum(sub[i][j] * vec[j] for j in range(r - 1)) for i in range(r - 1)]
-        p = [sum(t[i - j] * p[j] for j in range(max(0, i - len(t) + 1), min(i + 1, len(p))))
-             for i in range(r + 1)]
-    return list(reversed(p))
-
-
-def _poly_mul_qq(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def _signed_permutations(n):
@@ -542,16 +491,8 @@ def _block_diagonal_candidates(graph, bound, cap):
         if (2 * bound + 1) ** (d * d) > _BLOCK_PHASE_RAW_LIMIT:
             return
         per_class.append(list(_box_unimodular(d, bound)))
-    n = graph.n
-    count = 0
-    for combo in itertools.product(*per_class):
-        g = [[0] * n for _ in range(n)]
-        for cls, blk in zip(partition.classes, combo):
-            for r, vr in enumerate(cls):
-                for c, vc in enumerate(cls):
-                    g[vr][vc] = blk[r][c]
-        yield g
-        count += 1
+    for count, combo in enumerate(itertools.product(*per_class), 1):
+        yield _scatter_block_diagonal(graph.n, partition.classes, combo)
         if count >= cap:
             return
 
@@ -603,14 +544,15 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
                 blocks = extend_to_algebra(algebra, g)
             except ExtensionError:
                 continue
-            full = [Fraction(1)]
-            for m in sorted(blocks):
-                full = _poly_mul_qq(full, _char_poly_qq(blocks[m]))
-            if any(c.denominator != 1 for c in full):
+            # monic factors: the product is in Z[x] only if every block's is
+            p = IntPolynomial([1])
+            try:
+                for m in sorted(blocks):
+                    p = p * char_poly(blocks[m])
+            except ValueError:
                 continue
-            if abs(full[0]) != 1:
+            if abs(p.constant()) != 1:
                 continue
-            p = IntPolynomial([int(c) for c in full])
             cert = unit_root_free(p)
             if cert.free:
                 findings.append(SearchFinding(

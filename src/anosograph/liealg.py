@@ -97,9 +97,6 @@ class GradedLieAlgebra:
     def index_of(self, word):
         return self._index[word]
 
-    def degree_range(self, m):
-        return range(self.offsets[m], self.offsets[m] + self.dims[m - 1])
-
     def word_label(self, word):
         return ".".join(self.generators[i] for i in word)
 
@@ -175,11 +172,6 @@ class GradedLieAlgebra:
                       for m in range(1, self.k + 1)],
             "structure": triples,
         }
-
-
-def bracket_eval(algebra, x, y):
-    """Bracket of two rational coordinate vectors in the algebra's basis."""
-    return algebra.bracket(x, y)
 
 
 def _trivial_reduction(words):

@@ -7,15 +7,12 @@ order out.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
 def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
 
 
 def mat_copy(m):
@@ -38,11 +35,9 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v)) if v[j]) for i in range(len(a))]
-
-
 def mat_pow(a, e):
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     n = len(a)
     out = identity(n)
     base = mat_copy(a)
@@ -55,27 +50,10 @@ def mat_pow(a, e):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_eq(a, b):
     if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
         return False
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def block_diag(blocks):
-    n = sum(len(b) for b in blocks)
-    out = zeros(n, n)
-    off = 0
-    for b in blocks:
-        d = len(b)
-        for i in range(d):
-            for j in range(d):
-                out[off + i][off + j] = b[i][j]
-        off += d
-    return out
 
 
 def is_integral(m):
@@ -85,28 +63,20 @@ def is_integral(m):
 def det_bareiss(m):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Accepts integer entries; rational input is cleared to integers first.
+    Accepts integer entries; rational input is cleared to integers first,
+    row by row.  Returns an int, or a Fraction when the determinant is not
+    integral; a singular matrix may come back as Fraction(0).
     """
     n = len(m)
     if n == 0:
         return 1
-    scale = 1
-    a = []
-    for row in m:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            r.append(f)
-        a.append(r)
-    # clear denominators row by row, tracking the scale factor
     den_scale = 1
     b = []
-    for r in a:
-        lcm = 1
-        for x in r:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+    for row in m:
+        row = [Fraction(x) for x in row]
+        lcm = math.lcm(*(x.denominator for x in row))
         den_scale *= lcm
-        b.append([int(x * lcm) for x in r])
+        b.append([x.numerator * (lcm // x.denominator) for x in row])
     prev = 1
     sign = 1
     for k in range(n - 1):
@@ -123,15 +93,8 @@ def det_bareiss(m):
                 b[i][j] = (b[i][j] * b[k][k] - b[i][k] * b[k][j]) // prev
             b[i][k] = 0
         prev = b[k][k]
-    det = sign * b[n - 1][n - 1]
-    val = Fraction(det, den_scale) * scale
+    val = Fraction(sign * b[n - 1][n - 1], den_scale)
     return int(val) if val.denominator == 1 else val
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rref(rows, ncols=None):
@@ -168,10 +131,6 @@ def rref(rows, ncols=None):
     return m[:r], pivots
 
 
-def rank(rows, ncols=None):
-    return len(rref(rows, ncols)[0])
-
-
 def in_row_space(rref_rows, pivots, vec):
     """Exact membership of vec in the row space given by an rref basis."""
     v = list(vec)
@@ -193,7 +152,8 @@ def reduce_mod_rows(rref_rows, pivots, vec):
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel of the matrix, via rref."""
+    """Basis of the right kernel of the matrix, via rref; with no rows,
+    the ncols unit vectors."""
     rr, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -205,30 +165,3 @@ def kernel_basis(rows, ncols):
             v[p] = -row[f]
         basis.append(v)
     return basis
-
-
-def solve_in_span(basis_rows, vec):
-    """Coefficients expressing vec in the span of basis_rows, or None."""
-    if not basis_rows:
-        return None if any(vec) else []
-    ncols = len(vec)
-    aug = [[Fraction(basis_rows[i][j]) for i in range(len(basis_rows))] + [Fraction(vec[j])]
-           for j in range(ncols)]
-    rr, pivots = rref(aug, len(basis_rows) + 1)
-    if len(basis_rows) in pivots:
-        return None
-    coeffs = [Fraction(0)] * len(basis_rows)
-    for row, p in zip(rr, pivots):
-        coeffs[p] = row[-1]
-    return coeffs
-
-
-def mat_inverse(m):
-    """Exact inverse over Q; raises ValueError on singular input."""
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    rr, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rr[:n]]

@@ -59,27 +59,6 @@ def standard_factorization(word):
     return word[:best], word[best:]
 
 
-@lru_cache(maxsize=None)
-def bracket_tensor(word):
-    """Expansion of the bracketed Lyndon word in the tensor algebra.
-
-    Returns a dict mapping words (tuples) to integer coefficients.
-    """
-    if len(word) == 1:
-        return {word: 1}
-    u, v = standard_factorization(word)
-    a, b = bracket_tensor(u), bracket_tensor(v)
-    out = {}
-    for wu, cu in a.items():
-        for wv, cv in b.items():
-            c = cu * cv
-            k = wu + wv
-            out[k] = out.get(k, 0) + c
-            k = wv + wu
-            out[k] = out.get(k, 0) - c
-    return {k: c for k, c in out.items() if c}
-
-
 def tensor_commutator(a, b):
     out = {}
     for wu, cu in a.items():
@@ -91,6 +70,18 @@ def tensor_commutator(a, b):
                 k = wv + wu
                 out[k] = out.get(k, 0) - c
     return {k: c for k, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def bracket_tensor(word):
+    """Expansion of the bracketed Lyndon word in the tensor algebra.
+
+    Returns a dict mapping words (tuples) to integer coefficients.
+    """
+    if len(word) == 1:
+        return {word: 1}
+    u, v = standard_factorization(word)
+    return tensor_commutator(bracket_tensor(u), bracket_tensor(v))
 
 
 def lyndon_decompose(tensor):
@@ -157,12 +148,11 @@ def witt_number(n, m):
 
 @dataclass(frozen=True)
 class LyndonBasis:
-    """Per-degree Lyndon words plus their standard-factorization brackets."""
+    """Per-degree Lyndon words of the free k-step algebra."""
 
     n: int
     k: int
     words: dict  # degree -> ordered list of word tuples
-    bracketing: dict  # word -> (left word, right word) for length >= 2
 
     @property
     def dims(self):
@@ -176,15 +166,10 @@ def lyndon_basis(n, k):
     if n < 1:
         raise ValueError("need at least one generator")
     words = lyndon_words(n, k)
-    bracketing = {}
-    for m in range(2, k + 1):
-        for w in words[m]:
-            bracketing[w] = standard_factorization(w)
-    basis = LyndonBasis(n=n, k=k, words=words, bracketing=bracketing)
     for m in range(1, k + 1):
         expected = witt_number(n, m)
         if len(words[m]) != expected:
             raise ArithmeticError(
                 f"degree {m}: {len(words[m])} Lyndon words, Witt number {expected}"
             )
-    return basis
+    return LyndonBasis(n=n, k=k, words=words)

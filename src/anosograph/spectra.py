@@ -55,16 +55,26 @@ def _budget_bits(budget_bits):
     return int(os.environ.get("ANOSOGRAPH_BUDGET_BITS", DEFAULT_BUDGET_BITS))
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction; never rounds."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def char_poly(a):
     """Characteristic polynomial det(xI - A), by the division-free
-    Berkowitz iteration over principal submatrices."""
+    Berkowitz iteration over principal submatrices.
+
+    Entries may be exact rationals; integral entries run in ints.  Raises
+    ValueError when det(xI - A) is not in Z[x].
+    """
     n = len(a)
     if n == 0:
         return IntPolynomial([1])
     for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    a = [[int(x) for x in row] for row in a]
+    a = [[x if type(x) is int else _exact(x) for x in row] for row in a]
     p = [1]  # descending coefficients, charpoly of the empty matrix
     for r in range(1, n + 1):
         arr = a[r - 1][r - 1]
@@ -78,7 +88,10 @@ def char_poly(a):
             vec = [sum(sub[i][j] * vec[j] for j in range(r - 1)) for i in range(r - 1)]
         p = [sum(t[i - j] * p[j] for j in range(max(0, i - len(t) + 1), min(i + 1, len(p))))
              for i in range(r + 1)]
-    return IntPolynomial(list(reversed(p)))
+    coeffs = [c if type(c) is int else _exact(c) for c in reversed(p)]
+    if not all(type(c) is int for c in coeffs):
+        raise ValueError("characteristic polynomial is not integral")
+    return IntPolynomial(coeffs)
 
 
 def _colex_subsets(n, r):

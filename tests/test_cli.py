@@ -73,6 +73,23 @@ def test_verify_failure_exit_3(capsys, c4_path, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc.update(exponents=None),
+    lambda doc: doc["degree_blocks"].update({"2": 5}),
+], ids=["null-exponents", "non-list-degree-block"])
+def test_malformed_certificate_exit_1(capsys, c4_path, tmp_path, tamper):
+    cert_path = str(tmp_path / "cert.json")
+    run(capsys, "synthesize", c4_path, "--k", "2", "--out", cert_path)
+    doc = json.loads(open(cert_path).read())
+    tamper(doc)
+    open(cert_path, "w").write(json.dumps(doc))
+    code = main(["verify", c4_path, "--certificate", cert_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load certificate")
+
+
 def test_synthesize_budget_exhausted_exit_4(capsys, c4_path):
     code, out = run(capsys, "synthesize", c4_path, "--k", "2", "--budget", "0")
     assert code == 4

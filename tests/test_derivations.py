@@ -175,6 +175,8 @@ def test_v_stable_subspace():
         for j in range(n):
             for i in range(n, algebra.dim):
                 assert mat[i][j] == 0
+    # the CLI reports dim_der_v_stable as the weight-zero count of the full algebra
+    assert stable.basis == [m for m, w in zip(full.basis, full.weights) if w == 0]
 
 
 # -- span report and lift check -----------------------------------------------

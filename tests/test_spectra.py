@@ -33,6 +33,26 @@ def test_char_poly_rejects_non_square():
         char_poly([[1, 2]])
 
 
+def test_char_poly_rejects_non_integral_polynomial():
+    with pytest.raises(ValueError):
+        char_poly([[Fraction(1, 2)]])
+    with pytest.raises(ValueError):
+        char_poly([[0, Fraction(1, 2)], [Fraction(1, 3), 0]])  # x^2 - 1/6
+
+
+def test_char_poly_of_rational_conjugate():
+    a = [[2, 1, 0], [1, 1, 3], [-1, 0, 4]]
+    d = [Fraction(1), Fraction(2), Fraction(1, 3)]
+    b = [[d[i] * a[i][j] / d[j] for j in range(3)] for i in range(3)]
+    shear = [[1, Fraction(1, 2), 0], [0, 1, 0], [0, 0, 1]]
+    unshear = [[1, Fraction(-1, 2), 0], [0, 1, 0], [0, 0, 1]]
+    b = mat_mul(mat_mul(shear, b), unshear)
+    assert any(x.denominator != 1 for row in b for x in row)
+    p = char_poly(b)
+    assert p.to_json() == char_poly(a).to_json()
+    assert all(type(c) is int for c in p.coeffs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_char_poly_constant_term_is_det(n, data):
