@@ -60,7 +60,6 @@ class QuotientSpec:
                 raise SpecError(f"unknown vertex {e.args[0]!r}") from None
             if len({a, b, c, d}) != 4:
                 raise SpecError("the four vertices must be distinct")
-            names = dict(zip("alpha beta gamma delta".split(), self.vertices))
             for u, v, which in ((a, b, "alpha beta"), (c, d, "gamma delta"),
                                 (a, c, "alpha gamma"), (a, d, "alpha delta")):
                 if not graph.adjacent(u, v):
@@ -87,26 +86,40 @@ class QuotientSpec:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise SpecError("a quotient spec must be a JSON object")
         step = data.get("step")
         if step == 2:
             try:
                 vs = tuple(data[name] for name in ("alpha", "beta", "gamma", "delta"))
             except KeyError as e:
                 raise SpecError(f"missing field {e.args[0]!r}") from None
+            if not all(isinstance(v, str) for v in vs):
+                raise SpecError("step-2 spec vertices must be strings")
             return cls(step=2, vertices=vs)
         if step == 3:
             vec = data.get("vector")
             if not isinstance(vec, dict) or not vec:
                 raise SpecError("step-3 spec needs a nonempty 'vector' object")
-            entries = []
-            for word, c in sorted(vec.items()):
-                labels = tuple(word.split("."))
-                if isinstance(c, str):
-                    num, _, den = c.partition("/")
-                    c = Fraction(int(num), int(den) if den else 1)
-                entries.append((labels, Fraction(c)))
-            return cls(step=3, vector=tuple(entries))
+            if not all(isinstance(word, str) for word in vec):
+                raise SpecError("step-3 spec words must be strings")
+            return cls(step=3, vector=tuple(
+                (tuple(word.split(".")), _coefficient(word, c))
+                for word, c in sorted(vec.items())))
         raise SpecError("spec 'step' must be 2 or 3")
+
+
+def _coefficient(word, c):
+    """A spec coefficient: a JSON number, or a string "p" or "p/q"."""
+    try:
+        if isinstance(c, str):
+            num, _, den = c.partition("/")
+            return Fraction(int(num), int(den) if den else 1)
+        if isinstance(c, (int, float)):
+            return Fraction(c)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise SpecError(f"coefficient of {word} must be a number or a string 'p/q', not {c!r}")
 
 
 def _step2_relation(graph, indices):
@@ -127,8 +140,8 @@ def build_quotient(graph, spec):
         rel = _step2_relation(graph, payload)
         gens = non_edge_relations(graph) + [(2, rel)]
         algebra = build_graded_quotient(graph.vertices, 2, gens, graph=graph)
-        base = quotient_algebra(graph, 2)
-        if algebra.dims[1] != base.dims[1] - 1:
+        # degree 2 of the graph algebra has one basis bracket per edge
+        if algebra.dims[1] != len(graph.edges) - 1:
             raise SpecError("X is not independent of the edge ideal")
         return algebra
     gens = non_edge_relations(graph) + [(3, payload)]
@@ -142,87 +155,88 @@ def build_quotient(graph, spec):
 # -- derivations --------------------------------------------------------------
 
 
-def _class_vector_full(algebra, word, cache):
-    if word not in cache:
-        vec = [Fraction(0)] * algebra.dim
-        m = len(word)
-        base = algebra.offsets[m]
-        for pos, c in enumerate(algebra.class_of_word(word)):
-            vec[base + pos] = c
-        cache[word] = vec
-    return cache[word]
+def _free_derivation(algebra, images, classes):
+    """w -> D(w) for free Lyndon words w.
 
-
-def _leibniz_image(algebra, rel, f_of_generator, cache):
-    """Apply the derivation determined by generator images to a relation.
-
-    rel is {free word: coeff}; f_of_generator(i) returns the image vector
-    of generator i.  Recurses through standard factorizations, bracketing
-    in the quotient.
+    D is the derivation of the free algebra with the given generator images
+    (full vectors), pushed to the quotient: D[u,v] = [Du, cls v] + [cls u, Dv]
+    along the standard factorization, memoized per word.  `classes` caches
+    the class vectors of free words and may be shared between calls.
     """
+    memo = {(j,): img for j, img in enumerate(images)}
 
-    def d_word(w):
-        if len(w) == 1:
-            return f_of_generator(w[0])
-        u, v = standard_factorization(w)
-        du, dv = d_word(u), d_word(v)
-        out = [Fraction(0)] * algebra.dim
-        if du is not None and any(du):
-            for i, c in enumerate(algebra.bracket(du, _class_vector_full(algebra, v, cache))):
-                out[i] += c
-        if dv is not None and any(dv):
-            for i, c in enumerate(algebra.bracket(_class_vector_full(algebra, u, cache), dv)):
-                out[i] += c
-        return out
+    def cls(w):
+        if w not in classes:
+            classes[w] = algebra.class_vector({w: 1})
+        return classes[w]
 
-    total = [Fraction(0)] * algebra.dim
-    for w, c in rel.items():
-        img = d_word(w)
-        if img is not None:
-            for i, x in enumerate(img):
-                total[i] += Fraction(c) * x
-    return total
+    def d(w):
+        if w not in memo:
+            u, v = standard_factorization(w)
+            out = [Fraction(0)] * algebra.dim
+            for x, y in ((d(u), cls(v)), (cls(u), d(v))):
+                if any(x) and any(y):
+                    for i, c in enumerate(algebra.bracket(x, y)):
+                        if c:
+                            out[i] += c
+            memo[w] = out
+        return memo[w]
+
+    return d
 
 
-def _weight_kernel(algebra, target_degree, conditions):
-    """Solutions f: V -> H_target of all Leibniz conditions.
+def _unit_map(algebra, i, j):
+    """Generator images of the map sending generator j to basis element i."""
+    images = [[Fraction(0)] * algebra.dim for _ in algebra.generators]
+    images[j][i] = Fraction(1)
+    return images
 
-    conditions: list of (rel_dict, mod_rows, mod_pivots); each Leibniz
-    image is reduced modulo the given row space and must vanish.
-    Returns a list of n x dim_target coefficient matrices.
+
+def _derivations_in_span(algebra, conditions, family):
+    """Basis of the maps in span(family) that satisfy every condition.
+
+    family: maps given as generator-image lists.  A condition
+    (rel, mod_rows, mod_pivots) asks that the free derivation of the
+    relation rel = {free word: coeff} vanish modulo the given row space.
+    The basis is returned as generator-image lists.
     """
-    n = len(algebra.generators)
-    dim_t = algebra.dims[target_degree - 1]
-    if dim_t == 0:
+    if not family:
         return []
-    base = algebra.offsets[target_degree]
-    nunk = n * dim_t
-    cache = {}
+    classes = {}
     columns = []
-    zero = [Fraction(0)] * algebra.dim
-    for j in range(n):
-        for p in range(dim_t):
-            unit = list(zero)
-            unit[base + p] = Fraction(1)
-
-            def f(i, _j=j, _u=unit):
-                return _u if i == _j else None
-
-            col = []
-            for rel, mod_rows, mod_pivots in conditions:
-                img = _leibniz_image(algebra, rel, f, cache)
-                if mod_rows:
-                    img = linalg.reduce_mod_rows(mod_rows, mod_pivots, img)
-                col.extend(img)
-            columns.append(col)
+    for images in family:
+        d = _free_derivation(algebra, images, classes)
+        col = []
+        for rel, mod_rows, mod_pivots in conditions:
+            img = [Fraction(0)] * algebra.dim
+            for w, c in rel.items():
+                for i, x in enumerate(d(w)):
+                    if x:
+                        img[i] += c * x
+            if mod_rows:
+                img = linalg.reduce_mod_rows(mod_rows, mod_pivots, img)
+            col.extend(img)
+        columns.append(col)
+    entries = [[(j, i, x) for j, img in enumerate(images) for i, x in enumerate(img) if x]
+               for images in family]
     out = []
-    for vec in linalg.kernel_basis(list(zip(*columns)), nunk):
-        mat = [[Fraction(0)] * n for _ in range(dim_t)]
-        for j in range(n):
-            for p in range(dim_t):
-                mat[p][j] = vec[j * dim_t + p]
-        out.append(mat)
+    for vec in linalg.kernel_basis(list(zip(*columns)), len(family)):
+        images = [[Fraction(0)] * algebra.dim for _ in algebra.generators]
+        for c, member in zip(vec, entries):
+            if c:
+                for j, i, x in member:
+                    images[j][i] += c * x
+        out.append(images)
     return out
+
+
+def _v_maps(algebra, conditions, pairs):
+    """Basis, as n x n matrices on V, of the maps in span{E_ij : (i, j) in
+    pairs} that satisfy the conditions; E_ij sends generator j to generator i."""
+    family = [_unit_map(algebra, i, j) for i, j in pairs]
+    n = len(algebra.generators)
+    return [[[images[j][i] for j in range(n)] for i in range(n)]
+            for images in _derivations_in_span(algebra, conditions, family)]
 
 
 @dataclass
@@ -236,30 +250,6 @@ class DerivationAlgebra:
         return len(self.basis)
 
 
-def _reconstruct_matrix(algebra, target_degree, coeffs):
-    """Full matrix of the derivation with generator images in one degree."""
-    n = len(algebra.generators)
-    base = algebra.offsets[target_degree]
-    images = []
-    for j in range(n):
-        vec = [Fraction(0)] * algebra.dim
-        for p in range(algebra.dims[target_degree - 1]):
-            vec[base + p] = coeffs[p][j]
-        images.append(vec)
-    cache = {}
-
-    def f(i):
-        return images[i]
-
-    mat = [[Fraction(0)] * algebra.dim for _ in range(algebra.dim)]
-    for col in range(algebra.dim):
-        w = algebra.word_of(col)
-        img = _leibniz_image(algebra, {w: Fraction(1)}, f, cache)
-        for row in range(algebra.dim):
-            mat[row][col] = img[row]
-    return mat
-
-
 def derivation_algebra(algebra, v_stable=False):
     """Basis of Der(A): all D with D[x,y] = [Dx,y] + [x,Dy].
 
@@ -268,11 +258,18 @@ def derivation_algebra(algebra, v_stable=False):
     are kept (the degree-preserving weight-zero part).
     """
     conditions = [(rel, [], []) for _, rel in algebra.relation_generators]
+    n = len(algebra.generators)
+    classes = {}
     basis, weights = [], []
     top = 1 if v_stable else algebra.k
     for t in range(1, top + 1):
-        for coeffs in _weight_kernel(algebra, t, conditions):
-            basis.append(_reconstruct_matrix(algebra, t, coeffs))
+        base = algebra.offsets[t]
+        family = [_unit_map(algebra, base + p, j)
+                  for j in range(n) for p in range(algebra.dims[t - 1])]
+        for images in _derivations_in_span(algebra, conditions, family):
+            d = _free_derivation(algebra, images, classes)
+            columns = [d(algebra.word_of(c)) for c in range(algebra.dim)]
+            basis.append([list(row) for row in zip(*columns)])
             weights.append(t - 1)
     return DerivationAlgebra(ambient_dim=algebra.dim, basis=basis, weights=weights)
 
@@ -282,43 +279,6 @@ def derivation_algebra(algebra, v_stable=False):
 
 def _flatten(mat):
     return [x for row in mat for x in row]
-
-
-def _unit_endo(n, i, j):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    m[i][j] = Fraction(1)
-    return m
-
-
-def _family_intersection(algebra, conditions, family):
-    """Basis of span(family) meeting the derivation conditions."""
-    if not family:
-        return []
-    n = len(algebra.generators)
-    cache = {}
-    cols = []
-    for mat in family:
-        images = [[Fraction(0)] * algebra.dim for _ in range(n)]
-        for j in range(n):
-            for i in range(n):
-                images[j][i] = mat[i][j]
-        col = []
-        for rel, mod_rows, mod_pivots in conditions:
-            img = _leibniz_image(algebra, rel, lambda i, _im=images: _im[i], cache)
-            if mod_rows:
-                img = linalg.reduce_mod_rows(mod_rows, mod_pivots, img)
-            col.extend(img)
-        cols.append(col)
-    out = []
-    for vec in linalg.kernel_basis(list(zip(*cols)), len(family)):
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for c, mat in zip(vec, family):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        acc[i][j] += c * mat[i][j]
-        out.append(acc)
-    return out
 
 
 @dataclass
@@ -355,7 +315,7 @@ def span_report(graph, spec):
     algebra = build_quotient(graph, spec)
     n = graph.n
     conditions = [(rel, [], []) for _, rel in algebra.relation_generators]
-    computed = _weight_kernel(algebra, 1, conditions)  # n x n maps on V
+    computed = _v_maps(algebra, conditions, [(i, j) for j in range(n) for i in range(n)])
     sprime = {a, b, c, d}
     outside = [v for v in range(n) if v not in sprime]
 
@@ -364,16 +324,14 @@ def span_report(graph, spec):
     def put(name, members):
         families[name] = {"dim": len(members), "members": members}
 
-    put("diagonal", _family_intersection(
-        algebra, conditions, [_unit_endo(n, i, i) for i in range(n)]))
+    put("diagonal", _v_maps(algebra, conditions, [(i, i) for i in range(n)]))
     for name, (p, q, r, s) in {
         "W_alpha_delta__gamma_beta": (a, d, c, b),
         "W_beta_gamma__delta_alpha": (b, c, d, a),
         "W_alpha_gamma__delta_beta": (a, c, d, b),
         "W_gamma_alpha__beta_delta": (c, a, b, d),
     }.items():
-        put(name, _family_intersection(
-            algebra, conditions, [_unit_endo(n, p, q), _unit_endo(n, r, s)]))
+        put(name, _v_maps(algebra, conditions, [(p, q), (r, s)]))
     for name, pairs in {
         "type_i": [(e, z) for e in outside for z in outside if e != z],
         "type_ii": [(e, z) for e in sprime for z in outside],
@@ -381,8 +339,8 @@ def span_report(graph, spec):
         "type_iv": [(a, b), (c, d), (b, a), (d, c)],
     }.items():
         members = []
-        for (e, z) in pairs:
-            members.extend(_family_intersection(algebra, conditions, [_unit_endo(n, e, z)]))
+        for pair in pairs:
+            members.extend(_v_maps(algebra, conditions, [pair]))
         put(name, members)
 
     family_rows = [_flatten(m) for fam in families.values() for m in fam["members"]]
@@ -418,18 +376,16 @@ def lift_check(graph, spec):
         raise SpecError("lift_check applies to step-2 quotient specs")
     indices = spec.validate(graph)
     quotient = build_quotient(graph, spec)
+    all_pairs = [(i, j) for j in range(graph.n) for i in range(graph.n)]
     q_conditions = [(rel, [], []) for _, rel in quotient.relation_generators]
-    q_basis = _weight_kernel(quotient, 1, q_conditions)
+    q_basis = _v_maps(quotient, q_conditions, all_pairs)
 
     base = quotient_algebra(graph, 2)
     xrel = _step2_relation(graph, indices)
-    x_class = [Fraction(0)] * base.dim
-    for pos, coeff in enumerate(base.reduce_free(2, xrel)):
-        x_class[base.offsets[2] + pos] = coeff
-    mod_rows, mod_pivots = linalg.rref([x_class], base.dim)
+    mod_rows, mod_pivots = linalg.rref([base.class_vector(xrel)], base.dim)
     conditions = [(rel, [], []) for _, rel in base.relation_generators]
     conditions.append((xrel, mod_rows, mod_pivots))
-    lifted = _weight_kernel(base, 1, conditions)
+    lifted = _v_maps(base, conditions, all_pairs)
 
     # every lift restricts to a quotient derivation; onto-ness is the claim
     q_rref, q_pivots = linalg.rref([_flatten(m) for m in q_basis], graph.n ** 2) \

@@ -37,16 +37,13 @@ class Reduction:
     def rel_dim(self):
         return len(self.rel_rows)
 
-    def reduce_coords(self, vec):
-        """Free-degree coordinates -> quotient coordinates (surviving columns)."""
-        residue = linalg.reduce_mod_rows(self.rel_rows, self.rel_pivots, vec)
-        return [residue[c] for c in self.surviving]
-
     def reduce_dict(self, d):
+        """Free {word: coeff} -> quotient coordinates (surviving columns)."""
         vec = [Fraction(0)] * len(self.words)
         for w, c in d.items():
             vec[self.col[w]] += c
-        return self.reduce_coords(vec)
+        residue = linalg.reduce_mod_rows(self.rel_rows, self.rel_pivots, vec)
+        return [residue[c] for c in self.surviving]
 
     def contains(self, vec):
         return linalg.in_row_space(self.rel_rows, self.rel_pivots, vec)
@@ -144,17 +141,14 @@ class GradedLieAlgebra:
                     out[l] += ci * cj * c
         return out
 
-    def reduce_free(self, m, word_coeffs):
-        """Class of a free degree-m element given as {word: coeff}."""
-        return self.reductions[m].reduce_dict(word_coeffs)
-
-    def class_of_word(self, word):
-        """Quotient coordinates (degree slice) of a free Lyndon word's class."""
-        m = len(word)
-        red = self.reductions[m]
-        vec = [Fraction(0)] * red.free_dim
-        vec[red.col[word]] = Fraction(1)
-        return red.reduce_coords(vec)
+    def class_vector(self, element):
+        """Class of a homogeneous free element {word: coeff}, as a full vector."""
+        out = [Fraction(0)] * self.dim
+        if element:
+            m = len(next(iter(element)))
+            coords = self.reductions[m].reduce_dict(element)
+            out[self.offsets[m]:self.offsets[m] + len(coords)] = coords
+        return out
 
     # -- serialization -----------------------------------------------------
 
@@ -174,32 +168,24 @@ class GradedLieAlgebra:
         }
 
 
-def _trivial_reduction(words):
-    return Reduction(
-        degree=len(words[0]) if words else 1,
-        words=list(words),
-        col={w: i for i, w in enumerate(words)},
-        rel_rows=[],
-        rel_pivots=[],
-        surviving=list(range(len(words))),
-    )
-
-
 def build_graded_quotient(generators, k, relation_gens, graph=None):
     """Quotient of the free k-step algebra by the graded ideal the given
     homogeneous elements generate.
 
-    relation_gens: list of (degree, {word: coeff}); degrees must be >= 2.
+    relation_gens: list of (degree, {word: coeff}); degrees must lie in 2..k.
     The ideal is closed up degree by degree via bracketing with degree one.
     """
+    for deg, _ in relation_gens:
+        if deg < 2 or deg > k:
+            raise ValueError(f"relation generator degree {deg} outside 2..{k}")
     n = len(generators)
     basis = lyndon_basis(n, k)
-    reductions = {}
-    red1 = _trivial_reduction(basis.words[1])
-    red1.degree = 1
-    reductions[1] = red1
+    words1 = basis.words[1]
+    reductions = {1: Reduction(degree=1, words=list(words1),
+                               col={w: i for i, w in enumerate(words1)},
+                               rel_rows=[], rel_pivots=[], surviving=list(range(n)))}
     prev_rows = []
-    prev_words = basis.words[1]
+    prev_words = words1
     for m in range(2, k + 1):
         words = basis.words[m]
         col = {w: i for i, w in enumerate(words)}
@@ -237,9 +223,6 @@ def build_graded_quotient(generators, k, relation_gens, graph=None):
         )
         prev_rows = rel_rows
         prev_words = words
-    for deg, _ in relation_gens:
-        if deg < 2 or deg > k:
-            raise ValueError(f"relation generator degree {deg} outside 2..{k}")
     return GradedLieAlgebra(generators, k, reductions, relation_gens, graph=graph)
 
 

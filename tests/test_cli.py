@@ -156,6 +156,19 @@ def test_bad_spec_exit_1(capsys, tmp_path):
     spec.write_text(json.dumps(
         {"step": 2, "alpha": "a", "beta": "b", "gamma": "c", "delta": "d"}))
     assert main(["derivations", str(graph), "--quotient", str(spec)]) == 1
+    malformed = [
+        [1, 2],
+        {"step": 2, "alpha": ["a"], "beta": "b", "gamma": "c", "delta": "d"},
+        {"step": 3, "vector": {"a.a.b": None}},
+        {"step": 3, "vector": {"a.a.b": [1]}},
+        {"step": 3, "vector": {"a.a.b": "1/0"}},
+        {"step": 3, "vector": {"a.a.b": "1/2/3"}},
+    ]
+    for doc in malformed:
+        capsys.readouterr()
+        spec.write_text(json.dumps(doc))
+        assert main(["derivations", str(graph), "--quotient", str(spec)]) == 1, doc
+        assert capsys.readouterr().err.startswith("error: "), doc
 
 
 def test_text_format(capsys, c4_path):

@@ -94,6 +94,12 @@ def test_spec_json_round_trip():
     assert dict(spec6.vector)[("a", "b", "c")] == Fraction(1, 2)
 
 
+def test_spec_json_rejects_non_string_word_key():
+    # JSON object keys are always strings; a Python caller can pass others
+    with pytest.raises(SpecError, match="strings"):
+        QuotientSpec.from_json({"step": 3, "vector": {("a", "a", "b"): 1, "a.b.c": 1}})
+
+
 # -- derivation algebras ------------------------------------------------------
 
 def test_abelian_derivations():
@@ -121,6 +127,7 @@ def test_derivations_match_dense_oracle():
         quotient_algebra(C4, 2),
         quotient_algebra(complete_labeled(3), 3),
         build_quotient(S5_GRAPH, S5_SPEC),
+        build_quotient(C4, s6_spec(C4)),
     ]
     for algebra in cases:
         fast = derivation_algebra(algebra)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from anosograph.graphs import parse_graph
-from anosograph.liealg import quotient_algebra
+from anosograph.liealg import build_graded_quotient, quotient_algebra
 from anosograph.lyndon import witt_number
 from oracles import (
     all_graphs_up_to_iso,
@@ -70,6 +70,11 @@ def test_monotonicity_adding_edge():
 def test_rejects_step_below_two():
     with pytest.raises(ValueError):
         quotient_algebra(C4, 1)
+
+
+def test_rejects_relation_above_step():
+    with pytest.raises(ValueError, match="outside 2..2"):
+        build_graded_quotient(("a", "b"), 2, [(3, {(0, 0, 1): Fraction(1)})])
 
 
 def test_bracket_of_adjacent_generators():
