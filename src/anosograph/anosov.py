@@ -6,10 +6,12 @@ internally complete.  When the criterion holds, the constructive route is
 followed: one unimodular integer matrix per class whose r-fold eigenvalue
 products avoid the unit circle for r <= min(k, class size - 1), per-class
 exponents escalated over a deterministic ladder, and the resulting
-degree-one map extended through the graded algebra.  Instead of the
-eigenvalue bookkeeping that picks exponents in the existence proof, every
-degree block is verified directly: integral, determinant +-1, and a
-certified unit-root-free characteristic polynomial.
+degree-one map extended through the graded algebra, bracket by bracket
+inside the quotient.  Instead of the eigenvalue bookkeeping that picks
+exponents in the existence proof, every degree block is verified directly:
+integral, determinant +-1, and a certified unit-root-free characteristic
+polynomial.  Extension and verification use only the quotient's basis and
+structure constants; the free-algebra coordinates stay inside `liealg`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from . import linalg
 from .graphs import coherent_components
 from .liealg import quotient_algebra
-from .lyndon import free_bracket_words, standard_factorization
+from .lyndon import standard_factorization
 from .spectra import char_poly, products_off_circle, unit_root_free
 
 
@@ -178,77 +180,40 @@ def find_component_matrix(d, k, coeff_bound=3, seed=0, budget=20000, skip=0):
 # -- graded extension --------------------------------------------------------
 
 
-def _free_bracket_vec(words_a, vec_a, words_b, vec_b):
-    out = {}
-    for i, ci in enumerate(vec_a):
-        if not ci:
-            continue
-        for j, cj in enumerate(vec_b):
-            if not cj:
-                continue
-            c = ci * cj
-            for w, cw in free_bracket_words(words_a[i], words_b[j]).items():
-                out[w] = out.get(w, Fraction(0)) + c * cw
-    return {w: c for w, c in out.items() if c}
-
-
 def extend_to_algebra(algebra, g):
     """Degree blocks of the algebra endomorphism induced by a degree-one map.
 
-    The induced free-algebra map is pushed through each degree via standard
-    factorizations; it descends iff it maps every defining relation back
-    into the relation space, which is checked exactly (block-diagonal maps
-    across coherent classes always pass).  Returns {degree: matrix} on the
-    algebra's basis, degree 1 included.
+    The map extends to the free algebra as a homomorphism; its composite
+    with the projection onto the quotient is memoized per free Lyndon word,
+    f[u, v] = [f u, f v] along the standard factorization, with every
+    bracket taken in the quotient.  The projection is a Lie homomorphism,
+    so the map descends iff f kills every defining relation, which is
+    checked exactly before any block is read off (on a graph algebra,
+    block-diagonal maps across coherent classes always pass).  Returns
+    {degree: matrix} on the algebra's basis, degree 1 included.
     """
     n = len(algebra.generators)
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("degree-one matrix has the wrong shape")
-    # free induced matrices as column dicts, per degree
-    free_cols = {1: {}}
-    red1 = algebra.reductions[1]
-    for j, w in enumerate(red1.words):
-        col = {}
-        for i in range(n):
-            c = Fraction(g[i][j])
-            if c:
-                col[red1.words[i]] = col.get(red1.words[i], Fraction(0)) + c
-        free_cols[1][w] = col
-    for m in range(2, algebra.k + 1):
-        red = algebra.reductions[m]
-        free_cols[m] = {}
-        for w in red.words:
+    memo = {(j,): [Fraction(g[i][j]) for i in range(n)] + [Fraction(0)] * (algebra.dim - n)
+            for j in range(n)}
+
+    def f(w):
+        if w not in memo:
             u, v = standard_factorization(w)
-            cu, cv = free_cols[len(u)][u], free_cols[len(v)][v]
-            wu = list(cu.keys())
-            wv = list(cv.keys())
-            img = _free_bracket_vec(wu, [cu[x] for x in wu], wv, [cv[x] for x in wv])
-            free_cols[m][w] = img
-    # descent: relation generators must land in the relation space
+            memo[w] = algebra.bracket(f(u), f(v))
+        return memo[w]
+
     for deg, rel in algebra.relation_generators:
-        red = algebra.reductions[deg]
-        img = {}
-        for w, c in rel.items():
-            for w2, c2 in free_cols[deg][w].items():
-                img[w2] = img.get(w2, Fraction(0)) + Fraction(c) * c2
-        vec = [Fraction(0)] * red.free_dim
-        for w2, c2 in img.items():
-            vec[red.col[w2]] += c2
-        if not red.contains(vec):
+        if any(sum(c * f(w)[i] for w, c in rel.items()) for i in range(algebra.dim)):
             raise ExtensionError(
                 f"degree-one map does not preserve the degree-{deg} relation space"
             )
     blocks = {}
     for m in range(1, algebra.k + 1):
-        red = algebra.reductions[m]
-        words = algebra.basis_words[m]
-        dim = len(words)
-        block = [[Fraction(0)] * dim for _ in range(dim)]
-        for jcol, w in enumerate(words):
-            coords = red.reduce_dict(free_cols[m][w])
-            for irow in range(dim):
-                block[irow][jcol] = coords[irow]
-        blocks[m] = block
+        lo, hi = algebra.offsets[m], algebra.offsets[m] + algebra.dims[m - 1]
+        columns = [f(w)[lo:hi] for w in algebra.basis_words[m]]
+        blocks[m] = [list(row) for row in zip(*columns)]
     return blocks
 
 
@@ -372,7 +337,7 @@ def _check_blocks(blocks, budget_bits=None):
         if not linalg.is_integral(block):
             return False, ("unimodularity", f"degree-{m} block is not integral")
         intblock = [[int(x) for x in row] for row in block]
-        det = int(linalg.det_bareiss(intblock)) if intblock else 1
+        det = int(linalg.det_bareiss(intblock))
         if det not in (1, -1):
             return False, ("unimodularity",
                            f"degree-{m} block determinant {det} is not a unit")
@@ -464,9 +429,11 @@ def verify_certificate(graph, cert):
 
     Rebuilds the algebra, recomputes the partition, and checks: digest
     binding, the block-diagonal shape of degree one, exact bracket
-    compatibility on all basis pairs, integrality and unimodularity per
-    degree, and re-derived unit-root-freeness per degree.  Returns
-    (ok, report); the report names the first failing check.
+    compatibility on all basis pairs (the certified map applied to the
+    structure constants of [e_i, e_j] against the bracket of the images of
+    e_i and e_j), integrality and unimodularity per degree, and re-derived
+    unit-root-freeness per degree.  Returns (ok, report); the report names
+    the first failing check.
     """
     report = {"checks": []}
 
@@ -505,35 +472,24 @@ def verify_certificate(graph, cert):
 
     blocks = {m: [[Fraction(x) for x in row] for row in cert.degree_blocks[m]]
               for m in cert.degree_blocks}
+    # columns[i]: the certified map applied to basis element i, as a full vector
+    columns = []
+    for m in range(1, algebra.k + 1):
+        lo = algebra.offsets[m]
+        for column in zip(*blocks[m]):
+            col = [Fraction(0)] * algebra.dim
+            col[lo:lo + len(column)] = column
+            columns.append(col)
     for i in range(algebra.dim):
-        di = algebra.degree_of(i)
         for j in range(i + 1, algebra.dim):
-            dj = algebra.degree_of(j)
-            m = di + dj
+            m = algebra.degree_of(i) + algebra.degree_of(j)
             if m > algebra.k:
                 continue
-            iloc = i - algebra.offsets[di]
-            jloc = j - algebra.offsets[dj]
-            lhs = [Fraction(0)] * algebra.dims[m - 1]
+            lo, hi = algebra.offsets[m], algebra.offsets[m] + algebra.dims[m - 1]
+            lhs = [Fraction(0)] * (hi - lo)
             for l, c in algebra.bracket_basis(i, j).items():
-                lloc = l - algebra.offsets[m]
-                for r in range(algebra.dims[m - 1]):
-                    lhs[r] += blocks[m][r][lloc] * c
-            rhs = [Fraction(0)] * algebra.dims[m - 1]
-            bi = blocks[di]
-            bj = blocks[dj]
-            for p in range(algebra.dims[di - 1]):
-                cp_ = bi[p][iloc]
-                if not cp_:
-                    continue
-                for q in range(algebra.dims[dj - 1]):
-                    cq = bj[q][jloc]
-                    if not cq:
-                        continue
-                    pg = algebra.offsets[di] + p
-                    qg = algebra.offsets[dj] + q
-                    for l, c in algebra.bracket_basis(pg, qg).items():
-                        rhs[l - algebra.offsets[m]] += cp_ * cq * c
+                lhs = [x + c * y for x, y in zip(lhs, columns[l][lo:hi])]
+            rhs = algebra.bracket(columns[i], columns[j])[lo:hi]
             if lhs != rhs:
                 return fail("bracket-compatibility", {
                     "pair": [algebra.word_label(algebra.word_of(i)),

@@ -66,23 +66,30 @@ class QuotientSpec:
                     raise SpecError(f"required edge {which} is missing")
             return (a, b, c, d)
         if self.step == 3:
-            if not self.vector:
-                raise SpecError("step-3 spec needs a nonzero degree-3 vector")
-            q = quotient_algebra(graph, 3)
-            words3 = set(q.basis_words[3])
-            coeffs = {}
-            for labels, c in self.vector:
-                word = tuple(graph.index[l] for l in labels)
-                if word not in words3:
-                    raise SpecError(
-                        f"{'.'.join(labels)} is not a degree-3 basis word of this algebra"
-                    )
-                coeffs[word] = coeffs.get(word, Fraction(0)) + Fraction(c)
-            coeffs = {w: c for w, c in coeffs.items() if c}
-            if not coeffs:
-                raise SpecError("the degree-3 vector X must be nonzero")
-            return coeffs
+            return self._vector_in(quotient_algebra(graph, 3))
         raise SpecError(f"step must be 2 or 3, not {self.step}")
+
+    def _vector_in(self, base):
+        """Step-3 X as {word: coeff} over the degree-3 basis words of the
+        3-step graph algebra `base`."""
+        if not self.vector:
+            raise SpecError("step-3 spec needs a nonzero degree-3 vector")
+        words3 = set(base.basis_words[3])
+        coeffs = {}
+        for labels, c in self.vector:
+            try:
+                word = tuple(base.graph.index[l] for l in labels)
+            except KeyError as e:
+                raise SpecError(f"unknown vertex {e.args[0]!r}") from None
+            if word not in words3:
+                raise SpecError(
+                    f"{'.'.join(labels)} is not a degree-3 basis word of this algebra"
+                )
+            coeffs[word] = coeffs.get(word, Fraction(0)) + Fraction(c)
+        coeffs = {w: c for w, c in coeffs.items() if c}
+        if not coeffs:
+            raise SpecError("the degree-3 vector X must be nonzero")
+        return coeffs
 
     @classmethod
     def from_json(cls, data):
@@ -122,7 +129,7 @@ def _coefficient(word, c):
     raise SpecError(f"coefficient of {word} must be a number or a string 'p/q', not {c!r}")
 
 
-def _step2_relation(graph, indices):
+def _step2_relation(indices):
     a, b, c, d = indices
     rel = {}
     for u, v in ((a, b), (c, d)):
@@ -135,20 +142,19 @@ def _step2_relation(graph, indices):
 
 def build_quotient(graph, spec):
     """The graph algebra modulo the one-dimensional central ideal <X>."""
-    payload = spec.validate(graph)
-    if spec.step == 2:
-        rel = _step2_relation(graph, payload)
-        gens = non_edge_relations(graph) + [(2, rel)]
-        algebra = build_graded_quotient(graph.vertices, 2, gens, graph=graph)
-        # degree 2 of the graph algebra has one basis bracket per edge
-        if algebra.dims[1] != len(graph.edges) - 1:
-            raise SpecError("X is not independent of the edge ideal")
+    if spec.step == 3:
+        base = quotient_algebra(graph, 3)
+        gens = non_edge_relations(graph) + [(3, spec._vector_in(base))]
+        algebra = build_graded_quotient(graph.vertices, 3, gens, graph=graph)
+        if algebra.dims[2] != base.dims[2] - 1:
+            raise SpecError("X vanishes in the 3-step algebra")
         return algebra
-    gens = non_edge_relations(graph) + [(3, payload)]
-    algebra = build_graded_quotient(graph.vertices, 3, gens, graph=graph)
-    base = quotient_algebra(graph, 3)
-    if algebra.dims[2] != base.dims[2] - 1:
-        raise SpecError("X vanishes in the 3-step algebra")
+    rel = _step2_relation(spec.validate(graph))
+    gens = non_edge_relations(graph) + [(2, rel)]
+    algebra = build_graded_quotient(graph.vertices, 2, gens, graph=graph)
+    # degree 2 of the graph algebra has one basis bracket per edge
+    if algebra.dims[1] != len(graph.edges) - 1:
+        raise SpecError("X is not independent of the edge ideal")
     return algebra
 
 
@@ -381,7 +387,7 @@ def lift_check(graph, spec):
     q_basis = _v_maps(quotient, q_conditions, all_pairs)
 
     base = quotient_algebra(graph, 2)
-    xrel = _step2_relation(graph, indices)
+    xrel = _step2_relation(indices)
     mod_rows, mod_pivots = linalg.rref([base.class_vector(xrel)], base.dim)
     conditions = [(rel, [], []) for _, rel in base.relation_generators]
     conditions.append((xrel, mod_rows, mod_pivots))

@@ -241,15 +241,10 @@ def cyclotomic(d):
     return num
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_indices_up_to_degree(maxdeg):
     """All d with euler_phi(d) <= maxdeg (phi(d) >= sqrt(d/2) bounds the sweep)."""
-    out = []
-    d = 1
-    while d <= 2 * maxdeg * maxdeg + 2:
-        if euler_phi(d) <= maxdeg:
-            out.append(d)
-        d += 1
-    return out
+    return tuple(d for d in range(1, 2 * maxdeg * maxdeg + 3) if euler_phi(d) <= maxdeg)
 
 
 # -- Sturm machinery over Q ------------------------------------------------

@@ -30,10 +30,6 @@ class Reduction:
     surviving: list = field(repr=False)  # columns that survive to the quotient
 
     @property
-    def free_dim(self):
-        return len(self.words)
-
-    @property
     def rel_dim(self):
         return len(self.rel_rows)
 
@@ -44,9 +40,6 @@ class Reduction:
             vec[self.col[w]] += c
         residue = linalg.reduce_mod_rows(self.rel_rows, self.rel_pivots, vec)
         return [residue[c] for c in self.surviving]
-
-    def contains(self, vec):
-        return linalg.in_row_space(self.rel_rows, self.rel_pivots, vec)
 
 
 class GradedLieAlgebra:

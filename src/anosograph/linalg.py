@@ -133,12 +133,7 @@ def rref(rows, ncols=None):
 
 def in_row_space(rref_rows, pivots, vec):
     """Exact membership of vec in the row space given by an rref basis."""
-    v = list(vec)
-    for row, p in zip(rref_rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
+    return not any(reduce_mod_rows(rref_rows, pivots, vec))
 
 
 def reduce_mod_rows(rref_rows, pivots, vec):

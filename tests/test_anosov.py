@@ -14,6 +14,7 @@ from anosograph.anosov import (
     synthesize,
     verify_certificate,
 )
+from anosograph.derivations import build_quotient
 from anosograph.graphs import coherent_components, parse_graph
 from anosograph.intpoly import IntPolynomial
 from anosograph.liealg import quotient_algebra
@@ -25,6 +26,7 @@ from oracles import (
     decide_anosov_brute,
     magnet_graph,
 )
+from test_derivations import s6_spec
 
 C4 = parse_graph("a b\nb c\nc d\nd a")
 
@@ -262,6 +264,50 @@ def test_extension_is_functorial():
     blocks_ab = extend_to_algebra(h, ab)
     for m in range(1, 4):
         assert mat_eq(blocks_ab[m], mat_mul(blocks_a[m], blocks_b[m]))
+
+
+def test_extend_descends_through_degree_three_relation():
+    # the step-3 quotient by one central degree-3 word: a scalar map keeps
+    # that word in the ideal, the class maps [[0,1],[1,1]] do not
+    q = build_quotient(C4, s6_spec(C4))
+    blocks = extend_to_algebra(q, [[2 if i == j else 0 for j in range(4)] for i in range(4)])
+    for m in range(1, 4):
+        d = q.dims[m - 1]
+        assert blocks[m] == [[2 ** m if i == j else 0 for j in range(d)] for i in range(d)]
+    with pytest.raises(ExtensionError, match="degree-3"):
+        extend_to_algebra(q, _scatter(q, [[0, 1], [1, 1]], [[0, 1], [1, 1]]))
+
+
+def test_extension_respects_brackets_through_degree_four():
+    # F[e_i, e_j] = [F e_i, F e_j] on every basis pair up to degree 4, both
+    # sides expanded through the structure constants
+    h = quotient_algebra(C4, 4)
+    assert h.dims == [4, 4, 12, 31]
+    blocks = extend_to_algebra(h, _scatter(h, [[0, 1], [1, 1]], [[1, 1], [1, 2]]))
+
+    def image(i):  # F e_i as {basis index: coeff}
+        m = h.degree_of(i)
+        c = i - h.offsets[m]
+        return {h.offsets[m] + r: row[c] for r, row in enumerate(blocks[m]) if row[c]}
+
+    degree_four_pairs = 0
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            if h.degree_of(i) + h.degree_of(j) > 4:
+                continue
+            lhs, rhs = {}, {}
+            for l, c in h.bracket_basis(i, j).items():
+                for r, x in image(l).items():
+                    lhs[r] = lhs.get(r, 0) + c * x
+            for p, x in image(i).items():
+                for q, y in image(j).items():
+                    for r, c in h.bracket_basis(p, q).items():
+                        rhs[r] = rhs.get(r, 0) + x * y * c
+            assert {r: x for r, x in lhs.items() if x} == \
+                {r: x for r, x in rhs.items() if x}, (i, j)
+            if h.degree_of(i) + h.degree_of(j) == 4 and lhs:
+                degree_four_pairs += 1
+    assert degree_four_pairs > 0
 
 
 def _scatter(algebra, first, second):

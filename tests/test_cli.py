@@ -163,6 +163,7 @@ def test_bad_spec_exit_1(capsys, tmp_path):
         {"step": 3, "vector": {"a.a.b": [1]}},
         {"step": 3, "vector": {"a.a.b": "1/0"}},
         {"step": 3, "vector": {"a.a.b": "1/2/3"}},
+        {"step": 3, "vector": {"a.z.b": 1}},
     ]
     for doc in malformed:
         capsys.readouterr()

@@ -86,6 +86,22 @@ def test_spec_unknown_word_rejected():
         spec.validate(C4)
 
 
+def test_step3_quotient_builds_graph_algebra_once(monkeypatch):
+    # validation and the nonvanishing check share one 3-step graph algebra
+    import anosograph.derivations as derivations
+
+    spec = s6_spec(C4)
+    calls = []
+
+    def counting(graph, k):
+        calls.append(k)
+        return quotient_algebra(graph, k)
+
+    monkeypatch.setattr(derivations, "quotient_algebra", counting)
+    assert build_quotient(C4, spec).dims == [4, 4, 11]
+    assert calls == [3]
+
+
 def test_spec_json_round_trip():
     spec = QuotientSpec.from_json(
         {"step": 2, "alpha": "a", "beta": "b", "gamma": "c", "delta": "d"})

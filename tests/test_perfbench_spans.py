@@ -1,0 +1,28 @@
+"""The benchmark tracer's function table against the package.
+
+`perfbench/spans.py` reports a missing function as a zero metric; this test
+turns a rename or deletion into a failure instead.  The file is read, not
+imported, so nothing is written next to it.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_functions_exist():
+    spans = _load_spans()
+    assert spans.TIMED and spans.COUNTED
+    missing = [f"{modname}.{fname}" for modname, fname in spans.TIMED + spans.COUNTED
+               if not callable(getattr(importlib.import_module(f"anosograph.{modname}"),
+                                       fname, None))]
+    assert missing == []
