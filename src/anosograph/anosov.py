@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .graphs import coherent_components
-from .liealg import quotient_algebra
-from .lyndon import standard_factorization
+from .liealg import combine, graph_algebra_dims, quotient_algebra
 from .spectra import char_poly, products_off_circle, unit_root_free
 
 
@@ -184,36 +183,27 @@ def extend_to_algebra(algebra, g):
     """Degree blocks of the algebra endomorphism induced by a degree-one map.
 
     The map extends to the free algebra as a homomorphism; its composite
-    with the projection onto the quotient is memoized per free Lyndon word,
-    f[u, v] = [f u, f v] along the standard factorization, with every
-    bracket taken in the quotient.  The projection is a Lie homomorphism,
-    so the map descends iff f kills every defining relation, which is
-    checked exactly before any block is read off (on a graph algebra,
+    f with the projection onto the quotient is `algebra.image_map`, which
+    brackets in the quotient word by word.  The projection is a Lie
+    homomorphism, so the map descends iff f kills every defining relation,
+    which is checked exactly before any block is read off (on a graph algebra,
     block-diagonal maps across coherent classes always pass).  Returns
     {degree: matrix} on the algebra's basis, degree 1 included.
     """
     n = len(algebra.generators)
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("degree-one matrix has the wrong shape")
-    memo = {(j,): [Fraction(g[i][j]) for i in range(n)] + [Fraction(0)] * (algebra.dim - n)
-            for j in range(n)}
-
-    def f(w):
-        if w not in memo:
-            u, v = standard_factorization(w)
-            memo[w] = algebra.bracket(f(u), f(v))
-        return memo[w]
-
+    f = algebra.image_map([{i: g[i][j] for i in range(n) if g[i][j]} for j in range(n)])
     for deg, rel in algebra.relation_generators:
-        if any(sum(c * f(w)[i] for w, c in rel.items()) for i in range(algebra.dim)):
+        if combine((c, f(w)) for w, c in rel.items()):
             raise ExtensionError(
                 f"degree-one map does not preserve the degree-{deg} relation space"
             )
     blocks = {}
     for m in range(1, algebra.k + 1):
-        lo, hi = algebra.offsets[m], algebra.offsets[m] + algebra.dims[m - 1]
-        columns = [f(w)[lo:hi] for w in algebra.basis_words[m]]
-        blocks[m] = [list(row) for row in zip(*columns)]
+        columns = [f(w) for w in algebra.basis_words[m]]
+        blocks[m] = [[col.get(i, 0) for col in columns]
+                     for i in range(algebra.offsets[m], algebra.offsets[m] + len(columns))]
     return blocks
 
 
@@ -301,7 +291,7 @@ class AutomorphismCertificate:
         require(isinstance(data, dict), "(top level)")
         classes, components, exponents = data["classes"], data["components"], data["exponents"]
         require(isinstance(data["graph_digest"], str), "graph_digest")
-        require(type(data["k"]) is int, "k")
+        require(type(data["k"]) is int and data["k"] >= 2, "k")
         require(isinstance(classes, list) and all(isinstance(c, list) for c in classes), "classes")
         require(isinstance(components, list) and len(components) == len(classes)
                 and all(isinstance(c, dict) and _is_square_int_matrix(c.get("matrix"), len(cl))
@@ -336,12 +326,11 @@ def _check_blocks(blocks, budget_bits=None):
     for m, block in sorted(blocks.items()):
         if not linalg.is_integral(block):
             return False, ("unimodularity", f"degree-{m} block is not integral")
-        intblock = [[int(x) for x in row] for row in block]
-        det = int(linalg.det_bareiss(intblock))
+        cp = char_poly([[int(x) for x in row] for row in block])
+        det = (-1) ** len(block) * cp.constant()  # cp(0) = det(-A)
         if det not in (1, -1):
             return False, ("unimodularity",
                            f"degree-{m} block determinant {det} is not a unit")
-        cp = char_poly(intblock)
         cert = unit_root_free(cp, budget_bits=budget_bits)
         char_polys[m] = cp
         certs[m] = cert
@@ -455,47 +444,40 @@ def verify_certificate(graph, cert):
         return fail("partition", "recorded classes differ from the recomputed partition")
     passed("partition")
 
-    algebra = quotient_algebra(graph, cert.k)
-    for m in range(1, cert.k + 1):
-        b = cert.degree_blocks.get(m)
-        if b is None or len(b) != algebra.dims[m - 1]:
+    blocks = cert.degree_blocks
+    if len(blocks) != cert.k or not all(1 <= m <= cert.k for m in blocks):
+        return fail("block-shape", f"blocks for degrees {sorted(blocks)}, not 1..{cert.k}")
+    for m, dim in enumerate(graph_algebra_dims(graph, cert.k), 1):
+        if len(blocks[m]) != dim:
             return fail("block-shape", f"degree-{m} block missing or of wrong size")
     passed("block-shape")
 
     expected = _powered_degree_one(graph.n, partition.classes,
                                    [comp["matrix"] for comp in cert.components],
                                    cert.exponents)
-    if cert.degree_blocks[1] != expected:
+    if blocks[1] != expected:
         return fail("degree-one-shape",
                     "degree-one block is not the recorded block-diagonal power")
     passed("degree-one-shape")
 
-    blocks = {m: [[Fraction(x) for x in row] for row in cert.degree_blocks[m]]
-              for m in cert.degree_blocks}
-    # columns[i]: the certified map applied to basis element i, as a full vector
-    columns = []
-    for m in range(1, algebra.k + 1):
-        lo = algebra.offsets[m]
-        for column in zip(*blocks[m]):
-            col = [Fraction(0)] * algebra.dim
-            col[lo:lo + len(column)] = column
-            columns.append(col)
+    algebra = quotient_algebra(graph, cert.k)
+    # columns[i]: the certified map applied to basis element i
+    columns = [{algebra.offsets[m] + r: row[c] for r, row in enumerate(blocks[m]) if row[c]}
+               for m in range(1, cert.k + 1) for c in range(algebra.dims[m - 1])]
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
             m = algebra.degree_of(i) + algebra.degree_of(j)
             if m > algebra.k:
                 continue
-            lo, hi = algebra.offsets[m], algebra.offsets[m] + algebra.dims[m - 1]
-            lhs = [Fraction(0)] * (hi - lo)
-            for l, c in algebra.bracket_basis(i, j).items():
-                lhs = [x + c * y for x, y in zip(lhs, columns[l][lo:hi])]
-            rhs = algebra.bracket(columns[i], columns[j])[lo:hi]
+            lhs = combine((c, columns[l]) for l, c in algebra.bracket_basis(i, j).items())
+            rhs = algebra.bracket(columns[i], columns[j])
             if lhs != rhs:
+                degree_m = range(algebra.offsets[m], algebra.offsets[m] + algebra.dims[m - 1])
                 return fail("bracket-compatibility", {
                     "pair": [algebra.word_label(algebra.word_of(i)),
                              algebra.word_label(algebra.word_of(j))],
-                    "expected": [str(x) for x in rhs],
-                    "got": [str(x) for x in lhs],
+                    "expected": [str(rhs.get(l, 0)) for l in degree_m],
+                    "got": [str(lhs.get(l, 0)) for l in degree_m],
                 })
     passed("bracket-compatibility")
 

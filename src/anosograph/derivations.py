@@ -26,8 +26,7 @@ from fractions import Fraction
 from . import linalg
 from .graphs import coherent_components
 from .intpoly import IntPolynomial
-from .liealg import build_graded_quotient, non_edge_relations, quotient_algebra
-from .lyndon import standard_factorization
+from .liealg import build_graded_quotient, combine, non_edge_relations, quotient_algebra
 from .spectra import char_poly, unit_root_free
 from .anosov import ExtensionError, _scatter_block_diagonal, extend_to_algebra
 
@@ -161,79 +160,37 @@ def build_quotient(graph, spec):
 # -- derivations --------------------------------------------------------------
 
 
-def _free_derivation(algebra, images, classes):
-    """w -> D(w) for free Lyndon words w.
-
-    D is the derivation of the free algebra with the given generator images
-    (full vectors), pushed to the quotient: D[u,v] = [Du, cls v] + [cls u, Dv]
-    along the standard factorization, memoized per word.  `classes` caches
-    the class vectors of free words and may be shared between calls.
-    """
-    memo = {(j,): img for j, img in enumerate(images)}
-
-    def cls(w):
-        if w not in classes:
-            classes[w] = algebra.class_vector({w: 1})
-        return classes[w]
-
-    def d(w):
-        if w not in memo:
-            u, v = standard_factorization(w)
-            out = [Fraction(0)] * algebra.dim
-            for x, y in ((d(u), cls(v)), (cls(u), d(v))):
-                if any(x) and any(y):
-                    for i, c in enumerate(algebra.bracket(x, y)):
-                        if c:
-                            out[i] += c
-            memo[w] = out
-        return memo[w]
-
-    return d
-
-
 def _unit_map(algebra, i, j):
     """Generator images of the map sending generator j to basis element i."""
-    images = [[Fraction(0)] * algebra.dim for _ in algebra.generators]
-    images[j][i] = Fraction(1)
-    return images
+    return [{i: 1} if g == j else {} for g in range(len(algebra.generators))]
 
 
 def _derivations_in_span(algebra, conditions, family):
     """Basis of the maps in span(family) that satisfy every condition.
 
-    family: maps given as generator-image lists.  A condition
+    family: maps given as lists of sparse generator images.  A condition
     (rel, mod_rows, mod_pivots) asks that the free derivation of the
     relation rel = {free word: coeff} vanish modulo the given row space.
-    The basis is returned as generator-image lists.
+    The basis is returned as lists of sparse generator images.
     """
     if not family:
         return []
-    classes = {}
     columns = []
     for images in family:
-        d = _free_derivation(algebra, images, classes)
-        col = []
-        for rel, mod_rows, mod_pivots in conditions:
-            img = [Fraction(0)] * algebra.dim
-            for w, c in rel.items():
-                for i, x in enumerate(d(w)):
-                    if x:
-                        img[i] += c * x
+        d = algebra.free_derivation(images)
+        col = {}
+        for ci, (rel, mod_rows, mod_pivots) in enumerate(conditions):
+            img = combine((c, d(w)) for w, c in rel.items())
             if mod_rows:
-                img = linalg.reduce_mod_rows(mod_rows, mod_pivots, img)
-            col.extend(img)
+                img = dict(enumerate(linalg.reduce_mod_rows(
+                    mod_rows, mod_pivots, [img.get(i, 0) for i in range(algebra.dim)])))
+            col.update(((ci, i), x) for i, x in img.items() if x)
         columns.append(col)
-    entries = [[(j, i, x) for j, img in enumerate(images) for i, x in enumerate(img) if x]
-               for images in family]
-    out = []
-    for vec in linalg.kernel_basis(list(zip(*columns)), len(family)):
-        images = [[Fraction(0)] * algebra.dim for _ in algebra.generators]
-        for c, member in zip(vec, entries):
-            if c:
-                for j, i, x in member:
-                    images[j][i] += c * x
-        out.append(images)
-    return out
+    rows = [[col.get(key, 0) for col in columns]
+            for key in sorted(set().union(*columns))]
+    return [[combine(zip(vec, (member[j] for member in family)))
+             for j in range(len(algebra.generators))]
+            for vec in linalg.kernel_basis(rows, len(family))]
 
 
 def _v_maps(algebra, conditions, pairs):
@@ -241,7 +198,7 @@ def _v_maps(algebra, conditions, pairs):
     pairs} that satisfy the conditions; E_ij sends generator j to generator i."""
     family = [_unit_map(algebra, i, j) for i, j in pairs]
     n = len(algebra.generators)
-    return [[[images[j][i] for j in range(n)] for i in range(n)]
+    return [[[images[j].get(i, 0) for j in range(n)] for i in range(n)]
             for images in _derivations_in_span(algebra, conditions, family)]
 
 
@@ -265,7 +222,6 @@ def derivation_algebra(algebra, v_stable=False):
     """
     conditions = [(rel, [], []) for _, rel in algebra.relation_generators]
     n = len(algebra.generators)
-    classes = {}
     basis, weights = [], []
     top = 1 if v_stable else algebra.k
     for t in range(1, top + 1):
@@ -273,9 +229,9 @@ def derivation_algebra(algebra, v_stable=False):
         family = [_unit_map(algebra, base + p, j)
                   for j in range(n) for p in range(algebra.dims[t - 1])]
         for images in _derivations_in_span(algebra, conditions, family):
-            d = _free_derivation(algebra, images, classes)
+            d = algebra.free_derivation(images)
             columns = [d(algebra.word_of(c)) for c in range(algebra.dim)]
-            basis.append([list(row) for row in zip(*columns)])
+            basis.append([[col.get(r, 0) for col in columns] for r in range(algebra.dim)])
             weights.append(t - 1)
     return DerivationAlgebra(ambient_dim=algebra.dim, basis=basis, weights=weights)
 
@@ -388,7 +344,8 @@ def lift_check(graph, spec):
 
     base = quotient_algebra(graph, 2)
     xrel = _step2_relation(indices)
-    mod_rows, mod_pivots = linalg.rref([base.class_vector(xrel)], base.dim)
+    x = combine((c, base.project(w)) for w, c in xrel.items())
+    mod_rows, mod_pivots = linalg.rref([[x.get(i, 0) for i in range(base.dim)]], base.dim)
     conditions = [(rel, [], []) for _, rel in base.relation_generators]
     conditions.append((xrel, mod_rows, mod_pivots))
     lifted = _v_maps(base, conditions, all_pairs)

@@ -7,6 +7,13 @@ eliminated degree by degree as an exact row space, and the surviving
 (non-pivot) Lyndon words form the quotient basis.  Pivots prefer
 lexicographically smaller words, so structure constants are reproducible
 bit for bit.
+
+An element of a `GradedLieAlgebra` is a sparse dict {basis index: coeff}
+with no zero entries; coefficients are ints or Fractions.  Free-algebra
+coordinates (Lyndon words, the relation row spaces) stay inside this
+module: maps defined on free words, such as the extension of a degree-one
+map or a free derivation, are pushed into the quotient here, word by word
+along the standard factorization.
 """
 
 from __future__ import annotations
@@ -15,7 +22,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .lyndon import free_bracket_words, lyndon_basis
+from .lyndon import _mobius, free_bracket_words, lyndon_basis, standard_factorization
+
+
+def combine(terms):
+    """The sum of c * x over (c, x) pairs, x sparse; zero entries dropped."""
+    out = {}
+    for c, x in terms:
+        if c:
+            for i, xi in x.items():
+                out[i] = out.get(i, 0) + c * xi
+    return {i: c for i, c in out.items() if c}
 
 
 @dataclass
@@ -75,6 +92,7 @@ class GradedLieAlgebra:
         self._index = {w: i for i, w in enumerate(self._word)}
         self.struct = {}
         self._build_structure()
+        self.project = self.image_map([{j: 1} for j in range(len(self.generators))])
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -101,13 +119,8 @@ class GradedLieAlgebra:
                 if m > self.k:
                     continue
                 expansion = free_bracket_words(self._word[i], self._word[j])
-                red = self.reductions[m]
-                coords = red.reduce_dict(expansion)
-                entry = {}
-                base = self.offsets[m]
-                for pos, c in enumerate(coords):
-                    if c:
-                        entry[base + pos] = c
+                coords = self.reductions[m].reduce_dict(expansion)
+                entry = {self.offsets[m] + pos: c for pos, c in enumerate(coords) if c}
                 if entry:
                     self.struct[(i, j)] = entry
 
@@ -120,28 +133,57 @@ class GradedLieAlgebra:
         return {l: -c for l, c in self.struct.get((j, i), {}).items()}
 
     def bracket(self, x, y):
-        """Bilinear bracket of two coordinate vectors."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError(f"expected vectors of dimension {self.dim}")
-        out = [Fraction(0)] * self.dim
-        nx = [(i, Fraction(c)) for i, c in enumerate(x) if c]
-        ny = [(j, Fraction(c)) for j, c in enumerate(y) if c]
-        for i, ci in nx:
-            for j, cj in ny:
-                if i == j:
-                    continue
-                for l, c in self.bracket_basis(i, j).items():
-                    out[l] += ci * cj * c
-        return out
+        """[x, y] of two sparse elements."""
+        struct = self.struct
+        terms = []
+        for i, ci in x.items():
+            for j, cj in y.items():
+                if i < j and (i, j) in struct:
+                    terms.append((ci * cj, struct[i, j]))
+                elif j < i and (j, i) in struct:
+                    terms.append((-ci * cj, struct[j, i]))
+        return combine(terms)
 
-    def class_vector(self, element):
-        """Class of a homogeneous free element {word: coeff}, as a full vector."""
-        out = [Fraction(0)] * self.dim
-        if element:
-            m = len(next(iter(element)))
-            coords = self.reductions[m].reduce_dict(element)
-            out[self.offsets[m]:self.offsets[m] + len(coords)] = coords
-        return out
+    # -- maps from the free algebra -----------------------------------------
+
+    def image_map(self, images):
+        """w -> f(w) for free Lyndon words w.
+
+        f is the homomorphism of the free algebra that sends generator j to
+        the sparse element images[j], composed with the projection onto this
+        algebra: f[u, v] = [f u, f v] along the standard factorization, with
+        the bracket taken here, memoized per word.  With images[j] = {j: 1}
+        it is the projection itself (`project`).
+        """
+        memo = {(j,): img for j, img in enumerate(images)}
+
+        def f(w):
+            if w not in memo:
+                u, v = standard_factorization(w)
+                memo[w] = self.bracket(f(u), f(v))
+            return memo[w]
+
+        return f
+
+    def free_derivation(self, images):
+        """w -> D(w) for free Lyndon words w.
+
+        D is the derivation of the free algebra with the given sparse
+        generator images, pushed to this algebra:
+        D[u, v] = [Du, pi v] + [pi u, Dv] along the standard factorization,
+        pi the projection, memoized per word.
+        """
+        pi = self.project
+        memo = {(j,): img for j, img in enumerate(images)}
+
+        def d(w):
+            if w not in memo:
+                u, v = standard_factorization(w)
+                memo[w] = combine(((1, self.bracket(d(u), pi(v))),
+                                   (1, self.bracket(pi(u), d(v)))))
+            return memo[w]
+
+        return d
 
     # -- serialization -----------------------------------------------------
 
@@ -186,16 +228,10 @@ def build_graded_quotient(generators, k, relation_gens, graph=None):
         # bracket every degree-(m-1) relation row with every generator
         for row in prev_rows:
             for v in range(n):
-                acc = {}
-                for widx, c in enumerate(row):
-                    if c:
-                        for w2, c2 in free_bracket_words((v,), prev_words[widx]).items():
-                            acc[w2] = acc.get(w2, Fraction(0)) + c * c2
-                vec = [Fraction(0)] * len(words)
-                for w2, c2 in acc.items():
-                    vec[col[w2]] += c2
-                if any(vec):
-                    rows.append(vec)
+                acc = combine((c, free_bracket_words((v,), w))
+                              for c, w in zip(row, prev_words))
+                if acc:
+                    rows.append([acc.get(w, 0) for w in words])
         for deg, d in relation_gens:
             if deg == m:
                 vec = [Fraction(0)] * len(words)
@@ -238,3 +274,36 @@ def quotient_algebra(graph, k):
     if k < 2:
         raise ValueError("step k must be >= 2")
     return build_graded_quotient(graph.vertices, k, non_edge_relations(graph), graph=graph)
+
+
+def graph_algebra_dims(graph, k):
+    """`quotient_algebra(graph, k).dims` in closed form, without building it.
+
+    Non-adjacent vertices commute, so the graph algebra is the free
+    partially commutative Lie algebra truncated at step k, and its degree
+    dimensions d_m satisfy prod_m (1 - t^m)^(d_m) = I(-t), with I the
+    independence polynomial of the graph (Cartier-Foata and PBW).  Only the
+    independent sets of size <= k are counted; Mobius inversion of
+    -log I(-t) then gives d_1..d_k.
+    """
+    memo = {}
+
+    def count(vs, room):
+        """Independent sets inside the vertex tuple vs, by size up to room."""
+        if (vs, room) not in memo:
+            out = [1] + [0] * room
+            if room:
+                for i, v in enumerate(vs):
+                    rest = tuple(u for u in vs[i + 1:] if not graph.adjacent(u, v))
+                    for size, c in enumerate(count(rest, room - 1), 1):
+                        out[size] += c
+            memo[vs, room] = out
+        return memo[vs, room]
+
+    coeffs = [(-1) ** s * c for s, c in enumerate(count(tuple(range(graph.n)), k))]
+    # b_m = m [t^m] -log I(-t), from I(-t) L' = -I'(-t) with L = -log I(-t)
+    b = [0] * (k + 1)
+    for m in range(1, k + 1):
+        b[m] = -m * coeffs[m] - sum(coeffs[j] * b[m - j] for j in range(1, m))
+    return [sum(_mobius(m // e) * b[e] for e in range(1, m + 1) if m % e == 0) // m
+            for m in range(1, k + 1)]

@@ -218,6 +218,8 @@ def derivations_dense(algebra):
 
 
 def derivation_identity_holds(algebra, mat):
+    """D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] on every basis pair, both sides
+    from the structure constants alone."""
     n = algebra.dim
     for i in range(n):
         for j in range(i + 1, n):
@@ -225,11 +227,12 @@ def derivation_identity_holds(algebra, mat):
             for l, c in algebra.bracket_basis(i, j).items():
                 for r in range(n):
                     lhs[r] += mat[r][l] * c
-            dei = [mat[r][i] for r in range(n)]
-            dej = [mat[r][j] for r in range(n)]
-            ei = [Fraction(1) if r == i else Fraction(0) for r in range(n)]
-            ej = [Fraction(1) if r == j else Fraction(0) for r in range(n)]
-            rhs = [a + b for a, b in zip(algebra.bracket(dei, ej), algebra.bracket(ei, dej))]
+            rhs = [Fraction(0)] * n
+            for p in range(n):
+                for l, c in algebra.bracket_basis(p, j).items():
+                    rhs[l] += mat[p][i] * c
+                for l, c in algebra.bracket_basis(i, p).items():
+                    rhs[l] += mat[p][j] * c
             if lhs != rhs:
                 return False
     return True

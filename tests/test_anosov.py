@@ -5,6 +5,7 @@ import pytest
 
 from anosograph.anosov import (
     AutomorphismCertificate,
+    _check_blocks,
     ExtensionError,
     NotAdmissibleError,
     companion_matrix,
@@ -211,6 +212,16 @@ def test_verify_detects_perturbed_block():
     ok, report = verify_certificate(C4, mutated)
     assert not ok
     assert report["first_failure"] == "bracket-compatibility"
+
+
+def test_check_blocks_determinant_from_char_poly():
+    # det = (-1)^n cp(0): x^2 - x - 1 and x^3 - x + 1 both give det -1
+    ok, (char_polys, _, dets) = _check_blocks({1: [[1, 1], [1, 0]],
+                                               2: [[0, 0, -1], [1, 0, 1], [0, 1, 0]]})
+    assert ok and dets == {1: -1, 2: -1}
+    assert char_polys[2].coeffs == (1, -1, 0, 1)
+    assert _check_blocks({1: [[1, 1], [1, 0]], 2: [[2, 0], [0, 1]]}) == (
+        False, ("unimodularity", "degree-2 block determinant 2 is not a unit"))
 
 
 def test_verify_detects_identity_components():

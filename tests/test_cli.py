@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +90,26 @@ def test_malformed_certificate_exit_1(capsys, c4_path, tmp_path, tamper):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: cannot load certificate")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc.update(k=40),
+    lambda doc: doc["degree_blocks"].update({"9": [[2, 1], [1, 1]]}),
+    lambda doc: doc["degree_blocks"].update({"9": [[1, 0], [0, 1]]}),
+], ids=["k-40", "extra-hyperbolic-degree", "extra-identity-degree"])
+def test_block_shape_checked_before_algebra(capsys, tmp_path, tamper):
+    doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    tamper(doc)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, "verify", str(GOLDEN / "c4.edges"), "--certificate", str(cert_path))
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert json.loads(out)["report"]["first_failure"] == "block-shape"
 
 
 def test_synthesize_budget_exhausted_exit_4(capsys, c4_path):

@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 
 from anosograph.graphs import parse_graph
-from anosograph.liealg import build_graded_quotient, quotient_algebra
+from anosograph.liealg import (
+    build_graded_quotient,
+    graph_algebra_dims,
+    non_edge_relations,
+    quotient_algebra,
+)
 from anosograph.lyndon import witt_number
 from oracles import (
     all_graphs_up_to_iso,
@@ -15,12 +20,6 @@ from oracles import (
 )
 
 C4 = parse_graph("a b\nb c\nc d\nd a")
-
-
-def basis_vector(algebra, i):
-    v = [Fraction(0)] * algebra.dim
-    v[i] = Fraction(1)
-    return v
 
 
 def test_four_cycle_dims():
@@ -80,27 +79,45 @@ def test_rejects_relation_above_step():
 def test_bracket_of_adjacent_generators():
     h = quotient_algebra(C4, 2)
     a, b = h.index_of((0,)), h.index_of((1,))
-    out = h.bracket(basis_vector(h, a), basis_vector(h, b))
-    expected = basis_vector(h, h.index_of((0, 1)))
-    assert out == expected
+    assert h.bracket({a: 1}, {b: 1}) == {h.index_of((0, 1)): 1}
 
 
 def test_bracket_of_nonadjacent_generators_is_zero():
     h = quotient_algebra(C4, 2)
     a, c = h.index_of((0,)), h.index_of((2,))
-    assert not any(h.bracket(basis_vector(h, a), basis_vector(h, c)))
+    assert h.bracket({a: 1}, {c: 1}) == {}
 
 
 def test_bracket_self_is_zero():
     h = quotient_algebra(C4, 2)
-    x = [Fraction(i + 1) for i in range(h.dim)]
-    assert not any(h.bracket(x, x))
+    x = {i: Fraction(i + 1) for i in range(h.dim)}
+    assert h.bracket(x, x) == {}
 
 
-def test_bracket_dimension_mismatch():
-    h = quotient_algebra(C4, 2)
-    with pytest.raises(ValueError):
-        h.bracket([Fraction(1)], [Fraction(0)] * h.dim)
+def test_projection_recursion_matches_elimination():
+    # the identity image_map brackets along the standard factorization;
+    # Reduction.reduce_dict eliminates against the relation rows.  step3 is
+    # C4 at step 3 modulo 1/2 w0 - 3/5 w1, its first two degree-3 basis words
+    w0, w1 = quotient_algebra(C4, 3).basis_words[3][:2]
+    relation = {w0: Fraction(1, 2), w1: Fraction(-3, 5)}
+    step3 = build_graded_quotient(C4.vertices, 3, non_edge_relations(C4) + [(3, relation)])
+    assert step3.dims == [4, 4, 11]
+    for h in (quotient_algebra(C4, 4), step3):
+        project = h.image_map([{j: 1} for j in range(len(h.generators))])
+        for m in range(1, h.k + 1):
+            red = h.reductions[m]
+            for w in red.words:
+                coords = red.reduce_dict({w: 1})
+                assert project(w) == {h.offsets[m] + p: c for p, c in enumerate(coords) if c}
+        for i in range(h.dim):
+            assert project(h.word_of(i)) == {i: 1}
+
+
+def test_closed_form_dims_match_elimination():
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            for k in (2, 3, 4):
+                assert graph_algebra_dims(g, k) == quotient_algebra(g, k).dims
 
 
 def test_antisymmetry_of_structure_constants():
