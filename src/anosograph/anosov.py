@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .graphs import coherent_components
@@ -247,10 +246,8 @@ def _scatter_block_diagonal(n, classes, mats):
 
 def _powered_degree_one(n, classes, matrices, exponents):
     """The degree-one map: each class's component matrix to its exponent."""
-    powers = [linalg.mat_pow([[Fraction(x) for x in row] for row in a], j)
-              for a, j in zip(matrices, exponents)]
     return _scatter_block_diagonal(
-        n, classes, [[[int(x) for x in row] for row in m] for m in powers])
+        n, classes, [linalg.mat_pow(a, j) for a, j in zip(matrices, exponents)])
 
 
 @dataclass
@@ -316,7 +313,7 @@ def _is_square_int_matrix(m, n=None):
                                and all(type(x) is int for x in row) for row in m)
 
 
-def _check_blocks(blocks, budget_bits=None):
+def _check_blocks(blocks):
     """Integrality, unimodularity and unit-root-freeness of degree blocks.
 
     Returns (True, (char_polys, certs, dets)) or (False, (kind, reason))
@@ -331,7 +328,7 @@ def _check_blocks(blocks, budget_bits=None):
         if det not in (1, -1):
             return False, ("unimodularity",
                            f"degree-{m} block determinant {det} is not a unit")
-        cert = unit_root_free(cp, budget_bits=budget_bits)
+        cert = unit_root_free(cp)
         char_polys[m] = cp
         certs[m] = cert
         dets[m] = det

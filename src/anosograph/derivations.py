@@ -175,22 +175,18 @@ def _derivations_in_span(algebra, conditions, family):
     """
     if not family:
         return []
-    columns = []
-    for images in family:
+    rows = {}  # condition coordinate -> {family position: coeff}
+    for j, images in enumerate(family):
         d = algebra.free_derivation(images)
-        col = {}
         for ci, (rel, mod_rows, mod_pivots) in enumerate(conditions):
             img = combine((c, d(w)) for w, c in rel.items())
             if mod_rows:
-                img = dict(enumerate(linalg.reduce_mod_rows(
-                    mod_rows, mod_pivots, [img.get(i, 0) for i in range(algebra.dim)])))
-            col.update(((ci, i), x) for i, x in img.items() if x)
-        columns.append(col)
-    rows = [[col.get(key, 0) for col in columns]
-            for key in sorted(set().union(*columns))]
-    return [[combine(zip(vec, (member[j] for member in family)))
-             for j in range(len(algebra.generators))]
-            for vec in linalg.kernel_basis(rows, len(family))]
+                img = linalg.reduce_mod_rows(mod_rows, mod_pivots, img)
+            for i, x in img.items():
+                rows.setdefault((ci, i), {})[j] = x
+    return [[combine((x, family[j][g]) for j, x in vec.items())
+             for g in range(len(algebra.generators))]
+            for vec in linalg.kernel_basis(list(rows.values()), len(family))]
 
 
 def _v_maps(algebra, conditions, pairs):
@@ -240,7 +236,8 @@ def derivation_algebra(algebra, v_stable=False):
 
 
 def _flatten(mat):
-    return [x for row in mat for x in row]
+    """A matrix as a sparse row keyed by (row, column)."""
+    return {(i, j): x for i, row in enumerate(mat) for j, x in enumerate(row) if x}
 
 
 @dataclass
@@ -306,9 +303,8 @@ def span_report(graph, spec):
         put(name, members)
 
     family_rows = [_flatten(m) for fam in families.values() for m in fam["members"]]
-    fam_rref, fam_pivots = linalg.rref(family_rows, n * n) if family_rows else ([], [])
-    comp_rref, comp_pivots = linalg.rref([_flatten(m) for m in computed], n * n) \
-        if computed else ([], [])
+    fam_rref, fam_pivots = linalg.rref(family_rows)
+    comp_rref, comp_pivots = linalg.rref([_flatten(m) for m in computed])
 
     missing_from_families = [
         m for m in computed
@@ -345,14 +341,13 @@ def lift_check(graph, spec):
     base = quotient_algebra(graph, 2)
     xrel = _step2_relation(indices)
     x = combine((c, base.project(w)) for w, c in xrel.items())
-    mod_rows, mod_pivots = linalg.rref([[x.get(i, 0) for i in range(base.dim)]], base.dim)
+    mod_rows, mod_pivots = linalg.rref([x])
     conditions = [(rel, [], []) for _, rel in base.relation_generators]
     conditions.append((xrel, mod_rows, mod_pivots))
     lifted = _v_maps(base, conditions, all_pairs)
 
     # every lift restricts to a quotient derivation; onto-ness is the claim
-    q_rref, q_pivots = linalg.rref([_flatten(m) for m in q_basis], graph.n ** 2) \
-        if q_basis else ([], [])
+    q_rref, q_pivots = linalg.rref([_flatten(m) for m in q_basis])
     for m in lifted:
         if not linalg.in_row_space(q_rref, q_pivots, _flatten(m)):
             return False

@@ -3,10 +3,12 @@
 The free k-step nilpotent Lie algebra on the vertex space carries the
 Lyndon basis from `lyndon`; a graph algebra is the quotient by the graded
 ideal generated by brackets of non-adjacent vertices.  The ideal is
-eliminated degree by degree as an exact row space, and the surviving
-(non-pivot) Lyndon words form the quotient basis.  Pivots prefer
-lexicographically smaller words, so structure constants are reproducible
-bit for bit.
+eliminated degree by degree as an exact row space of sparse rows keyed by
+free Lyndon words, and the surviving (non-pivot) words form the quotient
+basis.  Pivots are the lexicographically smallest words, so structure
+constants are reproducible bit for bit.  The elimination is stored as one
+normal-form table from each free word to its image in the quotient, which
+is the projection (`project`) and gives every structure constant.
 
 An element of a `GradedLieAlgebra` is a sparse dict {basis index: coeff}
 with no zero entries; coefficients are ints or Fractions.  Free-algebra
@@ -37,26 +39,13 @@ def combine(terms):
 
 @dataclass
 class Reduction:
-    """Relation row space inside one free degree component, in rref form."""
+    """Relation row space inside one free degree component, in rref form:
+    sparse rows {free Lyndon word: coeff}, pivots the lexicographically
+    smallest words."""
 
-    degree: int
     words: list  # free Lyndon words of this degree, lex order
-    col: dict = field(repr=False)
     rel_rows: list = field(repr=False)
     rel_pivots: list = field(repr=False)
-    surviving: list = field(repr=False)  # columns that survive to the quotient
-
-    @property
-    def rel_dim(self):
-        return len(self.rel_rows)
-
-    def reduce_dict(self, d):
-        """Free {word: coeff} -> quotient coordinates (surviving columns)."""
-        vec = [Fraction(0)] * len(self.words)
-        for w, c in d.items():
-            vec[self.col[w]] += c
-        residue = linalg.reduce_mod_rows(self.rel_rows, self.rel_pivots, vec)
-        return [residue[c] for c in self.surviving]
 
 
 class GradedLieAlgebra:
@@ -73,10 +62,12 @@ class GradedLieAlgebra:
         self.graph = graph
         self.reductions = reductions
         self.relation_generators = relation_generators
-        self.basis_words = {m: [reductions[m].words[c] for c in reductions[m].surviving]
-                            for m in range(1, k + 1)}
+        self.basis_words = {}
+        for m in range(1, k + 1):
+            pivots = set(reductions[m].rel_pivots)
+            self.basis_words[m] = [w for w in reductions[m].words if w not in pivots]
         self.dims = [len(self.basis_words[m]) for m in range(1, k + 1)]
-        self.ideal_dims = [reductions[m].rel_dim for m in range(1, k + 1)]
+        self.ideal_dims = [len(reductions[m].rel_rows) for m in range(1, k + 1)]
         self.offsets = {}
         off = 0
         for m in range(1, k + 1):
@@ -90,9 +81,14 @@ class GradedLieAlgebra:
                 self._degree.append(m)
                 self._word.append(w)
         self._index = {w: i for i, w in enumerate(self._word)}
+        # normal forms: a basis word is its unit vector, and a pivot word p
+        # of relation row r is -(r - p), the rest of its row
+        self._normal_form = {w: {i: 1} for i, w in enumerate(self._word)}
+        for red in reductions.values():
+            for p, row in zip(red.rel_pivots, red.rel_rows):
+                self._normal_form[p] = {self._index[w]: -c for w, c in row.items() if w != p}
         self.struct = {}
         self._build_structure()
-        self.project = self.image_map([{j: 1} for j in range(len(self.generators))])
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -108,19 +104,21 @@ class GradedLieAlgebra:
     def word_label(self, word):
         return ".".join(self.generators[i] for i in word)
 
+    def project(self, word):
+        """The image of the free Lyndon word in this algebra, as a sparse
+        element; the caller must not change it."""
+        return self._normal_form[word]
+
     # -- brackets ----------------------------------------------------------
 
     def _build_structure(self):
         for i in range(self.dim):
             di = self._degree[i]
             for j in range(i + 1, self.dim):
-                dj = self._degree[j]
-                m = di + dj
-                if m > self.k:
+                if di + self._degree[j] > self.k:
                     continue
                 expansion = free_bracket_words(self._word[i], self._word[j])
-                coords = self.reductions[m].reduce_dict(expansion)
-                entry = {self.offsets[m] + pos: c for pos, c in enumerate(coords) if c}
+                entry = combine((c, self._normal_form[w]) for w, c in expansion.items())
                 if entry:
                     self.struct[(i, j)] = entry
 
@@ -215,43 +213,21 @@ def build_graded_quotient(generators, k, relation_gens, graph=None):
             raise ValueError(f"relation generator degree {deg} outside 2..{k}")
     n = len(generators)
     basis = lyndon_basis(n, k)
-    words1 = basis.words[1]
-    reductions = {1: Reduction(degree=1, words=list(words1),
-                               col={w: i for i, w in enumerate(words1)},
-                               rel_rows=[], rel_pivots=[], surviving=list(range(n)))}
-    prev_rows = []
-    prev_words = words1
+    reductions = {1: Reduction(words=list(basis.words[1]), rel_rows=[], rel_pivots=[])}
     for m in range(2, k + 1):
         words = basis.words[m]
-        col = {w: i for i, w in enumerate(words)}
-        rows = []
         # bracket every degree-(m-1) relation row with every generator
-        for row in prev_rows:
-            for v in range(n):
-                acc = combine((c, free_bracket_words((v,), w))
-                              for c, w in zip(row, prev_words))
-                if acc:
-                    rows.append([acc.get(w, 0) for w in words])
+        rows = [combine((c, free_bracket_words((v,), w)) for w, c in row.items())
+                for row in reductions[m - 1].rel_rows for v in range(n)]
+        word_set = set(words)
         for deg, d in relation_gens:
             if deg == m:
-                vec = [Fraction(0)] * len(words)
-                for w, c in d.items():
-                    if w not in col:
+                for w in d:
+                    if w not in word_set:
                         raise ValueError(f"{w} is not a degree-{m} Lyndon word")
-                    vec[col[w]] += Fraction(c)
-                rows.append(vec)
-        rel_rows, rel_pivots = linalg.rref(rows, len(words)) if rows else ([], [])
-        pivot_set = set(rel_pivots)
-        reductions[m] = Reduction(
-            degree=m,
-            words=list(words),
-            col=col,
-            rel_rows=rel_rows,
-            rel_pivots=rel_pivots,
-            surviving=[c for c in range(len(words)) if c not in pivot_set],
-        )
-        prev_rows = rel_rows
-        prev_words = words
+                rows.append(d)
+        rel_rows, rel_pivots = linalg.rref(rows)
+        reductions[m] = Reduction(words=list(words), rel_rows=rel_rows, rel_pivots=rel_pivots)
     return GradedLieAlgebra(generators, k, reductions, relation_gens, graph=graph)
 
 

@@ -1,18 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows; entries are ints or Fractions and are never
-coerced to floats.  Everything here is deterministic: row order in, row
-order out.
+coerced to floats, and products of int matrices stay int.  The row-space
+routines (`rref`, `reduce_mod_rows`, `in_row_space`, `kernel_basis`) work
+on sparse rows {column: coeff} with no zero entries, the columns being any
+mutually comparable keys; a row's pivot is its smallest key.  Relation
+rows of a graded quotient live in one multidegree each, so they have a
+handful of nonzeros among thousands of columns.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 
 def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_copy(m):
@@ -21,7 +26,7 @@ def mat_copy(m):
 
 def mat_mul(a, b):
     n, mid, cols = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * cols for _ in range(n)]
+    out = [[0] * cols for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -48,12 +53,6 @@ def mat_pow(a, e):
         if e:
             base = mat_mul(base, base)
     return out
-
-
-def mat_eq(a, b):
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def is_integral(m):
@@ -97,66 +96,77 @@ def det_bareiss(m):
     return int(val) if val.denominator == 1 else val
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form over Q.
+def rref(rows):
+    """Reduced row echelon form over Q of sparse rows {column: coeff}.
 
-    Returns (rref_rows, pivot_columns); zero rows are dropped.  Pivot
-    preference is the leftmost column, so with lexicographically ordered
-    columns the pivots land on the lexicographically smallest ones.
+    Columns are any mutually comparable keys, and each row's pivot is its
+    smallest key.  Rows are added one at a time: each is reduced modulo
+    the rows so far, normalised on its smallest key, and that key is then
+    eliminated from the earlier rows.  Returns (rref_rows, pivots), sorted
+    ascending by pivot; zero rows are dropped.  The form is unique, so the
+    pivots are the smallest columns a row space can have.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+    out, pivots = [], []
+    for row in rows:
+        r = reduce_mod_rows(out, pivots, row)
+        if not r:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+        p = min(r)
+        inv = 1 / Fraction(r[p])
+        r = {c: x * inv for c, x in r.items()}
+        for earlier in out:
+            f = earlier.get(p)
+            if f:
+                _add_multiple(earlier, -f, r)
+        i = bisect_left(pivots, p)
+        pivots.insert(i, p)
+        out.insert(i, r)
+    return out, pivots
+
+
+def _add_multiple(x, a, y):
+    """x += a*y in place, for sparse x and y; zero entries dropped."""
+    for c, yc in y.items():
+        v = x.get(c, 0) + a * yc
+        if v:
+            x[c] = v
+        else:
+            del x[c]
 
 
 def in_row_space(rref_rows, pivots, vec):
-    """Exact membership of vec in the row space given by an rref basis."""
-    return not any(reduce_mod_rows(rref_rows, pivots, vec))
+    """Exact membership of the sparse vec in the row space of an rref basis."""
+    return not reduce_mod_rows(rref_rows, pivots, vec)
 
 
 def reduce_mod_rows(rref_rows, pivots, vec):
-    """Residue of vec modulo the row space (pivot coordinates eliminated)."""
-    v = [Fraction(x) for x in vec]
-    for row, p in zip(rref_rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
+    """Residue of the sparse vec modulo the row space of an rref basis:
+    vec minus the combination of rows that clears every pivot column.
+
+    A row has zeros at the other rows' pivots, so only the pivots already
+    in vec need clearing.  vec is not changed; zero entries are dropped.
+    """
+    out = {c: x for c, x in vec.items() if x}
+    for c in vec:
+        f = out.get(c)
+        if f:
+            i = bisect_left(pivots, c)
+            if i < len(pivots) and pivots[i] == c:
+                _add_multiple(out, -f, rref_rows[i])
+    return out
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel of the matrix, via rref; with no rows,
-    the ncols unit vectors."""
-    rr, pivots = rref(rows, ncols)
+    """Basis of the right kernel of the sparse rows over columns 0..ncols-1,
+    as sparse vectors, via rref; with no rows, the ncols unit vectors."""
+    rr, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(rr, pivots):
-            v[p] = -row[f]
-        basis.append(v)
+    for f in range(ncols):
+        if f not in pivot_set:
+            v = {f: Fraction(1)}
+            for row, p in zip(rr, pivots):
+                if f in row:
+                    v[p] = -row[f]
+            basis.append(v)
     return basis

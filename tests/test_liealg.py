@@ -96,28 +96,28 @@ def test_bracket_self_is_zero():
 
 def test_projection_recursion_matches_elimination():
     # the identity image_map brackets along the standard factorization;
-    # Reduction.reduce_dict eliminates against the relation rows.  step3 is
-    # C4 at step 3 modulo 1/2 w0 - 3/5 w1, its first two degree-3 basis words
+    # project looks the word up in the table the elimination built.  step3
+    # is C4 at step 3 modulo 1/2 w0 - 3/5 w1, its first two degree-3 basis words
     w0, w1 = quotient_algebra(C4, 3).basis_words[3][:2]
     relation = {w0: Fraction(1, 2), w1: Fraction(-3, 5)}
     step3 = build_graded_quotient(C4.vertices, 3, non_edge_relations(C4) + [(3, relation)])
     assert step3.dims == [4, 4, 11]
     for h in (quotient_algebra(C4, 4), step3):
-        project = h.image_map([{j: 1} for j in range(len(h.generators))])
+        identity = h.image_map([{j: 1} for j in range(len(h.generators))])
         for m in range(1, h.k + 1):
-            red = h.reductions[m]
-            for w in red.words:
-                coords = red.reduce_dict({w: 1})
-                assert project(w) == {h.offsets[m] + p: c for p, c in enumerate(coords) if c}
+            for w in h.reductions[m].words:
+                assert identity(w) == h.project(w)
         for i in range(h.dim):
-            assert project(h.word_of(i)) == {i: 1}
+            assert h.project(h.word_of(i)) == {i: 1}
 
 
 def test_closed_form_dims_match_elimination():
     for n in range(1, 6):
         for g in all_graphs_up_to_iso(n):
-            for k in (2, 3, 4):
+            for k in (2, 3, 4, 5):
                 assert graph_algebra_dims(g, k) == quotient_algebra(g, k).dims
+    for g in (cycle_graph(6), bipartite_graph(3, 3)):
+        assert graph_algebra_dims(g, 5) == quotient_algebra(g, 5).dims
 
 
 def test_antisymmetry_of_structure_constants():
