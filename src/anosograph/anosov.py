@@ -462,10 +462,8 @@ def verify_certificate(graph, cert):
     columns = [{algebra.offsets[m] + r: row[c] for r, row in enumerate(blocks[m]) if row[c]}
                for m in range(1, cert.k + 1) for c in range(algebra.dims[m - 1])]
     for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
+        for j in range(i + 1, algebra.offsets[algebra.k - algebra.degree_of(i) + 1]):
             m = algebra.degree_of(i) + algebra.degree_of(j)
-            if m > algebra.k:
-                continue
             lhs = combine((c, columns[l]) for l, c in algebra.bracket_basis(i, j).items())
             rhs = algebra.bracket(columns[i], columns[j])
             if lhs != rhs:

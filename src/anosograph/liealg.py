@@ -112,11 +112,10 @@ class GradedLieAlgebra:
     # -- brackets ----------------------------------------------------------
 
     def _build_structure(self):
+        # degrees ascend with the index, so the partners j of i with
+        # deg i + deg j <= k end where degree k - deg i + 1 begins
         for i in range(self.dim):
-            di = self._degree[i]
-            for j in range(i + 1, self.dim):
-                if di + self._degree[j] > self.k:
-                    continue
+            for j in range(i + 1, self.offsets[self.k - self._degree[i] + 1]):
                 expansion = free_bracket_words(self._word[i], self._word[j])
                 entry = combine((c, self._normal_form[w]) for w, c in expansion.items())
                 if entry:

@@ -3,33 +3,40 @@
 Words are tuples of generator indices.  A Lyndon word is strictly smaller
 than all of its proper rotations; the standard (right) factorization of a
 Lyndon word w of length >= 2 is w = uv with v its longest proper Lyndon
-suffix, and the bracketed words [b(u), b(v)] form a basis of the free Lie
-algebra in each multidegree.  Expansions in the tensor algebra are
-triangular against the lexicographic order, which is what makes rewriting
-a Lie element into this basis a finite pivot chase.
+suffix, and the bracketed words b(w) = [b(u), b(v)] form a basis of the
+free Lie algebra in each multidegree.
+
+The Lyndon words with their standard factorizations form a Hall set
+(Reutenauer, *Free Lie Algebras*, 1993), so the bracket of two basis
+elements is rewritten inside the basis, with integer coefficients.  Take
+u < v (if u > v, [u, v] = -[v, u]; [u, u] = 0).  Then uv is Lyndon, and its
+standard factorization is (u, v) exactly when u is a letter or u = u1 u2
+(standard) with u2 >= v; in that case [b(u), b(v)] = b(uv).  Otherwise
+u2 < v, and the Jacobi identity gives
+
+    [u, v] = [[u1, u2], v] = [u1, [u2, v]] + [[u1, v], u2],
+
+with each inner bracket rewritten by the same rule.
+
+The rewriting terminates, by induction on the total length and then on
+max(u, v) in lexicographic order, together with the claim that every word
+in the result lies below max(u, v).  The Lyndon word uv lies below its suffix
+v.  [u2, v] and [u1, v] have a shorter total length, so their words t and s
+lie below v; the calls [u1, t] and [s, u2] keep the total length, and both
+arguments of each lie below v, since u1 < u < v and u2 < v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-
-def is_lyndon(word):
-    n = len(word)
-    if n == 0:
-        return False
-    for r in range(1, n):
-        if word[r:] + word[:r] <= word:
-            return False
-    return True
 
 
 def lyndon_words(n_letters, max_len):
     """All Lyndon words over 0..n_letters-1 of length 1..max_len, by degree.
 
-    Duval's generation; each degree list comes out lexicographically sorted.
+    Duval's generation emits them in lexicographic order, so each degree
+    list comes out sorted.
     """
     by_degree = {m: [] for m in range(1, max_len + 1)}
     w = [-1]
@@ -41,8 +48,6 @@ def lyndon_words(n_letters, max_len):
             w.append(w[len(w) % m])
         while w and w[-1] == n_letters - 1:
             w.pop()
-    for m in by_degree:
-        by_degree[m].sort()
     return by_degree
 
 
@@ -59,62 +64,29 @@ def standard_factorization(word):
     return word[:best], word[best:]
 
 
-def tensor_commutator(a, b):
-    out = {}
-    for wu, cu in a.items():
-        for wv, cv in b.items():
-            c = cu * cv
-            if c:
-                k = wu + wv
-                out[k] = out.get(k, 0) + c
-                k = wv + wu
-                out[k] = out.get(k, 0) - c
-    return {k: c for k, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def bracket_tensor(word):
-    """Expansion of the bracketed Lyndon word in the tensor algebra.
-
-    Returns a dict mapping words (tuples) to integer coefficients.
-    """
-    if len(word) == 1:
-        return {word: 1}
-    u, v = standard_factorization(word)
-    return tensor_commutator(bracket_tensor(u), bracket_tensor(v))
-
-
-def lyndon_decompose(tensor):
-    """Rewrite a homogeneous Lie element (tensor form) in the Lyndon basis.
-
-    Relies on triangularity: the lexicographically least word of a Lie
-    element is Lyndon and carries the same coefficient as the basis term.
-    """
-    work = {k: Fraction(c) for k, c in tensor.items() if c}
-    out = {}
-    while work:
-        w = min(work)
-        c = work[w]
-        if not is_lyndon(w):
-            raise ArithmeticError(f"leading word {w} is not Lyndon; input is not a Lie element")
-        out[w] = c
-        for t, ct in bracket_tensor(w).items():
-            nv = work.get(t, Fraction(0)) - c * ct
-            if nv:
-                work[t] = nv
-            else:
-                work.pop(t, None)
-    return out
-
-
 @lru_cache(maxsize=None)
 def free_bracket_words(u, v):
     """[b(u), b(v)] expanded in the Lyndon basis of degree len(u)+len(v).
 
-    Returns a dict word -> Fraction (integral in practice).
+    Returns a dict word -> int with no zero entries, by the Hall rewriting
+    of the module docstring; the caller must not change it.
     """
-    t = tensor_commutator(bracket_tensor(u), bracket_tensor(v))
-    return lyndon_decompose(t)
+    if u == v:
+        return {}
+    if u > v:
+        return {w: -c for w, c in free_bracket_words(v, u).items()}
+    if len(u) == 1:
+        return {u + v: 1}
+    u1, u2 = standard_factorization(u)
+    if u2 >= v:
+        return {u + v: 1}
+    terms = [(c, free_bracket_words(u1, t)) for t, c in free_bracket_words(u2, v).items()]
+    terms += [(c, free_bracket_words(s, u2)) for s, c in free_bracket_words(u1, v).items()]
+    out = {}
+    for c, x in terms:
+        for w, cw in x.items():
+            out[w] = out.get(w, 0) + c * cw
+    return {w: c for w, c in out.items() if c}
 
 
 def _mobius(n):

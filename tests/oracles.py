@@ -7,6 +7,7 @@ and 512-bit numeric root isolation for unit-circle classification.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import mpmath
@@ -118,6 +119,66 @@ def local_kernel(rows, ncols):
             v[p] = -row[free]
         basis.append(v)
     return basis
+
+
+# -- free Lie algebra in tensor coordinates ----------------------------------
+
+def is_lyndon(word):
+    """A nonempty word strictly smaller than all of its proper rotations."""
+    return len(word) > 0 and all(word < word[r:] + word[:r] for r in range(1, len(word)))
+
+
+def standard_factorization(word):
+    """uv with v the longest proper Lyndon suffix of the Lyndon word."""
+    i = next(i for i in range(1, len(word)) if is_lyndon(word[i:]))
+    return word[:i], word[i:]
+
+
+def tensor_commutator(a, b):
+    """ab - ba of two tensor-algebra elements {word: coeff}."""
+    out = {}
+    for wu, cu in a.items():
+        for wv, cv in b.items():
+            out[wu + wv] = out.get(wu + wv, 0) + cu * cv
+            out[wv + wu] = out.get(wv + wu, 0) - cu * cv
+    return {k: c for k, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def bracket_tensor(word):
+    """The bracketed Lyndon word b(word) expanded in the tensor algebra."""
+    if len(word) == 1:
+        return {word: 1}
+    u, v = standard_factorization(word)
+    return tensor_commutator(bracket_tensor(u), bracket_tensor(v))
+
+
+def lyndon_decompose(tensor):
+    """Rewrite a homogeneous Lie element (tensor form) in the Lyndon basis.
+
+    Triangularity: b(w) is w plus lexicographically larger words, so the
+    least word of a Lie element is Lyndon and carries the basis coefficient.
+    """
+    work = {k: Fraction(c) for k, c in tensor.items() if c}
+    out = {}
+    while work:
+        w = min(work)
+        c = work[w]
+        if not is_lyndon(w):
+            raise ArithmeticError(f"leading word {w} is not Lyndon; input is not a Lie element")
+        out[w] = c
+        for t, ct in bracket_tensor(w).items():
+            nv = work.get(t, 0) - c * ct
+            if nv:
+                work[t] = nv
+            else:
+                work.pop(t, None)
+    return out
+
+
+def free_bracket_tensor(u, v):
+    """[b(u), b(v)] in the Lyndon basis, through the tensor algebra."""
+    return lyndon_decompose(tensor_commutator(bracket_tensor(u), bracket_tensor(v)))
 
 
 # -- independent degree-3 ideal elimination in tensor coordinates ------------

@@ -1,16 +1,18 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from anosograph.lyndon import (
-    bracket_tensor,
     free_bracket_words,
-    is_lyndon,
     lyndon_basis,
-    lyndon_decompose,
     lyndon_words,
     standard_factorization,
-    tensor_commutator,
     witt_number,
+)
+from oracles import (
+    bracket_tensor,
+    free_bracket_tensor,
+    is_lyndon,
+    lyndon_decompose,
+    standard_factorization as rotation_factorization,
 )
 
 
@@ -39,22 +41,13 @@ def test_words_are_lyndon_and_sorted():
             assert len(w) == m and is_lyndon(w)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=7))
-def test_is_lyndon_matches_rotation_definition(letters):
-    w = tuple(letters)
-    rotations = [w[r:] + w[:r] for r in range(1, len(w))]
-    expected = all(w < rot for rot in rotations)
-    assert is_lyndon(w) == expected
-
-
 def test_standard_factorization_parts_are_lyndon():
     for m, lst in lyndon_words(3, 5).items():
         if m < 2:
             continue
         for w in lst:
             u, v = standard_factorization(w)
-            assert u + v == w
+            assert (u, v) == rotation_factorization(w)
             assert is_lyndon(u) and is_lyndon(v)
             assert u < v
 
@@ -74,33 +67,48 @@ def test_lyndon_decompose_round_trip():
         assert dec == {w: 1}
 
 
+def _words(n, max_len):
+    return [w for lst in lyndon_words(n, max_len).values() for w in lst]
+
+
+def test_free_bracket_matches_tensor_oracle():
+    for n, max_degree in ((3, 6), (4, 5)):
+        words = _words(n, max_degree - 1)
+        for u in words:
+            for v in words:
+                if len(u) + len(v) <= max_degree:
+                    got = free_bracket_words(u, v)
+                    assert got == free_bracket_tensor(u, v), (u, v)
+                    assert all(type(c) is int for c in got.values())
+
+
 def test_free_bracket_antisymmetry_and_jacobi():
-    words = lyndon_words(2, 4)
+    # from free_bracket_words alone, extended bilinearly to sparse elements
+    def bracket(x, y):
+        out = {}
+        for u, cu in x.items():
+            for v, cv in y.items():
+                for w, c in free_bracket_words(u, v).items():
+                    out[w] = out.get(w, 0) + cu * cv * c
+        return {w: c for w, c in out.items() if c}
 
-    def add(a, b, scale=1):
-        for k, v in b.items():
-            a[k] = a.get(k, 0) + scale * v
-        return a
-
-    def bracket_expansions(u, v):
-        return free_bracket_words(u, v)
-
-    for u in words[1]:
-        for v in words[2]:
-            ab = bracket_expansions(u, v)
-            ba = bracket_expansions(v, u)
-            assert ab == {k: -c for k, c in ba.items()}
-    # Jacobi in tensor space for degree-1 triples
-    letters = [(i,) for i in range(2)]
-    for a in letters:
-        for b in letters:
-            for c in letters:
-                ta, tb, tc = bracket_tensor(a), bracket_tensor(b), bracket_tensor(c)
-                acc = {}
-                add(acc, tensor_commutator(tensor_commutator(ta, tb), tc))
-                add(acc, tensor_commutator(tensor_commutator(tb, tc), ta))
-                add(acc, tensor_commutator(tensor_commutator(tc, ta), tb))
-                assert all(v == 0 for v in acc.values())
+    words = _words(3, 4)
+    for u in words:
+        assert free_bracket_words(u, u) == {}
+        for v in words:
+            if len(u) + len(v) <= 6:
+                assert free_bracket_words(u, v) == {w: -c for w, c in free_bracket_words(v, u).items()}
+    for a in words:
+        for b in words:
+            for c in words:
+                if len(a) + len(b) + len(c) <= 6:
+                    x, y, z = {a: 1}, {b: 1}, {c: 1}
+                    jacobi = {}
+                    for term in (bracket(bracket(x, y), z), bracket(bracket(y, z), x),
+                                 bracket(bracket(z, x), y)):
+                        for w, cw in term.items():
+                            jacobi[w] = jacobi.get(w, 0) + cw
+                    assert not any(jacobi.values()), (a, b, c)
 
 
 def test_witt_consistency_with_generation():

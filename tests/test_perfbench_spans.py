@@ -26,3 +26,10 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(f"anosograph.{modname}"),
                                        fname, None))]
     assert missing == []
+
+
+def test_free_bracket_words_keeps_its_cache():
+    # the worker reads cache_info() for lyndon.free_bracket_words.calls and
+    # .hit_ratio; an unwrapped function would report them as zero
+    lyndon = importlib.import_module("anosograph.lyndon")
+    assert callable(getattr(lyndon.free_bracket_words, "cache_info", None))
