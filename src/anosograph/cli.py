@@ -32,7 +32,8 @@ from .derivations import (
     span_report,
 )
 from .graphs import GraphParseError, coherent_components, parse_graph
-from .liealg import quotient_algebra
+from .liealg import graph_algebra_dims, quotient_algebra
+from .lyndon import witt_number
 
 SCHEMA = 1
 
@@ -105,14 +106,16 @@ def _cmd_analyze(args):
 
 def _cmd_dims(args):
     g = _load_graph(args.graph)
-    algebra = quotient_algebra(g, args.k)
+    if args.k < 2:
+        raise ValueError("step k must be >= 2")
+    dims = graph_algebra_dims(g, args.k)
     _emit({
         "schema": SCHEMA,
         "command": "dims",
         "k": args.k,
-        "dims": list(algebra.dims),
-        "total": algebra.dim,
-        "ideal_dims": list(algebra.ideal_dims),
+        "dims": dims,
+        "total": sum(dims),
+        "ideal_dims": [witt_number(g.n, m) - d for m, d in enumerate(dims, 1)],
     }, args.format)
     return 0
 

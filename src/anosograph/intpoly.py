@@ -5,6 +5,13 @@ pieces the spectral certificates are built from: primitive-PRS gcd,
 cyclotomic polynomials, Sturm counts, and the trace substitution
 y = x + 1/x that turns a palindromic polynomial's unit-circle roots into
 real roots of half the degree in [-2, 2].
+
+All of it runs on ints.  One sign-preserving pseudo-remainder, a positive
+multiple of the remainder over Q, serves both the primitive remainder
+sequence of `poly_gcd` (Collins; Brown-Traub) and the Sturm chains.  Exact
+division is long division over Z: the divisors used here are primitive,
+so by Gauss's lemma a quotient that exists over Q is already integral.
+Only evaluation at a rational point leaves the integers.
 """
 
 from __future__ import annotations
@@ -29,9 +36,11 @@ class IntPolynomial:
     coeffs: tuple
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
-        if any(int(c) != c for c in self.coeffs):
+        coeffs = _trim(coeffs)
+        ints = list(map(int, coeffs))
+        if ints != coeffs:
             raise ValueError("coefficients must be integers")
+        object.__setattr__(self, "coeffs", tuple(ints))
 
     @property
     def degree(self):
@@ -148,27 +157,26 @@ class IntPolynomial:
 
 
 def poly_divmod_exact(a, b):
-    """Exact division over Q, returned as integer polynomials when possible.
+    """The integer polynomial q with a = q*b, by long division over Z.
 
-    Raises ValueError if the division leaves a remainder or a non-integer
-    quotient coefficient.
+    Raises ValueError when b does not divide a in Z[x].  A leading
+    coefficient that lc(b) does not divide leaves a nonzero remainder
+    there, which no later step touches.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    rem = [Fraction(c) for c in a.coeffs]
-    bc = [Fraction(c) for c in b.coeffs]
-    q = [Fraction(0)] * max(len(rem) - len(bc) + 1, 0)
-    for i in range(len(rem) - len(bc), -1, -1):
-        f = rem[i + len(bc) - 1] / bc[-1]
+    rem = list(a.coeffs)
+    bc = b.coeffs
+    q = [0] * max(len(rem) - len(bc) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        f = rem[i + len(bc) - 1] // bc[-1]
         q[i] = f
         if f:
             for j, c in enumerate(bc):
                 rem[i + j] -= f * c
     if any(rem):
         raise ValueError("division is not exact")
-    if any(c.denominator != 1 for c in q):
-        raise ValueError("quotient is not integral")
-    return IntPolynomial([int(c) for c in q])
+    return IntPolynomial(q)
 
 
 def divides(b, a):
@@ -180,14 +188,14 @@ def divides(b, a):
 
 
 def _pseudo_rem(a, b):
-    """lc(b)^(deg a - deg b + 1) * a  mod b over the integers."""
-    ra = list(a.coeffs)
+    """|lc(b)|^e * a mod b over the integers, e <= deg a - deg b + 1: a
+    positive multiple of the remainder of a by b over Q."""
     rb = list(b.coeffs)
+    if rb[-1] < 0:
+        rb = [-c for c in rb]
     lb = rb[-1]
-    while len(ra) >= len(rb) and any(ra):
-        if ra[-1] == 0:
-            ra.pop()
-            continue
+    ra = list(a.coeffs)
+    while len(ra) >= len(rb):
         shift = len(ra) - len(rb)
         la = ra[-1]
         ra = [c * lb for c in ra]
@@ -247,63 +255,40 @@ def cyclotomic_indices_up_to_degree(maxdeg):
     return tuple(d for d in range(1, 2 * maxdeg * maxdeg + 3) if euler_phi(d) <= maxdeg)
 
 
-# -- Sturm machinery over Q ------------------------------------------------
-
-def _qq(p):
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _qq_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _qq_rem(a, b):
-    a = list(a)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for j, c in enumerate(b):
-            a[shift + j] -= f * c
-        a = _qq_trim(a)
-    return a
-
-
-def _qq_eval(c, x):
-    acc = Fraction(0)
-    for v in reversed(c):
-        acc = acc * x + v
-    return acc
-
-
 def sturm_sequence(p):
-    seq = [_qq(p), _qq(p.derivative())]
-    while seq[-1]:
-        r = _qq_rem(seq[-2], seq[-1])
-        if not r:
+    """Sturm chain of p as integer polynomials: p, p', then each next term
+    -prem(s[i-1], s[i]) divided by its positive content, until the
+    remainder vanishes (the last term is then gcd(p, p') up to a factor).
+
+    By induction each term is a positive multiple of the classical chain
+    over Q, whose next term is minus the remainder, so the two have the
+    same sign at every point.  Zero polynomials are dropped.
+    """
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero():
+        r = _pseudo_rem(seq[-2], seq[-1])
+        if r.is_zero():
             break
-        seq.append([-c for c in r])
-    return [s for s in seq if s]
+        g = r.content()
+        seq.append(IntPolynomial([-c // g for c in r.coeffs]))
+    return [s for s in seq if not s.is_zero()]
 
 
 def _sign_changes(seq, x):
     signs = []
     for s in seq:
-        v = _qq_eval(s, x)
+        v = s(x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(p, a, b):
-    """Distinct real roots of p in the open interval (a, b).
+    """Distinct real roots of p in the open interval (a, b), rational
+    endpoints, by the sign changes of the integer Sturm chain.
 
-    Endpoints must not be roots; p need not be squarefree (the Sturm
-    sequence handles multiplicity via its gcd tail).
+    Endpoints must not be roots; p need not be squarefree (the chain ends
+    in gcd(p, p'), whose roots cancel from the count).
     """
     a, b = Fraction(a), Fraction(b)
     if p(a) == 0 or p(b) == 0:

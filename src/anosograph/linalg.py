@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows; entries are ints or Fractions and are never
-coerced to floats, and products of int matrices stay int.  The row-space
-routines (`rref`, `reduce_mod_rows`, `in_row_space`, `kernel_basis`) work
-on sparse rows {column: coeff} with no zero entries, the columns being any
-mutually comparable keys; a row's pivot is its smallest key.  Relation
-rows of a graded quotient live in one multidegree each, so they have a
-handful of nonzeros among thousands of columns.
+coerced to floats, and products of int matrices stay int.  `det_bareiss`
+takes int matrices only and stays in the integers throughout.
+
+The row-space routines (`rref`, `reduce_mod_rows`, `in_row_space`,
+`kernel_basis`) work on sparse rows {column: coeff} with no zero entries,
+the columns being any mutually comparable keys; a row's pivot is its
+smallest key.  Relation rows of a graded quotient live in one multidegree
+each, so they have a handful of nonzeros among thousands of columns.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -60,22 +61,14 @@ def is_integral(m):
 
 
 def det_bareiss(m):
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Accepts integer entries; rational input is cleared to integers first,
-    row by row.  Returns an int, or a Fraction when the determinant is not
-    integral; a singular matrix may come back as Fraction(0).
+    """Determinant of a square int matrix by fraction-free (Bareiss)
+    elimination.  Entries must be ints; every division is exact, so the
+    result is an int, 0 for a singular matrix.
     """
     n = len(m)
     if n == 0:
         return 1
-    den_scale = 1
-    b = []
-    for row in m:
-        row = [Fraction(x) for x in row]
-        lcm = math.lcm(*(x.denominator for x in row))
-        den_scale *= lcm
-        b.append([x.numerator * (lcm // x.denominator) for x in row])
+    b = mat_copy(m)
     prev = 1
     sign = 1
     for k in range(n - 1):
@@ -86,14 +79,13 @@ def det_bareiss(m):
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 b[i][j] = (b[i][j] * b[k][k] - b[i][k] * b[k][j]) // prev
             b[i][k] = 0
         prev = b[k][k]
-    val = Fraction(sign * b[n - 1][n - 1], den_scale)
-    return int(val) if val.denominator == 1 else val
+    return sign * b[n - 1][n - 1]
 
 
 def rref(rows):

@@ -115,7 +115,7 @@ def compound_matrix(a, r):
         line = []
         for cols in subs:
             minor = [[a[i][j] for j in cols] for i in rows]
-            line.append(int(linalg.det_bareiss(minor)))
+            line.append(linalg.det_bareiss(minor))
         out.append(line)
     return out
 
@@ -310,7 +310,7 @@ class ProductsCertificate:
         }
 
 
-def products_off_circle(a, r_max, budget_bits=None):
+def products_off_circle(a, r_max):
     """True iff every r-fold eigenvalue product of A avoids the unit circle,
     for 1 <= r <= r_max, certified via compound-matrix characteristic
     polynomials.  Zero products (singular compounds) are off-circle and are
@@ -324,7 +324,7 @@ def products_off_circle(a, r_max, budget_bits=None):
         comp = compound_matrix(a, r)
         cp = char_poly(comp)
         reduced = cp.shift_right(cp.trailing_zero_order())
-        cert = unit_root_free(reduced, budget_bits=budget_bits)
+        cert = unit_root_free(reduced)
         per_r.append((r, cp, cert))
         if not cert.free:
             ok = False

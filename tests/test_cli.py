@@ -47,6 +47,19 @@ def test_dims_c4_k3(capsys, c4_path):
     assert doc["total"] == 20
 
 
+def test_dims_reads_the_closed_form(capsys, c4_path, monkeypatch):
+    def no_build(graph, k):
+        raise AssertionError("dims must not build the algebra")
+
+    monkeypatch.setattr("anosograph.cli.quotient_algebra", no_build)
+    code, out = run(capsys, "dims", c4_path, "--k", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["dims"], doc["total"], doc["ideal_dims"]) == ([4, 4, 12], 20, [0, 2, 8])
+    assert main(["dims", c4_path, "--k", "1"]) == 1
+    assert "step k must be >= 2" in capsys.readouterr().err
+
+
 def test_synthesize_not_admissible_exit_2(capsys, k3_path):
     code, out = run(capsys, "synthesize", k3_path, "--k", "3")
     assert code == 2

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,95 @@ def test_gcd_divides_both(a_coeffs, b_coeffs):
     b = IntPolynomial(b_coeffs + [1])
     g = poly_gcd(a, b)
     assert divides(g, a) and divides(g, b)
+
+
+def test_coefficients_stored_as_ints():
+    for p in (IntPolynomial([2.0, 1]), IntPolynomial([Fraction(3), 1, Fraction(4, 2)])):
+        assert all(type(c) is int for c in p.coeffs)
+    assert IntPolynomial([2.0, 1]).coeffs == (2, 1)
+    with pytest.raises(ValueError):
+        IntPolynomial([Fraction(1, 2), 1])
+
+
+# -- sympy as an independent oracle ------------------------------------------
+
+def random_polys(seed, count):
+    """Seeded integer polynomials, every other one with a squared factor;
+    about half have a negative leading coefficient."""
+    rng = random.Random(seed)
+
+    def factor(deg):
+        return IntPolynomial([rng.randint(-4, 4) for _ in range(deg)]
+                             + [rng.choice((-3, -2, -1, 1, 2, 3))])
+
+    for i in range(count):
+        if i % 2:
+            f = factor(rng.randint(1, 3))
+            yield f * f * factor(rng.randint(0, 3))
+        else:
+            yield factor(rng.randint(1, 7))
+
+
+def to_sympy(p):
+    import sympy
+
+    return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
+
+
+def random_intervals(rng, p):
+    """Rational intervals whose endpoints are not roots of p, the first
+    containing every real root (Cauchy's bound)."""
+    bound = 1 + max(abs(Fraction(c, p.leading())) for c in p.coeffs)
+    out = [(-bound, bound)]
+    for _ in range(3):
+        a = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        b = a + Fraction(rng.randint(1, 40), rng.randint(1, 6))
+        out.append((a, b))
+    return [(a, b) for a, b in out if p(a) and p(b)]
+
+
+def test_sturm_count_and_isolation_match_sympy():
+    rng = random.Random(11)
+    for p in random_polys(2006, 400):
+        sp = to_sympy(p)
+        sf = squarefree_part(p)
+        for a, b in random_intervals(rng, p):
+            n = count_real_roots(p, a, b)
+            assert n == sp.count_roots(a, b)
+            assert n == count_real_roots(sf, a, b)
+            if n:
+                lo, hi = isolate_one_real_root(sf, a, b)
+                assert a <= lo < hi <= b
+                assert sf(lo) * sf(hi) < 0
+                assert sp.count_roots(lo, hi) == 1
+
+
+def test_exact_division_matches_sympy():
+    import sympy
+
+    rng = random.Random(12)
+    polys = list(random_polys(2007, 240))
+    for i, b in enumerate(polys):
+        q = polys[-1 - i]
+        for a in (q * b, q * b + IntPolynomial([rng.randint(-2, 2)]), q, q * b * 2):
+            for divisor in (b, b * 2):
+                sq, sr = sympy.div(to_sympy(a), to_sympy(divisor), domain=sympy.QQ)
+                exact = sr.is_zero and all(c.is_integer for c in sq.all_coeffs())
+                assert divides(divisor, a) == exact
+                if exact:
+                    expected = IntPolynomial([int(c) for c in reversed(sq.all_coeffs())])
+                    assert poly_divmod_exact(a, divisor).to_json() == expected.to_json()
+                else:
+                    with pytest.raises(ValueError):
+                        poly_divmod_exact(a, divisor)
+
+
+def test_squarefree_part_matches_sympy():
+    # equal up to sign and content: both sides made primitive, leading
+    # coefficient positive
+    for p in random_polys(2008, 300):
+        expected = IntPolynomial([int(c) for c in reversed(to_sympy(p).sqf_part().all_coeffs())])
+        assert squarefree_part(p).to_json() == expected.primitive().to_json()
 
 
 def test_str_rendering():

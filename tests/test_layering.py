@@ -1,10 +1,16 @@
-"""Layering guard: only `lyndon` and `liealg` know the free-algebra coordinates.
+"""Layering guards.
 
-Free Lyndon words are pushed into a quotient by `liealg` alone (its
-`image_map` and `free_derivation`), so no other module needs the standard
-factorization or the per-degree relation row spaces.
+Only `lyndon` and `liealg` know the free-algebra coordinates: free Lyndon
+words are pushed into a quotient by `liealg` alone (its `image_map` and
+`free_derivation`), so no other module needs the standard factorization
+or the per-degree relation row spaces.
+
+Only `spectra` touches floating point, through mpmath, and the package
+calls no `float(`: approximations are proposals that exact arithmetic
+then certifies.
 """
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "anosograph"
@@ -22,3 +28,29 @@ def test_standard_factorization_only_in_lyndon_and_liealg():
 def test_reductions_read_only_in_liealg():
     users = {name for name, text in sources().items() if ".reductions" in text}
     assert users <= {"liealg.py"}
+
+
+def _trees():
+    return {name: ast.parse(text) for name, text in sources().items()}
+
+
+def test_only_spectra_imports_mpmath():
+    users = set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "mpmath" for m in modules):
+                users.add(name)
+    assert users == {"spectra.py"}
+
+
+def test_no_float_calls():
+    callers = {name for name, tree in _trees().items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "float"}
+    assert callers == set()

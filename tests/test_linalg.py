@@ -1,9 +1,10 @@
-"""The sparse row-space routines of `linalg` against the dense oracles.
+"""The routines of `linalg` against independent oracles.
 
 Small seeded rational matrices, with zero, duplicate and dependent rows,
 are fed to `rref`, `reduce_mod_rows` and `kernel_basis` as sparse rows
 keyed by ints and by tuples (compared lexicographically, like Lyndon
 words), and checked against `oracles.local_rank` and `local_kernel`.
+`det_bareiss` is checked against sympy on seeded int matrices.
 """
 
 import copy
@@ -98,3 +99,24 @@ def test_empty_input():
     assert linalg.rref([{}, {}]) == ([], [])
     assert linalg.kernel_basis([], 3) == [{0: 1}, {1: 1}, {2: 1}]
     assert linalg.reduce_mod_rows([], [], {(0, 1): 2}) == {(0, 1): 2}
+
+
+def test_det_bareiss_matches_sympy():
+    import sympy
+
+    rng = random.Random(2006)
+    for t in range(300):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n >= 2 and t % 3 == 0:
+            # a zero pivot, and for every other matrix a dependent last row
+            m[0][0] = 0
+            if t % 2:
+                f = rng.randint(-2, 2)
+                m[-1] = [x + f * y for x, y in zip(m[0], m[1])]
+        before = copy.deepcopy(m)
+        det = linalg.det_bareiss(m)
+        assert m == before
+        assert type(det) is int
+        assert det == sympy.Matrix(m).det()
