@@ -361,15 +361,15 @@ def synthesize(graph, k, config=None):
             components = {}
             for cls in partition.classes:
                 d = len(cls)
-                if (d, round_idx) not in components:
-                    components[(d, round_idx)] = find_component_matrix(
+                if d not in components:
+                    components[d] = find_component_matrix(
                         d, k,
                         coeff_bound=config.coeff_bound,
                         seed=config.seed,
                         budget=min(config.budget, 20000),
                         skip=round_idx,
                     )
-            per_class = [components[(len(cls), round_idx)] for cls in partition.classes]
+            per_class = [components[len(cls)] for cls in partition.classes]
         except ComponentSearchExhausted:
             if round_idx == 0:
                 raise

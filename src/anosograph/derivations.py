@@ -13,7 +13,10 @@ restrictions: the algebras are generated in degree one, so a derivation is
 determined by a linear map V -> H, and such a map extends exactly when its
 Leibniz image kills every defining relation.  That turns Der into the
 kernel of a small exact linear system, graded by how far the map shifts
-degrees.
+degrees.  A derivation stays in that form, its generator images as a
+sparse map {(i, j): coeff} sending generator j to coeff * e_i, from the
+kernel solve through the span and lift reports; full matrices are built
+only when `DerivationAlgebra.basis` is read, or for a containment witness.
 """
 
 from __future__ import annotations
@@ -160,53 +163,71 @@ def build_quotient(graph, spec):
 # -- derivations --------------------------------------------------------------
 
 
-def _unit_map(algebra, i, j):
-    """Generator images of the map sending generator j to basis element i."""
-    return [{i: 1} if g == j else {} for g in range(len(algebra.generators))]
+def _derivations_in_span(algebra, conditions, pairs):
+    """Basis of the maps in span{E_ij : (i, j) in pairs} that satisfy every
+    condition; E_ij sends generator j to basis element i.
 
-
-def _derivations_in_span(algebra, conditions, family):
-    """Basis of the maps in span(family) that satisfy every condition.
-
-    family: maps given as lists of sparse generator images.  A condition
-    (rel, mod_rows, mod_pivots) asks that the free derivation of the
-    relation rel = {free word: coeff} vanish modulo the given row space.
-    The basis is returned as lists of sparse generator images.
+    A condition (rel, mod_rows, mod_pivots) asks that the free derivation
+    of the relation rel = {free word: coeff} vanish modulo the given row
+    space.  Each basis map is returned as its generator images, a sparse
+    map {(i, j): coeff} sending generator j to coeff * e_i.
     """
-    if not family:
+    if not pairs:
         return []
-    rows = {}  # condition coordinate -> {family position: coeff}
-    for j, images in enumerate(family):
+    n = len(algebra.generators)
+    rows = {}  # condition coordinate -> {pair position: coeff}
+    for col, (i, j) in enumerate(pairs):
+        images = [{}] * n
+        images[j] = {i: 1}
         d = algebra.free_derivation(images)
         for ci, (rel, mod_rows, mod_pivots) in enumerate(conditions):
             img = combine((c, d(w)) for w, c in rel.items())
             if mod_rows:
                 img = linalg.reduce_mod_rows(mod_rows, mod_pivots, img)
-            for i, x in img.items():
-                rows.setdefault((ci, i), {})[j] = x
-    return [[combine((x, family[j][g]) for j, x in vec.items())
-             for g in range(len(algebra.generators))]
-            for vec in linalg.kernel_basis(list(rows.values()), len(family))]
+            for r, x in img.items():
+                rows.setdefault((ci, r), {})[col] = x
+    return [{pairs[col]: x for col, x in vec.items()}
+            for vec in linalg.kernel_basis(list(rows.values()), len(pairs))]
 
 
-def _v_maps(algebra, conditions, pairs):
-    """Basis, as n x n matrices on V, of the maps in span{E_ij : (i, j) in
-    pairs} that satisfy the conditions; E_ij sends generator j to generator i."""
-    family = [_unit_map(algebra, i, j) for i, j in pairs]
-    n = len(algebra.generators)
-    return [[[images[j].get(i, 0) for j in range(n)] for i in range(n)]
-            for images in _derivations_in_span(algebra, conditions, family)]
+def _matrix(m, size):
+    """The sparse map {(i, j): coeff} as a size x size matrix."""
+    return [[m.get((i, j), 0) for j in range(size)] for i in range(size)]
 
 
 @dataclass
 class DerivationAlgebra:
-    ambient_dim: int
-    basis: list  # full square matrices satisfying the Leibniz identity
-    weights: list  # degree shift of each basis element
+    """A basis of Der(A), each derivation stored as its generator images.
+
+    The algebra is generated in degree one, so a derivation is determined
+    by where it sends the generators: `maps` holds one sparse map
+    {(i, j): coeff} per derivation, sending generator j to coeff * e_i, and
+    `weights` the degree shift of each.  `basis` extends the maps to full
+    matrices on every read.
+    """
+
+    algebra: object  # the GradedLieAlgebra the derivations act on
+    maps: list
+    weights: list
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.maps)
+
+    @property
+    def basis(self):
+        """The derivations as full dim x dim matrices, D[r][c] the e_r
+        coefficient of D(e_c)."""
+        a = self.algebra
+        out = []
+        for m in self.maps:
+            images = [{} for _ in a.generators]
+            for (i, j), x in m.items():
+                images[j][i] = x
+            d = a.free_derivation(images)
+            columns = [d(a.word_of(c)) for c in range(a.dim)]
+            out.append([[col.get(r, 0) for col in columns] for r in range(a.dim)])
+        return out
 
 
 def derivation_algebra(algebra, v_stable=False):
@@ -218,41 +239,33 @@ def derivation_algebra(algebra, v_stable=False):
     """
     conditions = [(rel, [], []) for _, rel in algebra.relation_generators]
     n = len(algebra.generators)
-    basis, weights = [], []
+    maps, weights = [], []
     top = 1 if v_stable else algebra.k
     for t in range(1, top + 1):
         base = algebra.offsets[t]
-        family = [_unit_map(algebra, base + p, j)
-                  for j in range(n) for p in range(algebra.dims[t - 1])]
-        for images in _derivations_in_span(algebra, conditions, family):
-            d = algebra.free_derivation(images)
-            columns = [d(algebra.word_of(c)) for c in range(algebra.dim)]
-            basis.append([[col.get(r, 0) for col in columns] for r in range(algebra.dim)])
-            weights.append(t - 1)
-    return DerivationAlgebra(ambient_dim=algebra.dim, basis=basis, weights=weights)
+        pairs = [(base + p, j) for j in range(n) for p in range(algebra.dims[t - 1])]
+        found = _derivations_in_span(algebra, conditions, pairs)
+        maps.extend(found)
+        weights.extend([t - 1] * len(found))
+    return DerivationAlgebra(algebra, maps, weights)
 
 
 # -- Proposition 5.3 / 5.4 evidence -------------------------------------------
-
-
-def _flatten(mat):
-    """A matrix as a sparse row keyed by (row, column)."""
-    return {(i, j): x for i, row in enumerate(mat) for j, x in enumerate(row) if x}
 
 
 @dataclass
 class SpanReport:
     ok: bool
     dim_total: int
-    families: dict  # name -> {"dim": int, "members": [...]}
-    missing_from_families: list  # witnesses, if containment fails
+    families: dict  # name -> {"dim": int}
+    missing_from_families: list  # witness matrices, if containment fails
     missing_from_computed: list
 
     def to_json(self):
         return {
             "ok": self.ok,
             "dim_v_stable_derivations": self.dim_total,
-            "families": {k: {"dim": v["dim"]} for k, v in sorted(self.families.items())},
+            "families": dict(sorted(self.families.items())),
             "missing_from_families": [
                 [[str(x) for x in row] for row in m] for m in self.missing_from_families
             ],
@@ -274,46 +287,39 @@ def span_report(graph, spec):
     algebra = build_quotient(graph, spec)
     n = graph.n
     conditions = [(rel, [], []) for _, rel in algebra.relation_generators]
-    computed = _v_maps(algebra, conditions, [(i, j) for j in range(n) for i in range(n)])
+    computed = derivation_algebra(algebra, v_stable=True).maps
     sprime = {a, b, c, d}
     outside = [v for v in range(n) if v not in sprime]
 
-    families = {}
+    families, members = {}, []
 
-    def put(name, members):
-        families[name] = {"dim": len(members), "members": members}
+    def put(name, maps):
+        families[name] = {"dim": len(maps)}
+        members.extend(maps)
 
-    put("diagonal", _v_maps(algebra, conditions, [(i, i) for i in range(n)]))
+    put("diagonal", _derivations_in_span(algebra, conditions, [(i, i) for i in range(n)]))
     for name, (p, q, r, s) in {
         "W_alpha_delta__gamma_beta": (a, d, c, b),
         "W_beta_gamma__delta_alpha": (b, c, d, a),
         "W_alpha_gamma__delta_beta": (a, c, d, b),
         "W_gamma_alpha__beta_delta": (c, a, b, d),
     }.items():
-        put(name, _v_maps(algebra, conditions, [(p, q), (r, s)]))
+        put(name, _derivations_in_span(algebra, conditions, [(p, q), (r, s)]))
     for name, pairs in {
         "type_i": [(e, z) for e in outside for z in outside if e != z],
         "type_ii": [(e, z) for e in sprime for z in outside],
         "type_iii": [(e, z) for e in outside for z in sprime],
         "type_iv": [(a, b), (c, d), (b, a), (d, c)],
     }.items():
-        members = []
-        for pair in pairs:
-            members.extend(_v_maps(algebra, conditions, [pair]))
-        put(name, members)
+        put(name, [m for pair in pairs
+                   for m in _derivations_in_span(algebra, conditions, [pair])])
 
-    family_rows = [_flatten(m) for fam in families.values() for m in fam["members"]]
-    fam_rref, fam_pivots = linalg.rref(family_rows)
-    comp_rref, comp_pivots = linalg.rref([_flatten(m) for m in computed])
-
-    missing_from_families = [
-        m for m in computed
-        if not linalg.in_row_space(fam_rref, fam_pivots, _flatten(m))
-    ]
-    missing_from_computed = [
-        m for fam in families.values() for m in fam["members"]
-        if not linalg.in_row_space(comp_rref, comp_pivots, _flatten(m))
-    ]
+    fam_rref, fam_pivots = linalg.rref(members)
+    comp_rref, comp_pivots = linalg.rref(computed)
+    missing_from_families = [_matrix(m, n) for m in computed
+                             if linalg.reduce_mod_rows(fam_rref, fam_pivots, m)]
+    missing_from_computed = [_matrix(m, n) for m in members
+                             if linalg.reduce_mod_rows(comp_rref, comp_pivots, m)]
     return SpanReport(
         ok=not missing_from_families and not missing_from_computed,
         dim_total=len(computed),
@@ -333,10 +339,7 @@ def lift_check(graph, spec):
     if spec.step != 2:
         raise SpecError("lift_check applies to step-2 quotient specs")
     indices = spec.validate(graph)
-    quotient = build_quotient(graph, spec)
-    all_pairs = [(i, j) for j in range(graph.n) for i in range(graph.n)]
-    q_conditions = [(rel, [], []) for _, rel in quotient.relation_generators]
-    q_basis = _v_maps(quotient, q_conditions, all_pairs)
+    q_maps = derivation_algebra(build_quotient(graph, spec), v_stable=True).maps
 
     base = quotient_algebra(graph, 2)
     xrel = _step2_relation(indices)
@@ -344,14 +347,13 @@ def lift_check(graph, spec):
     mod_rows, mod_pivots = linalg.rref([x])
     conditions = [(rel, [], []) for _, rel in base.relation_generators]
     conditions.append((xrel, mod_rows, mod_pivots))
-    lifted = _v_maps(base, conditions, all_pairs)
+    all_pairs = [(i, j) for j in range(graph.n) for i in range(graph.n)]
+    lifted = _derivations_in_span(base, conditions, all_pairs)
 
     # every lift restricts to a quotient derivation; onto-ness is the claim
-    q_rref, q_pivots = linalg.rref([_flatten(m) for m in q_basis])
-    for m in lifted:
-        if not linalg.in_row_space(q_rref, q_pivots, _flatten(m)):
-            return False
-    return len(lifted) == len(q_basis)
+    q_rref, q_pivots = linalg.rref(q_maps)
+    return (len(lifted) == len(q_maps)
+            and not any(linalg.reduce_mod_rows(q_rref, q_pivots, m) for m in lifted))
 
 
 # -- bounded nonexistence search ----------------------------------------------
@@ -421,12 +423,15 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
     automorphism are triangular and leave eigenvalues unchanged.
     Candidates come in a fixed order: signed permutations, block-diagonal
     maps respecting the coherent classes, then a seeded random stream, up
-    to `budget` distinct candidates.  Every candidate that extends to the
-    algebra and passes all three tests is returned in full; an empty list
-    is the expected outcome on the quotients, and the searched box is part
-    of the report.
+    to `budget` distinct candidates or the whole box, whichever is
+    smaller.  Every candidate that extends to the algebra and passes all
+    three tests is returned in full; an empty list is the expected outcome
+    on the quotients, and the searched box is part of the report.
     """
+    if entry_bound < 0:
+        raise ValueError(f"entry bound must be >= 0, not {entry_bound}")
     n = len(algebra.generators)
+    limit = min(budget, (2 * entry_bound + 1) ** (n * n))
     rng = random.Random(seed)
 
     def random_stream():
@@ -443,7 +448,7 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
     tested = 0
     for stream in streams:
         for g in stream:
-            if tested >= budget:
+            if tested >= limit:
                 return findings
             key = tuple(tuple(row) for row in g)
             if key in seen:
@@ -476,6 +481,6 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
                     degree_blocks={m: [[str(x) for x in row] for row in b]
                                    for m, b in blocks.items()},
                 ))
-        if tested >= budget:
+        if tested >= limit:
             break
     return findings

@@ -192,10 +192,7 @@ def coherent_components(g):
         classes.append(members)
     internal = []
     for cls in classes:
-        cs = set(cls)
-        es = sorted(
-            (u, v) for u in cls for v in cls if u < v and g.adjacent(u, v) and v in cs
-        )
+        es = sorted((u, v) for u in cls for v in cls if u < v and g.adjacent(u, v))
         internal.append(tuple(es))
     pairs = set()
     for e in g.edges:

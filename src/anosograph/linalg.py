@@ -4,11 +4,11 @@ Matrices are lists of rows; entries are ints or Fractions and are never
 coerced to floats, and products of int matrices stay int.  `det_bareiss`
 takes int matrices only and stays in the integers throughout.
 
-The row-space routines (`rref`, `reduce_mod_rows`, `in_row_space`,
-`kernel_basis`) work on sparse rows {column: coeff} with no zero entries,
-the columns being any mutually comparable keys; a row's pivot is its
-smallest key.  Relation rows of a graded quotient live in one multidegree
-each, so they have a handful of nonzeros among thousands of columns.
+The row-space routines (`rref`, `reduce_mod_rows`, `kernel_basis`) work
+on sparse rows {column: coeff} with no zero entries, the columns being
+any mutually comparable keys; a row's pivot is its smallest key.
+Relation rows of a graded quotient live in one multidegree each, so they
+have a handful of nonzeros among thousands of columns.
 """
 
 from __future__ import annotations
@@ -124,11 +124,6 @@ def _add_multiple(x, a, y):
             x[c] = v
         else:
             del x[c]
-
-
-def in_row_space(rref_rows, pivots, vec):
-    """Exact membership of the sparse vec in the row space of an rref basis."""
-    return not reduce_mod_rows(rref_rows, pivots, vec)
 
 
 def reduce_mod_rows(rref_rows, pivots, vec):

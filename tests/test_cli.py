@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import anosograph
 from anosograph.cli import main
 
 C4_TEXT = "a b\nb c\nc d\nd a\n"
@@ -182,6 +186,26 @@ def test_search_command(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["findings"] == []
     assert doc["searched"]["budget"] == 500
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("a b\n", []),  # box 5^4 = 625, below the default budget
+    ("vertex: a\n", ["--entry-bound", "1", "--budget", "10"]),  # box 3
+])
+def test_search_stops_when_box_is_exhausted(tmp_path, text, flags):
+    graph = tmp_path / "g.edges"
+    graph.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(anosograph.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "anosograph.cli", "search", str(graph), *flags],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["findings"] == []
+
+
+def test_search_negative_entry_bound_exit_1(capsys, c4_path):
+    assert main(["search", c4_path, "--entry-bound", "-1"]) == 1
+    assert capsys.readouterr().err == "error: entry bound must be >= 0, not -1\n"
 
 
 def test_bad_spec_exit_1(capsys, tmp_path):

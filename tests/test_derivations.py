@@ -159,8 +159,13 @@ def test_derivation_identity_exact():
                     quotient_algebra(C4, 2),
                     build_quotient(S5_GRAPH, S5_SPEC),
                     build_quotient(C4, s6_spec(C4))):
-        for mat in derivation_algebra(algebra).basis:
+        der = derivation_algebra(algebra)
+        n = len(algebra.generators)
+        for mat, images in zip(der.basis, der.maps, strict=True):
             assert derivation_identity_holds(algebra, mat)
+            # the matrix extends the stored generator images
+            assert {(i, j): mat[i][j] for i in range(algebra.dim) for j in range(n)
+                    if mat[i][j]} == images
 
 
 def test_inner_derivations_contained():

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from anosograph.cli import main
+from anosograph.derivations import DerivationAlgebra
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CERT = "synthesize_c4_k3.cert.json"
@@ -71,6 +72,20 @@ def test_golden_cli_outputs(tmp_path):
         assert code == expected, case
         assert out == (GOLDEN / f"{case}.stdout").read_text(encoding="utf-8"), case
     assert (tmp_path / "cert.json").read_bytes() == (GOLDEN / CERT).read_bytes()
+
+
+def test_derivations_never_read_full_matrices(monkeypatch, tmp_path):
+    # the CLI only counts derivations, so it never extends them to matrices
+    def unread(self):
+        raise AssertionError("DerivationAlgebra.basis was read")
+
+    monkeypatch.setattr(DerivationAlgebra, "basis", property(unread))
+    cases = [(case, argv) for case, argv, _ in CASES if argv[0] == "derivations"]
+    assert len(cases) == 3
+    for case, argv in cases:
+        code, out = _run(argv, tmp_path)
+        assert code == 0, case
+        assert out == (GOLDEN / f"{case}.stdout").read_text(encoding="utf-8"), case
 
 
 def test_control_search_has_36_findings():
