@@ -1,5 +1,12 @@
 """Certified spectral decisions for integer matrices.
 
+`char_poly` splits a matrix along the strongly connected components of
+its nonzero pattern: a simultaneous permutation of rows and columns puts
+it in block triangular form with one irreducible block per component on
+the diagonal, so det(xI - A) is the product of their characteristic
+polynomials.  Each factor comes from the division-free Berkowitz
+iteration on sparse rows, whose Krylov steps cost the block's nonzeros.
+
 `unit_root_free` decides whether an integer polynomial has a root of
 modulus exactly 1 and returns a certificate.  The decision is exact:
 
@@ -26,6 +33,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 
@@ -61,33 +69,132 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _strong_components(rows):
+    """Strongly connected components of the digraph i -> j for a_ij != 0,
+    by Tarjan's algorithm with an explicit stack (no recursion)."""
+    n = len(rows)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack, comps, counter = [], [], 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(rows[root]))]
+        while work:
+            v, edges = work[-1]
+            for w, _ in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(rows[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def _berkowitz(block):
+    """Descending coefficients of det(xI - B) for B given by sparse rows
+    [(j, b_ij)], division-free.
+
+    Step k extends the leading k x k block by row and column k: with
+    R = B[k, :k], C = B[:k, k] and S = B[:k, :k] it multiplies the
+    running polynomial by the Toeplitz matrix of
+    (1, -b_kk, -RC, -RSC, ..., -RS^(k-1)C).  S is kept as sparse rows
+    that grow by one column and one row per step, so each Krylov product
+    S^s C costs the nonzeros of S.
+    """
+    m = len(block)
+    diag = [0] * m
+    left = [[] for _ in range(m)]  # left[k]: row k left of the diagonal
+    above = [[] for _ in range(m)]  # above[k]: column k above the diagonal
+    for i, row in enumerate(block):
+        for j, x in row:
+            if j < i:
+                left[i].append((j, x))
+            elif j > i:
+                above[j].append((i, x))
+            else:
+                diag[i] = x
+    p = [1]
+    sub = []  # sparse rows of the leading k x k block
+    for k in range(m):
+        t = [1, -diag[k]]
+        row, col = left[k], above[k]
+        if row and col:
+            vec = [0] * k
+            for i, x in col:
+                vec[i] = x
+            t.append(-sum([x * vec[j] for j, x in row]))
+            for _ in range(k - 1):
+                vec = [sum([x * vec[j] for j, x in r]) for r in sub]
+                t.append(-sum([x * vec[j] for j, x in row]))
+        else:
+            t += [0] * k
+        p = [sum(map(mul, t[i::-1], p)) for i in range(k + 2)]
+        for i, x in col:
+            sub[i].append((k, x))
+        sub.append(row + [(k, diag[k])] if diag[k] else row)
+    return p
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+    return out
+
+
 def char_poly(a):
-    """Characteristic polynomial det(xI - A), by the division-free
-    Berkowitz iteration over principal submatrices.
+    """Characteristic polynomial det(xI - A), one irreducible diagonal
+    block at a time.
+
+    The strongly connected components of A's nonzero pattern order A, up
+    to a simultaneous permutation of rows and columns, into block
+    triangular form, so det(xI - A) is the product of det(xI - A_cc) over
+    the components c.  Each factor comes from the division-free Berkowitz
+    iteration on the sparse rows of A_cc.
 
     Entries may be exact rationals; integral entries run in ints.  Raises
     ValueError when det(xI - A) is not in Z[x].
     """
     n = len(a)
-    if n == 0:
-        return IntPolynomial([1])
     for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    a = [[x if type(x) is int else _exact(x) for x in row] for row in a]
-    p = [1]  # descending coefficients, charpoly of the empty matrix
-    for r in range(1, n + 1):
-        arr = a[r - 1][r - 1]
-        row = a[r - 1][: r - 1]
-        col = [a[i][r - 1] for i in range(r - 1)]
-        sub = [a[i][: r - 1] for i in range(r - 1)]
-        t = [1, -arr]
-        vec = col
-        for _ in range(r - 1):
-            t.append(-sum(x * y for x, y in zip(row, vec)))
-            vec = [sum(sub[i][j] * vec[j] for j in range(r - 1)) for i in range(r - 1)]
-        p = [sum(t[i - j] * p[j] for j in range(max(0, i - len(t) + 1), min(i + 1, len(p))))
-             for i in range(r + 1)]
+    rows = [[(j, x if type(x) is int else _exact(x)) for j, x in enumerate(row) if x]
+            for row in a]
+    comps = _strong_components(rows)
+    if len(comps) == 1:  # irreducible: the rows are already its one block
+        p = _berkowitz(rows)
+    else:
+        p = [1]
+        for comp in comps:
+            pos = {v: k for k, v in enumerate(comp)}
+            block = [[(pos[j], x) for j, x in rows[v] if j in pos] for v in comp]
+            p = _poly_mul(p, _berkowitz(block))
     coeffs = [c if type(c) is int else _exact(c) for c in reversed(p)]
     if not all(type(c) is int for c in coeffs):
         raise ValueError("characteristic polynomial is not integral")

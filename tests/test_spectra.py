@@ -2,18 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from anosograph.anosov import synthesize
+from anosograph.graphs import parse_graph
 from anosograph.intpoly import IntPolynomial, cyclotomic, divides, poly_gcd
 from anosograph.linalg import det_bareiss, mat_mul
 from anosograph.spectra import (
     IndeterminateError,
+    _strong_components,
     char_poly,
     compound_matrix,
     products_off_circle,
     unit_root_free,
 )
-from oracles import classify_unit_roots_512, product_poly_subsets
+from oracles import classify_unit_roots_512, complete_graph, product_poly_subsets
 
 GOLDEN = IntPolynomial([-1, -1, 1])
 
@@ -38,6 +41,9 @@ def test_char_poly_rejects_non_integral_polynomial():
         char_poly([[Fraction(1, 2)]])
     with pytest.raises(ValueError):
         char_poly([[0, Fraction(1, 2)], [Fraction(1, 3), 0]])  # x^2 - 1/6
+    with pytest.raises(ValueError):
+        # two 1x1 components; the non-integral factors multiply to x^2 - 1/4
+        char_poly([[Fraction(1, 2), 5], [0, Fraction(-1, 2)]])
 
 
 def test_char_poly_of_rational_conjugate():
@@ -72,6 +78,73 @@ def test_char_poly_against_sympy():
         a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         expected = [int(c) for c in reversed(sympy.Matrix(a).charpoly().all_coeffs())]
         assert char_poly(a).to_json() == expected
+
+
+@st.composite
+def block_triangular_matrices(draw):
+    """A sparse matrix that is block upper triangular under a random
+    permutation; int entries, a rational diagonal conjugate of them
+    (integral char poly) or arbitrary rationals."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = sum(sizes)
+    kind = draw(st.sampled_from(["int", "conjugate", "rational"]))
+    if kind == "rational":
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        entry = st.integers(-3, 3)
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if owner[i] <= owner[j] and draw(st.booleans()):
+                a[i][j] = draw(entry)
+    if kind == "conjugate":
+        d = [draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-3, 2)]))
+             for _ in range(n)]
+        a = [[d[i] * a[i][j] / d[j] for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_triangular_matrices())
+@example([[0, 4, -1, 2], [0, 0, 3, 0], [0, 0, 0, 5], [0, 0, 0, 0]])  # strictly upper: x^4
+@example([[0, 2, -1], [0, 1, 3], [0, 1, -2]])  # vertex 0 is a 1x1 zero component
+@example([[1, 2, 0], [0, 0, -1], [3, 0, 2]])  # the pattern is one component
+@example([[Fraction(1, 2), 1], [Fraction(-1, 4), Fraction(1, 2)]])
+def test_char_poly_block_triangular_against_sympy(a):
+    import sympy
+
+    expected = list(reversed(sympy.Matrix(a).charpoly().all_coeffs()))
+    if all(c.is_integer for c in expected):
+        assert char_poly(a).to_json() == [int(c) for c in expected]
+    else:
+        with pytest.raises(ValueError):
+            char_poly(a)
+
+
+def test_char_poly_of_strictly_upper_bidiagonal_is_x_to_the_n():
+    # 1200 one-vertex components: a recursive component search would
+    # exceed Python's default recursion limit here.
+    n = 1200
+    a = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    assert char_poly(a).to_json() == [0] * n + [1]
+
+
+@pytest.mark.parametrize("graph, components", [
+    (complete_graph(6), [70]),
+    (parse_graph("a1 b1\na1 b2\na1 b3\na2 b1\na2 b2\na2 b3\n"
+                 "b1 c1\nb1 c2\nb2 c1\nb2 c2\nb3 c1\nb3 c2"), [24, 30]),
+], ids=["K6", "P3[2,3,2]"])
+def test_char_poly_of_degree_three_blocks_against_bareiss(graph, components):
+    block = synthesize(graph, 3).degree_blocks[3]
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in block]
+    assert sorted(map(len, _strong_components(rows))) == components
+    p = char_poly(block)
+    n = len(block)
+    for x0 in (-2, 1, 3):
+        shifted = [[x0 * (i == j) - block[i][j] for j in range(n)] for i in range(n)]
+        assert p(x0) == det_bareiss(shifted)
 
 
 def test_compound_r1_is_matrix():
