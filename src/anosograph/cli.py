@@ -25,11 +25,11 @@ from .anosov import (
 from .derivations import (
     QuotientSpec,
     SpecError,
+    _lift_check,
+    _span_report,
     build_quotient,
     derivation_algebra,
     hyperbolic_search,
-    lift_check,
-    span_report,
 )
 from .graphs import GraphParseError, coherent_components, parse_graph
 from .liealg import graph_algebra_dims, quotient_algebra
@@ -187,10 +187,12 @@ def _cmd_derivations(args):
     der = derivation_algebra(algebra)
     doc["dim_der"] = der.dimension
     # the V-stable derivations are exactly the weight-zero basis elements
-    doc["dim_der_v_stable"] = der.weights.count(0)
+    v_stable = [m for m, w in zip(der.maps, der.weights) if w == 0]
+    doc["dim_der_v_stable"] = len(v_stable)
     if args.quotient and spec.step == 2:
-        doc["span_report"] = span_report(g, spec).to_json()
-        doc["lift_check"] = lift_check(g, spec)
+        indices = spec.validate(g)
+        doc["span_report"] = _span_report(algebra, indices, v_stable).to_json()
+        doc["lift_check"] = _lift_check(algebra, indices, v_stable)
     _emit(doc, args.format)
     return 0
 

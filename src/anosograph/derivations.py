@@ -283,11 +283,17 @@ def span_report(graph, spec):
     """
     if spec.step != 2:
         raise SpecError("span_report applies to step-2 quotient specs")
-    a, b, c, d = spec.validate(graph)
     algebra = build_quotient(graph, spec)
-    n = graph.n
+    return _span_report(algebra, spec.validate(graph),
+                        derivation_algebra(algebra, v_stable=True).maps)
+
+
+def _span_report(algebra, indices, computed):
+    """`span_report` on the built step-2 quotient, given the vertex indices
+    of its spec and the maps of its V-stable derivations."""
+    a, b, c, d = indices
+    n = len(algebra.generators)
     conditions = [(rel, [], []) for _, rel in algebra.relation_generators]
-    computed = derivation_algebra(algebra, v_stable=True).maps
     sprime = {a, b, c, d}
     outside = [v for v in range(n) if v not in sprime]
 
@@ -338,9 +344,15 @@ def lift_check(graph, spec):
     """
     if spec.step != 2:
         raise SpecError("lift_check applies to step-2 quotient specs")
-    indices = spec.validate(graph)
-    q_maps = derivation_algebra(build_quotient(graph, spec), v_stable=True).maps
+    algebra = build_quotient(graph, spec)
+    return _lift_check(algebra, spec.validate(graph),
+                       derivation_algebra(algebra, v_stable=True).maps)
 
+
+def _lift_check(algebra, indices, q_maps):
+    """`lift_check` on the built step-2 quotient, given the vertex indices
+    of its spec and the maps of its V-stable derivations."""
+    graph = algebra.graph
     base = quotient_algebra(graph, 2)
     xrel = _step2_relation(indices)
     x = combine((c, base.project(w)) for w, c in xrel.items())

@@ -61,13 +61,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def eval_complex_rational(self, re, im):
-        """Evaluate at re + im*i with exact Fractions; returns (re, im)."""
-        ar, ai = Fraction(0), Fraction(0)
-        for c in reversed(self.coeffs):
-            ar, ai = ar * re - ai * im + c, ar * im + ai * re
-        return ar, ai
-
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):

@@ -19,15 +19,21 @@ modulus exactly 1 and returns a certificate.  The decision is exact:
      correspond exactly to real roots of the half-degree trace polynomial
      in (-2, 2), which a Sturm count settles;
   4. in the root-free case, every root of g is additionally enclosed in a
-     certified disk (approximations are only hints; the containment radius
-     n*|g/g'| and all comparisons are exact rational arithmetic), giving
-     per-root modulus intervals with positive margin from 1.
+     certified disk, giving per-root modulus intervals with positive
+     margin from 1.  Floating point only proposes centers: a
+     double-precision Durand-Kerner run warm-starts `mpmath.polyroots`,
+     which falls back to its cold start when those hints overflow or do
+     not settle.  The centers are rounded to dyadics a/2^bits, the
+     containment radius n*|g/g'| is evaluated over the Gaussian integers,
+     and every comparison is exact.  The disks come sorted by the exact
+     center, key (|im|, re, im), so the order never depends on rounding.
 
 Compound matrices expose r-fold eigenvalue products to the same test.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import os
@@ -267,51 +273,109 @@ def _sqrt_bounds(q, bits):
 
 
 def _dyadic(x, bits):
-    """Nearest dyadic rational with denominator 2^bits to an mpmath float."""
-    scaled = mpmath.nint(x * (1 << bits))
-    return Fraction(int(scaled), 1 << bits)
+    """Nearest integer to x * 2^bits for an mpmath float x."""
+    return int(mpmath.nint(x * (1 << bits)))
 
 
 def _abs2(re, im):
     return re * re + im * im
 
 
-def _certified_enclosures(g, bits):
+_HINT_STEPS = 200
+_HINT_TOL = 2.0 ** -40
+
+
+def _root_hints(g):
+    """Double-precision Durand-Kerner approximations to the roots of g.
+
+    Returns None when a coefficient or an iterate leaves the double range,
+    or when some correction is still above _HINT_TOL relative after
+    _HINT_STEPS sweeps.  The hints only warm-start `mpmath.polyroots`.
+    """
+    try:
+        lead = g.leading()
+        a = [c / lead for c in reversed(g.coeffs)]
+        z = [(0.4 + 0.9j) ** k for k in range(g.degree)]
+        for _ in range(_HINT_STEPS):
+            worst = 0.0
+            for i, zi in enumerate(z):
+                num = 0j
+                for c in a:
+                    num = num * zi + c
+                den = 1 + 0j
+                for j, zj in enumerate(z):
+                    if j != i:
+                        den *= zi - zj
+                delta = num / den
+                z[i] = zi = zi - delta
+                if not cmath.isfinite(zi):
+                    return None
+                worst = max(worst, abs(delta) / abs(zi))
+            if worst <= _HINT_TOL:
+                return z
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
+
+
+def _polyroots(coeffs, bits, hints):
+    """`mpmath.polyroots` at the working precision, warm-started from the
+    hints; a warm start that fails to converge is retried cold."""
+    for init in ([hints, None] if hints else [None]):
+        try:
+            return mpmath.polyroots(coeffs, maxsteps=200, extraprec=bits, roots_init=init)
+        except mpmath.libmp.NoConvergence:
+            pass
+    return None
+
+
+def _gauss_horner(coeffs, re, im, shift):
+    """2^(shift*deg) * q((re + im*i) / 2^shift) for q with ascending integer
+    coefficients, by Horner's rule over the Gaussian integers."""
+    ar, ai = coeffs[-1], 0
+    for k, c in enumerate(reversed(coeffs[:-1]), 1):
+        ar, ai = ar * re - ai * im + (c << (shift * k)), ar * im + ai * re
+    return ar, ai
+
+
+def _certified_enclosures(g, bits, hints=None):
     """Per-root disks for a squarefree integer polynomial.
 
-    Roots are approximated at the working precision, then each disk of
-    radius deg*|g(w)/g'(w)| around an approximation provably contains a
-    root; if the disks are pairwise disjoint they isolate all roots.
-    Returns a list of (center, radius_sq_bound) or None if the working
-    precision did not separate the roots.
+    Roots are approximated at the working precision (warm-started from
+    `hints` when given), then each disk of radius deg*|g(w)/g'(w)| around
+    an approximation provably contains a root; if the disks are pairwise
+    disjoint they isolate all roots.  Centers are dyadic a/2^bits, so
+    g and g' are evaluated exactly over the Gaussian integers.  Returns a
+    list of ((re, im), radius_sq_bound) sorted by (|im|, re, im), or None
+    if the working precision did not separate the roots.
     """
     d = g.degree
     dg = g.derivative()
     with mpmath.workprec(bits + 32):
-        try:
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(g.coeffs)],
-                                     maxsteps=200, extraprec=bits)
-        except mpmath.libmp.NoConvergence:
+        roots = _polyroots([mpmath.mpf(c) for c in reversed(g.coeffs)], bits, hints)
+        if roots is None:
             return None
         centers = [(_dyadic(mpmath.re(z), bits), _dyadic(mpmath.im(z), bits)) for z in roots]
-    disks = []
-    for (re, im) in centers:
-        gr, gi = g.eval_complex_rational(re, im)
-        dr, di = dg.eval_complex_rational(re, im)
-        denom = _abs2(dr, di)
+    centers.sort(key=lambda c: (abs(c[1]), c[0], c[1]))
+    unit = 1 << bits
+    radii = []
+    for a, b in centers:
+        # |g(w)|^2 / |g'(w)|^2 with both scaled to integers: g by
+        # 2^(bits*d), g' by 2^(bits*(d-1))
+        denom = _abs2(*_gauss_horner(dg.coeffs, a, b, bits))
         if denom == 0:
             return None
-        r2 = Fraction(d * d) * _abs2(gr, gi) / denom
-        disks.append(((re, im), r2))
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            (ri, ii), r2i = disks[i]
-            (rj, ij), r2j = disks[j]
-            dist2 = _abs2(ri - rj, ii - ij)
-            # (r_i + r_j)^2 <= 2(r_i^2 + r_j^2)
-            if dist2 <= 2 * (r2i + r2j):
+        radii.append(Fraction(d * d * _abs2(*_gauss_horner(g.coeffs, a, b, bits)),
+                              denom << (2 * bits)))
+    scale = 1 << (2 * bits + 1)
+    for i, ((ai, bi), r2i) in enumerate(zip(centers, radii)):
+        ni, mi = r2i.numerator, r2i.denominator
+        for (aj, bj), r2j in zip(centers[i + 1:], radii[i + 1:]):
+            nj, mj = r2j.numerator, r2j.denominator
+            # |w_i - w_j|^2 <= (r_i + r_j)^2 <= 2(r_i^2 + r_j^2), times 2^(2 bits) m_i m_j
+            if _abs2(ai - aj, bi - bj) * mi * mj <= scale * (ni * mj + nj * mi):
                 return None
-    return disks
+    return [((Fraction(a, unit), Fraction(b, unit)), r2) for (a, b), r2 in zip(centers, radii)]
 
 
 def unit_root_free(p, budget_bits=None):
@@ -366,9 +430,10 @@ def unit_root_free(p, budget_bits=None):
         )
     # off-circle everywhere; build per-root modulus enclosures
     budget = _budget_bits(budget_bits)
+    hints = _root_hints(g0)
     bits = 64
     while bits <= budget:
-        disks = _certified_enclosures(g0, bits)
+        disks = _certified_enclosures(g0, bits, hints)
         if disks is not None:
             enclosures = []
             margins = []

@@ -174,6 +174,31 @@ def test_derivations_with_quotient_spec(capsys, tmp_path):
     assert doc["lift_check"] is True
 
 
+def test_derivations_with_quotient_spec_builds_and_solves_once(monkeypatch, capsys):
+    from anosograph import cli, derivations, liealg
+
+    calls = {"build_graded_quotient": 0, "derivation_algebra": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    build = counted(liealg.build_graded_quotient)
+    solve = counted(derivations.derivation_algebra)
+    monkeypatch.setattr(liealg, "build_graded_quotient", build)
+    monkeypatch.setattr(derivations, "build_graded_quotient", build)
+    monkeypatch.setattr(derivations, "derivation_algebra", solve)
+    monkeypatch.setattr(cli, "derivation_algebra", solve)
+    code, out = run(capsys, "derivations", str(GOLDEN / "step2.edges"),
+                    "--quotient", str(GOLDEN / "step2.json"))
+    assert code == 0
+    assert out == (GOLDEN / "derivations_step2.stdout").read_text(encoding="utf-8")
+    # one quotient and, for the lift check, the unquotiented algebra
+    assert calls == {"build_graded_quotient": 2, "derivation_algebra": 1}
+
+
 def test_search_command(capsys, tmp_path):
     graph = tmp_path / "g.edges"
     graph.write_text("a b\nc d\na c\na d\n")

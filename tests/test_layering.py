@@ -5,9 +5,9 @@ words are pushed into a quotient by `liealg` alone (its `image_map` and
 `free_derivation`), so no other module needs the standard factorization
 or the per-degree relation row spaces.
 
-Only `spectra` touches floating point, through mpmath, and the package
-calls no `float(`: approximations are proposals that exact arithmetic
-then certifies.
+Only `spectra` touches floating point, through mpmath and its
+double-precision root hints, and the package calls no `float(`:
+approximations are proposals that exact arithmetic then certifies.
 """
 
 import ast

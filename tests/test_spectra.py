@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,6 +13,8 @@ from anosograph.intpoly import IntPolynomial, cyclotomic, divides, poly_gcd
 from anosograph.linalg import det_bareiss, mat_mul
 from anosograph.spectra import (
     IndeterminateError,
+    _certified_enclosures,
+    _root_hints,
     _strong_components,
     char_poly,
     compound_matrix,
@@ -332,3 +337,105 @@ def test_repeated_factors_free_and_not_free():
     lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
     cert = unit_root_free(lehmer * lehmer)
     assert not cert.free and cert.method == "isolated-interval"
+
+
+# -- root enclosures ------------------------------------------------------------
+
+# the degree-18 symmetric factor of a K_{3,3} certificate at k = 3: two real
+# roots and eight conjugate pairs
+K33_FACTOR = IntPolynomial([1, 2, 5, -448, 856, 2840, 5600, -14048, -45374, -85492,
+                            -45374, -14048, 5600, 2840, 856, -448, 5, 2, 1])
+C4_FACTORS = [IntPolynomial([1, -4, -19, -4, 1]),
+              IntPolynomial([1, 0, -126, 0, 371, 0, -126, 0, 1])]
+
+
+@pytest.mark.parametrize("g", [K33_FACTOR, *C4_FACTORS], ids=["K33", "C4-deg2", "C4-deg3"])
+def test_enclosures_do_not_depend_on_hints(g):
+    hints = _root_hints(g)
+    assert hints is not None
+    for bits in (64, 128):
+        disks = _certified_enclosures(g, bits, hints)
+        assert disks is not None and len(disks) == g.degree
+        assert disks == _certified_enclosures(g, bits, None)
+        centers = [center for center, _ in disks]
+        assert centers == sorted(centers, key=lambda c: (abs(c[1]), c[0], c[1]))
+
+
+def test_overflowing_hints_fall_back_to_a_cold_start(monkeypatch):
+    p = IntPolynomial([1, -10 ** 400, 1])
+    assert _root_hints(p) is None
+    inits = []
+    polyroots = mpmath.polyroots
+
+    def spy(*args, **kwargs):
+        inits.append(kwargs.get("roots_init"))
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", spy)
+    cert = unit_root_free(p)
+    assert inits == [None]
+    witness = cert.witness
+    assert [e["center"][1] for e in witness["root_enclosures"]] == ["0", "0"]
+    assert witness["root_enclosures"][0]["center"][0] == "0"
+    assert witness["min_margin"] == "4611686018427387903/4611686018427387904"
+    # the whole certificate, as the cold-start-only enclosures produced it
+    doc = json.dumps(cert.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == \
+        "d99d7fdffac33be49f5be1e58a89021d54671955da177de38f89942d5f97ed37"
+
+
+def _rect_in_disk(rect, disk):
+    (x0, x1, y0, y1), ((cr, ci), r2) = rect, disk
+    return all((x - cr) ** 2 + (y - ci) ** 2 <= r2 for x in (x0, x1) for y in (y0, y1))
+
+
+def _rect_meets_disk(rect, disk):
+    (x0, x1, y0, y1), ((cr, ci), r2) = rect, disk
+    dx, dy = min(max(cr, x0), x1) - cr, min(max(ci, y0), y1) - ci
+    return dx * dx + dy * dy <= r2
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=3), st.sampled_from([1, -1]),
+       st.integers(1, 3))
+@example([2], 1, 3)  # 3x^2 + 2x + 1: one conjugate pair
+@example([-4, -19, -4], 1, 1)  # a C4 factor: four real roots
+@example([0], 1, 1)  # x^2 + 1: roots at the dyadic centers +-i, radius 0
+def test_enclosures_against_exact_root_rectangles(middle, constant, lead):
+    """Every root lies in exactly one certified disk and every disk holds
+    exactly one root, against sympy's exact root isolation, which does not
+    use mpmath.polyroots."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    sq = sympy.Poly(list(reversed([constant, *middle, lead])), x).sqf_part()
+    if sq.degree() < 1:
+        return
+    g = IntPolynomial(reversed([int(c) for c in sq.all_coeffs()]))
+    hints = _root_hints(g)
+    disks = next(filter(None, (_certified_enclosures(g, bits, hints) for bits in (64, 128, 256))))
+    assert len(disks) == g.degree
+    eps = sympy.Rational(1, 2 ** 80)
+    rects = []
+    for i in range(g.degree):
+        root = sympy.CRootOf(sq, i)
+        if isinstance(root, sympy.CRootOf):
+            root = root.eval_rational(dx=eps, dy=eps)
+            tol = Fraction(1, 2 ** 80)
+        else:
+            tol = Fraction(0)  # a rational root, exact
+        re, im = (Fraction(int(v.p), int(v.q)) for v in root.as_real_imag())
+        rect = (re - tol, re + tol, im - tol, im + tol)
+        for (cr, ci), r2 in disks:
+            if r2 == 0 and _rect_meets_disk(rect, ((cr, ci), r2)):
+                # g vanishes at this dyadic center: confirm it, the root is the center
+                z = sympy.Rational(cr.numerator, cr.denominator) \
+                    + sympy.I * sympy.Rational(ci.numerator, ci.denominator)
+                assert sympy.expand(sq.as_expr().subs(x, z)) == 0
+                rect = (cr, cr, ci, ci)
+        rects.append(rect)
+    for rect in rects:
+        assert sum(_rect_in_disk(rect, disk) for disk in disks) == 1
+        assert sum(_rect_meets_disk(rect, disk) for disk in disks) == 1
+    for disk in disks:
+        assert sum(_rect_meets_disk(rect, disk) for rect in rects) == 1
