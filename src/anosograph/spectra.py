@@ -20,13 +20,14 @@ modulus exactly 1 and returns a certificate.  The decision is exact:
      in (-2, 2), which a Sturm count settles;
   4. in the root-free case, every root of g is additionally enclosed in a
      certified disk, giving per-root modulus intervals with positive
-     margin from 1.  Floating point only proposes centers: a
-     double-precision Durand-Kerner run warm-starts `mpmath.polyroots`,
-     which falls back to its cold start when those hints overflow or do
-     not settle.  The centers are rounded to dyadics a/2^bits, the
-     containment radius n*|g/g'| is evaluated over the Gaussian integers,
-     and every comparison is exact.  The disks come sorted by the exact
-     center, key (|im|, re, im), so the order never depends on rounding.
+     margin from 1.  Approximations only propose centers: Durand-Kerner
+     sweeps in Gaussian-integer fixed point, with bits + 32 fractional
+     bits, refine double-precision hints (or a cold start when the hints
+     overflow or do not settle).  The centers are rounded to dyadics
+     a/2^bits, the containment radius n*|g/g'| is evaluated over the
+     Gaussian integers, and every comparison is exact.  The disks come
+     sorted by the exact center, key (|im|, re, im), so the order never
+     depends on rounding.
 
 Compound matrices expose r-fold eigenvalue products to the same test.
 """
@@ -40,8 +41,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-import mpmath
 
 from . import linalg
 from .intpoly import (
@@ -272,11 +271,6 @@ def _sqrt_bounds(q, bits):
     return Fraction(s, 1 << bits), Fraction(s + 2, 1 << bits)
 
 
-def _dyadic(x, bits):
-    """Nearest integer to x * 2^bits for an mpmath float x."""
-    return int(mpmath.nint(x * (1 << bits)))
-
-
 def _abs2(re, im):
     return re * re + im * im
 
@@ -285,17 +279,21 @@ _HINT_STEPS = 200
 _HINT_TOL = 2.0 ** -40
 
 
+def _cold_start(degree):
+    return [(0.4 + 0.9j) ** k for k in range(degree)]
+
+
 def _root_hints(g):
     """Double-precision Durand-Kerner approximations to the roots of g.
 
     Returns None when a coefficient or an iterate leaves the double range,
     or when some correction is still above _HINT_TOL relative after
-    _HINT_STEPS sweeps.  The hints only warm-start `mpmath.polyroots`.
+    _HINT_STEPS sweeps.  The hints only warm-start `_refine_roots`.
     """
     try:
         lead = g.leading()
         a = [c / lead for c in reversed(g.coeffs)]
-        z = [(0.4 + 0.9j) ** k for k in range(g.degree)]
+        z = _cold_start(g.degree)
         for _ in range(_HINT_STEPS):
             worst = 0.0
             for i, zi in enumerate(z):
@@ -318,17 +316,6 @@ def _root_hints(g):
     return None
 
 
-def _polyroots(coeffs, bits, hints):
-    """`mpmath.polyroots` at the working precision, warm-started from the
-    hints; a warm start that fails to converge is retried cold."""
-    for init in ([hints, None] if hints else [None]):
-        try:
-            return mpmath.polyroots(coeffs, maxsteps=200, extraprec=bits, roots_init=init)
-        except mpmath.libmp.NoConvergence:
-            pass
-    return None
-
-
 def _gauss_horner(coeffs, re, im, shift):
     """2^(shift*deg) * q((re + im*i) / 2^shift) for q with ascending integer
     coefficients, by Horner's rule over the Gaussian integers."""
@@ -338,12 +325,81 @@ def _gauss_horner(coeffs, re, im, shift):
     return ar, ai
 
 
+_REFINE_SWEEPS = 200
+_GUARD_BITS = 32
+
+
+def _fixed(x, shift):
+    """floor(x * 2^shift) for a finite double x, exactly."""
+    n, d = x.as_integer_ratio()
+    return (n << shift) // d
+
+
+def _round_half_even(x, shift):
+    """x / 2^shift rounded to the nearest integer, ties to even."""
+    q, r = divmod(x, 1 << shift)
+    half = 1 << (shift - 1)
+    return q + (r > half or (r == half and q & 1))
+
+
+def _grid_point(x, bits):
+    """The center coordinate a for a fixed-point coordinate x / 2^(bits +
+    _GUARD_BITS): x rounded to bits + _GUARD_BITS significant bits, then to
+    the 2^-bits grid, both ties to even, as a multiprecision root at that
+    precision would be.  The first rounding is coarser than the grid, and
+    so sets the center, only for coordinates of modulus >= 2^_GUARD_BITS."""
+    excess = abs(x).bit_length() - bits - _GUARD_BITS
+    if excess > 0:
+        x = _round_half_even(x, excess) << excess
+    return _round_half_even(x, _GUARD_BITS)
+
+
+def _refine_roots(g, bits, start):
+    """Centers (a, b), meaning (a + b*i)/2^bits, near every root of g.
+
+    Durand-Kerner sweeps, each iterate updated in place, run on Gaussian
+    integers z * 2^P with P = bits + _GUARD_BITS: the correction
+    g(z_i) / (lead * prod_{j != i} (z_i - z_j)) is a quotient of
+    `_gauss_horner` and an integer product, floored to a multiple of
+    2^-P.  `start` is a list of complex start points (the double-precision
+    hints), or None for the cold start (0.4 + 0.9i)^k, k < deg g.  Stops
+    once every correction of a sweep is below 2^(16 - P); returns None
+    after _REFINE_SWEEPS sweeps without that, or when two iterates
+    coincide.
+    """
+    shift = bits + _GUARD_BITS
+    coeffs = g.coeffs
+    lead = coeffs[-1]
+    if start is None:
+        start = _cold_start(g.degree)
+    z = [(_fixed(w.real, shift), _fixed(w.imag, shift)) for w in start]
+    for _ in range(_REFINE_SWEEPS):
+        worst = 0
+        for i, (zr, zi) in enumerate(z):
+            nr, ni = _gauss_horner(coeffs, zr, zi, shift)
+            dr, di = lead, 0
+            for j, (wr, wi) in enumerate(z):
+                if j != i:
+                    er, ei = zr - wr, zi - wi
+                    dr, di = dr * er - di * ei, dr * ei + di * er
+            den = _abs2(dr, di)
+            if den == 0:
+                return None
+            cr = (nr * dr + ni * di) // den
+            ci = (ni * dr - nr * di) // den
+            z[i] = (zr - cr, zi - ci)
+            worst = max(worst, _abs2(cr, ci))
+        if worst < 1 << 32:  # every correction below 2^16 units of 2^-P
+            return [(_grid_point(a, bits), _grid_point(b, bits)) for a, b in z]
+    return None
+
+
 def _certified_enclosures(g, bits, hints=None):
     """Per-root disks for a squarefree integer polynomial.
 
-    Roots are approximated at the working precision (warm-started from
-    `hints` when given), then each disk of radius deg*|g(w)/g'(w)| around
-    an approximation provably contains a root; if the disks are pairwise
+    Roots are approximated by `_refine_roots` (warm-started from `hints`
+    when given), then each disk of radius deg*|g(w)/g'(w)| around an
+    approximation provably contains a root; if the disks are pairwise
     disjoint they isolate all roots.  Centers are dyadic a/2^bits, so
     g and g' are evaluated exactly over the Gaussian integers.  Returns a
     list of ((re, im), radius_sq_bound) sorted by (|im|, re, im), or None
@@ -351,11 +407,9 @@ def _certified_enclosures(g, bits, hints=None):
     """
     d = g.degree
     dg = g.derivative()
-    with mpmath.workprec(bits + 32):
-        roots = _polyroots([mpmath.mpf(c) for c in reversed(g.coeffs)], bits, hints)
-        if roots is None:
-            return None
-        centers = [(_dyadic(mpmath.re(z), bits), _dyadic(mpmath.im(z), bits)) for z in roots]
+    centers = _refine_roots(g, bits, hints)
+    if centers is None:
+        return None
     centers.sort(key=lambda c: (abs(c[1]), c[0], c[1]))
     unit = 1 << bits
     radii = []

@@ -3,7 +3,8 @@
 Everything here recomputes expected values through a different route than
 the library: plain tensor coordinates instead of Lyndon bases, a dense
 linear system for derivations, sympy resultants for eigenvalue products,
-and 512-bit numeric root isolation for unit-circle classification.
+512-bit numeric root isolation for unit-circle classification, and
+mpmath's multiprecision Durand-Kerner for root enclosure centers.
 """
 
 from fractions import Fraction
@@ -313,6 +314,23 @@ def classify_unit_roots_512(coeffs):
             if abs(abs(z) - 1) < tol:
                 return "not-free"
     return "free"
+
+
+def mpmath_centers(coeffs, bits):
+    """Enclosure centers (a, b), meaning (a + b*i)/2^bits, for the roots of
+    the polynomial with ascending integer coefficients: `mpmath.polyroots`
+    from its cold start at bits + 32 bits (plus `bits` extra inside), each
+    coordinate rounded to the nearest multiple of 2^-bits.  Sorted by
+    (|b|, a, b); None when polyroots does not converge in 200 sweeps."""
+    with mpmath.workprec(bits + 32):
+        try:
+            roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)],
+                                     maxsteps=200, extraprec=bits)
+        except mpmath.libmp.NoConvergence:
+            return None
+        centers = [(int(mpmath.nint(mpmath.re(z) * (1 << bits))),
+                    int(mpmath.nint(mpmath.im(z) * (1 << bits)))) for z in roots]
+    return sorted(centers, key=lambda c: (abs(c[1]), c[0], c[1]))
 
 
 # -- sympy-based eigenvalue-product polynomials ------------------------------

@@ -5,12 +5,17 @@ words are pushed into a quotient by `liealg` alone (its `image_map` and
 `free_derivation`), so no other module needs the standard factorization
 or the per-degree relation row spaces.
 
-Only `spectra` touches floating point, through mpmath and its
-double-precision root hints, and the package calls no `float(`:
-approximations are proposals that exact arithmetic then certifies.
+Only `spectra` touches floating point, through its double-precision root
+hints, and the package calls no `float(`: approximations are proposals
+that exact arithmetic then certifies.  The package runs on the standard
+library alone: no module imports mpmath, and importing the CLI does not
+load it (the tests still use mpmath as an independent oracle).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "anosograph"
@@ -34,7 +39,7 @@ def _trees():
     return {name: ast.parse(text) for name, text in sources().items()}
 
 
-def test_only_spectra_imports_mpmath():
+def test_no_module_imports_mpmath():
     users = set()
     for name, tree in _trees().items():
         for node in ast.walk(tree):
@@ -46,7 +51,16 @@ def test_only_spectra_imports_mpmath():
                 continue
             if any(m.split(".")[0] == "mpmath" for m in modules):
                 users.add(name)
-    assert users == {"spectra.py"}
+    assert users == set()
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, anosograph.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_no_float_calls():

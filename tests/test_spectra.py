@@ -3,17 +3,18 @@ import json
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from anosograph import spectra
 from anosograph.anosov import synthesize
 from anosograph.graphs import parse_graph
-from anosograph.intpoly import IntPolynomial, cyclotomic, divides, poly_gcd
+from anosograph.intpoly import IntPolynomial, cyclotomic, divides, poly_gcd, squarefree_part
 from anosograph.linalg import det_bareiss, mat_mul
 from anosograph.spectra import (
     IndeterminateError,
     _certified_enclosures,
+    _refine_roots,
     _root_hints,
     _strong_components,
     char_poly,
@@ -21,7 +22,7 @@ from anosograph.spectra import (
     products_off_circle,
     unit_root_free,
 )
-from oracles import classify_unit_roots_512, complete_graph, product_poly_subsets
+from oracles import classify_unit_roots_512, complete_graph, mpmath_centers, product_poly_subsets
 
 GOLDEN = IntPolynomial([-1, -1, 1])
 
@@ -364,16 +365,15 @@ def test_enclosures_do_not_depend_on_hints(g):
 def test_overflowing_hints_fall_back_to_a_cold_start(monkeypatch):
     p = IntPolynomial([1, -10 ** 400, 1])
     assert _root_hints(p) is None
-    inits = []
-    polyroots = mpmath.polyroots
+    starts = []
 
-    def spy(*args, **kwargs):
-        inits.append(kwargs.get("roots_init"))
-        return polyroots(*args, **kwargs)
+    def spy(g, bits, start):
+        starts.append(start)
+        return _refine_roots(g, bits, start)
 
-    monkeypatch.setattr(mpmath, "polyroots", spy)
+    monkeypatch.setattr(spectra, "_refine_roots", spy)
     cert = unit_root_free(p)
-    assert inits == [None]
+    assert starts == [None]
     witness = cert.witness
     assert [e["center"][1] for e in witness["root_enclosures"]] == ["0", "0"]
     assert witness["root_enclosures"][0]["center"][0] == "0"
@@ -382,6 +382,30 @@ def test_overflowing_hints_fall_back_to_a_cold_start(monkeypatch):
     doc = json.dumps(cert.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == \
         "d99d7fdffac33be49f5be1e58a89021d54671955da177de38f89942d5f97ed37"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-2 ** 48, 2 ** 48), min_size=1, max_size=8),
+       st.integers(1, 2 ** 48), st.sampled_from([64, 128]))
+@example([7, -2 ** 48 + 5], 3, 64)  # a real root near 2^46.4
+@example([1, -2 ** 48], 1, 128)  # roots near 2^48 and 2^-48
+@example([-2, 0, 0, 0, 0, 0, 0], 1, 64)  # 2^(1/7) times the 7th roots of unity
+def test_centers_match_mpmath_polyroots(lower, lead, bits):
+    """The fixed-point Durand-Kerner proposes exactly the centers that
+    `mpmath.polyroots` rounded to the grid, warm or cold, including roots
+    beyond 2^32, where the center is the root rounded to bits + 32
+    significant bits."""
+    g = squarefree_part(IntPolynomial([*lower, lead]))
+    if g.degree < 1:
+        return
+    expected = mpmath_centers(g.coeffs, bits)
+    if expected is None:  # mpmath proposes nothing to compare with
+        return
+    for start in (_root_hints(g), None):
+        assert sorted(_refine_roots(g, bits, start)) == sorted(expected)
+        disks = _certified_enclosures(g, bits, start)
+        if disks is not None:
+            assert [(re * 2 ** bits, im * 2 ** bits) for (re, im), _ in disks] == expected
 
 
 def _rect_in_disk(rect, disk):
@@ -403,8 +427,7 @@ def _rect_meets_disk(rect, disk):
 @example([0], 1, 1)  # x^2 + 1: roots at the dyadic centers +-i, radius 0
 def test_enclosures_against_exact_root_rectangles(middle, constant, lead):
     """Every root lies in exactly one certified disk and every disk holds
-    exactly one root, against sympy's exact root isolation, which does not
-    use mpmath.polyroots."""
+    exactly one root, against sympy's exact root isolation."""
     import sympy
 
     x = sympy.Symbol("x")
