@@ -155,6 +155,8 @@ def find_component_matrix(d, k, coeff_bound=3, seed=0, budget=20000, skip=0):
     matrices in a fixed order.  `skip` asks for a later qualifying hit."""
     if d < 2:
         raise ValueError("component dimension must be >= 2")
+    if coeff_bound < 0:
+        raise ValueError(f"coefficient bound must be >= 0, not {coeff_bound}")
     r_max = min(k, d - 1)
     found = 0
     for index, poly in enumerate(_candidate_polys(d, coeff_bound, seed)):
@@ -449,6 +451,20 @@ def verify_certificate(graph, cert):
             return fail("block-shape", f"degree-{m} block missing or of wrong size")
     passed("block-shape")
 
+    # A valid class block A^e is unimodular with no unit-modulus eigenvalue,
+    # so A has an eigenvalue that is not a root of unity, and by Dimitrov's
+    # proof of the Schinzel-Zassenhaus conjecture (arXiv:1912.12545) the
+    # spectral radius of A is at least 2^(1/(4d)).  With M the largest |entry|
+    # of the block, 2^(e/(4d)) <= rho(A^e) <= d*M < 2^bit_length(d*M), so a
+    # valid e is below 4*d*bit_length(d*M); refusing larger ones here bounds
+    # the work of mat_pow by the size of the block.
+    for cls, e in zip(partition.classes, cert.exponents):
+        d = len(cls)
+        m = max(abs(blocks[1][r][c]) for r in cls for c in cls)
+        if e >= 4 * d * (d * m).bit_length():
+            return fail("degree-one-shape",
+                        f"exponent {e} is too large for a degree-one block "
+                        f"with entries of size {m}")
     expected = _powered_degree_one(graph.n, partition.classes,
                                    [comp["matrix"] for comp in cert.components],
                                    cert.exponents)

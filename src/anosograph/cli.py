@@ -1,5 +1,13 @@
 """Batch command-line surface with stable JSON output.
 
+    anosograph COMMAND GRAPH [--option VALUE ...]
+
+GRAPH is an edge-list file, and `anosograph COMMAND -h` lists the options
+of a command.  Options and GRAPH come in any order; a value follows as
+`--option VALUE` or `--option=VALUE`, a unique prefix of an option names
+it, the last of a repeated option wins, and a token after `--` is GRAPH.
+Help goes to stdout; a usage error prints the usage line to stderr.
+
 Exit codes: 0 verdict computed, 1 usage error, 2 synthesis refused because
 the graph is not admissible, 3 certificate verification failed, 4 synthesis
 search budget exhausted.  Identical invocations (including --seed) produce
@@ -8,9 +16,9 @@ byte-identical JSON; text mode is for humans and is not a stable format.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .anosov import (
     AutomorphismCertificate,
@@ -36,13 +44,6 @@ from .liealg import graph_algebra_dims, quotient_algebra
 from .lyndon import witt_number
 
 SCHEMA = 1
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _load_graph(path):
@@ -219,66 +220,167 @@ def _cmd_search(args):
     return 0
 
 
-def build_parser():
-    parser = _Parser(prog="anosograph", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = ...  # the default of an option that must be given
 
-    def add_parser(name, help_text):
-        return sub.add_parser(
-            name, help=help_text,
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+_K = ("--k", int, 2, "nilpotency step")
+_FORMAT = ("--format", ("json", "text"), "json", "output format")
+_QUOTIENT = ("--quotient", str, None, "quotient spec JSON sidecar (step 2 or 3)")
+_SEED = ("--seed", int, 0, "random seed")
+_BUDGET = ("--budget", int, 100000, "candidates to try")
 
-    def common(p, k_default=None):
-        p.add_argument("graph", help="edge-list file ('u v' lines, 'vertex: u', '#' comments)")
-        if k_default is not None:
-            p.add_argument("--k", type=int, default=k_default, help="nilpotency step")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+# name: (handler, help, options).  Every command also takes one graph file.
+# An option is (flag, type, default, help): type is int, str or a tuple of
+# the accepted strings; default REQUIRED marks an option that must be given.
+COMMANDS = {
+    "analyze": (_cmd_analyze, "coherent partition and admissibility verdict", (_K, _FORMAT)),
+    "dims": (_cmd_dims, "per-degree dimensions of the graph algebra", (_K, _FORMAT)),
+    "synthesize": (_cmd_synthesize, "construct and certify a hyperbolic automorphism", (
+        _K, _FORMAT,
+        ("--coeff-bound", int, 3, "coefficient radius of the component search"),
+        ("--max-exponent", int, 64, "largest exponent on the ladder"),
+        _SEED, _BUDGET,
+        ("--out", str, None, "also write the certificate JSON to this file"),
+    )),
+    "verify": (_cmd_verify, "independently verify a certificate file", (
+        _FORMAT, ("--certificate", str, REQUIRED, "certificate JSON file"),
+    )),
+    "derivations": (_cmd_derivations, "derivation-algebra dimensions and quotient reports",
+                    (_K, _FORMAT, _QUOTIENT)),
+    "search": (_cmd_search, "bounded search for hyperbolic automorphisms", (
+        _K, _FORMAT, _QUOTIENT,
+        ("--entry-bound", int, 2, "largest |entry| of a candidate degree-one matrix"),
+        _BUDGET, _SEED,
+    )),
+}
+_HELP = ("-h", "--help")
 
-    p = add_parser("analyze", "coherent partition and admissibility verdict")
-    common(p, k_default=2)
-    p.set_defaults(func=_cmd_analyze)
 
-    p = add_parser("dims", "per-degree dimensions of the graph algebra")
-    common(p, k_default=2)
-    p.set_defaults(func=_cmd_dims)
+def _dest(flag):
+    """The namespace attribute of an option: `--coeff-bound` sets `coeff_bound`."""
+    return flag[2:].replace("-", "_")
 
-    p = add_parser("synthesize", "construct and certify a hyperbolic automorphism")
-    common(p, k_default=2)
-    p.add_argument("--coeff-bound", type=int, default=3)
-    p.add_argument("--max-exponent", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=100000)
-    p.add_argument("--out", help="also write the certificate JSON to this file")
-    p.set_defaults(func=_cmd_synthesize)
 
-    p = add_parser("verify", "independently verify a certificate file")
-    common(p)
-    p.add_argument("--certificate", required=True)
-    p.set_defaults(func=_cmd_verify)
+def _metavar(flag, kind):
+    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else _dest(flag).upper()
 
-    p = add_parser("derivations", "derivation-algebra dimensions and quotient reports")
-    common(p, k_default=2)
-    p.add_argument("--quotient", help="quotient spec JSON sidecar (step 2 or 3)")
-    p.set_defaults(func=_cmd_derivations)
 
-    p = add_parser("search", "bounded search for hyperbolic automorphisms")
-    common(p, k_default=2)
-    p.add_argument("--quotient", help="quotient spec JSON sidecar (step 2 or 3)")
-    p.add_argument("--entry-bound", type=int, default=2)
-    p.add_argument("--budget", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_search)
-    return parser
+def _usage(name=None):
+    if name is None:
+        return f"usage: anosograph [-h] {{{','.join(COMMANDS)}}} ..."
+    parts = ["usage: anosograph", name, "[-h]"]
+    for flag, kind, default, _ in COMMANDS[name][2]:
+        option = f"{flag} {_metavar(flag, kind)}"
+        parts.append(option if default is REQUIRED else f"[{option}]")
+    return " ".join(parts + ["graph"])
+
+
+def _help(name=None):
+    """Print the help of one command, or of the program when name is None."""
+    if name is None:
+        about, heading = __doc__.strip(), "commands:"
+        rows = [(cmd, text) for cmd, (_, text, _) in COMMANDS.items()]
+    else:
+        about, heading = COMMANDS[name][1], "arguments:"
+        rows = [("graph", "edge-list file ('u v' lines, 'vertex: u', '#' comments)"),
+                ("-h, --help", "show this help and exit")]
+        rows += [(f"{flag} {_metavar(flag, kind)}",
+                  text if default in (REQUIRED, None) else f"{text} (default: {default})")
+                 for flag, kind, default, text in COMMANDS[name][2]]
+    width = max(len(left) for left, _ in rows) + 2
+    print(_usage(name), about, heading, sep="\n\n")
+    for left, text in rows:
+        print(f"  {left:<{width}}{text}")
+
+
+def _fail(name, message):
+    print(_usage(name), file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _is_value(token):
+    """Whether argparse would read token as a value rather than an option:
+    it does not start with '-', or it is '-' or a negative number."""
+    if token[:1] != "-" or token == "-":
+        return True
+    whole, dot, fraction = token[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (whole == "" or whole.isdecimal()) and fraction.isdecimal()
+
+
+def parse_args(argv):
+    """The namespace of `command`, `graph` and one attribute per option
+    that argv asks for, read by argparse's rules as the module docstring
+    lists them.  Help goes to stdout and raises SystemExit(0); a usage
+    error goes to stderr and raises SystemExit(1).
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    name = argv[0]
+    if name in _HELP or len(name) > 2 and "--help".startswith(name):
+        _help()
+        raise SystemExit(0)
+    if name not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {name!r} (choose from {choices})")
+    kinds = {flag: kind for flag, kind, _, _ in COMMANDS[name][2]}
+    values = {flag: default for flag, _, default, _ in COMMANDS[name][2]}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            positionals += tokens
+            break
+        if _is_value(token):
+            positionals.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag in kinds or flag in _HELP:
+            matches = [flag]
+        elif flag.startswith("--"):
+            matches = [f for f in (*kinds, "--help") if f.startswith(flag)]
+        else:
+            matches = []
+        if not matches:
+            _fail(name, f"unrecognized arguments: {token}")
+        if len(matches) > 1:
+            _fail(name, f"ambiguous option: {token} could match {', '.join(matches)}")
+        flag = matches[0]
+        if flag in _HELP:
+            _help(name)
+            raise SystemExit(0)
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                _fail(name, f"argument {flag}: expected one argument")
+        kind = kinds[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(name, f"argument {flag}: invalid int value: {value!r}")
+        elif kind is not str and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            _fail(name, f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        values[flag] = value
+    missing = [] if positionals else ["graph"]
+    missing += [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    if len(positionals) > 1:
+        _fail(name, f"unrecognized arguments: {' '.join(positionals[1:])}")
+    options = {_dest(flag): value for flag, value in values.items()}
+    return SimpleNamespace(command=name, graph=positionals[0], **options)
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 1
+        return e.code
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (GraphParseError, SpecError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

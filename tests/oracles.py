@@ -3,10 +3,13 @@
 Everything here recomputes expected values through a different route than
 the library: plain tensor coordinates instead of Lyndon bases, a dense
 linear system for derivations, sympy resultants for eigenvalue products,
-512-bit numeric root isolation for unit-circle classification, and
-mpmath's multiprecision Durand-Kerner for root enclosure centers.
+512-bit numeric root isolation for unit-circle classification,
+mpmath's multiprecision Durand-Kerner for root enclosure centers, and the
+standard library's argparse for the CLI's argument parser.
 """
 
+import argparse
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -390,3 +393,61 @@ def product_poly_subsets(matrix, r):
         assert rem == 0
         return poly_sqrt_monic([int(v) for v in quo.all_coeffs()])
     raise NotImplementedError(r)
+
+
+# -- the CLI's arguments through argparse ------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def argparse_reference():
+    """The CLI's arguments as an argparse parser: `parse_args` gives the
+    namespace `anosograph.cli.parse_args` should give, and raises
+    SystemExit(1) on a usage error and SystemExit(0) after help."""
+    parser = _Parser(prog="anosograph")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name, help_text):
+        return sub.add_parser(
+            name, help=help_text,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+
+    def common(p, k_default=None):
+        p.add_argument("graph", help="edge-list file ('u v' lines, 'vertex: u', '#' comments)")
+        if k_default is not None:
+            p.add_argument("--k", type=int, default=k_default, help="nilpotency step")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+
+    p = add_parser("analyze", "coherent partition and admissibility verdict")
+    common(p, k_default=2)
+
+    p = add_parser("dims", "per-degree dimensions of the graph algebra")
+    common(p, k_default=2)
+
+    p = add_parser("synthesize", "construct and certify a hyperbolic automorphism")
+    common(p, k_default=2)
+    p.add_argument("--coeff-bound", type=int, default=3)
+    p.add_argument("--max-exponent", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=100000)
+    p.add_argument("--out", help="also write the certificate JSON to this file")
+
+    p = add_parser("verify", "independently verify a certificate file")
+    common(p)
+    p.add_argument("--certificate", required=True)
+
+    p = add_parser("derivations", "derivation-algebra dimensions and quotient reports")
+    common(p, k_default=2)
+    p.add_argument("--quotient", help="quotient spec JSON sidecar (step 2 or 3)")
+
+    p = add_parser("search", "bounded search for hyperbolic automorphisms")
+    common(p, k_default=2)
+    p.add_argument("--quotient", help="quotient spec JSON sidecar (step 2 or 3)")
+    p.add_argument("--entry-bound", type=int, default=2)
+    p.add_argument("--budget", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+    return parser

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import anosograph
-from anosograph.cli import main
+from anosograph.cli import COMMANDS, REQUIRED, main, parse_args
+from oracles import argparse_reference
 
 C4_TEXT = "a b\nb c\nc d\nd a\n"
 K3_TEXT = "a b\nb c\nc a\n"
@@ -127,6 +129,31 @@ def test_block_shape_checked_before_algebra(capsys, tmp_path, tamper):
     assert time.perf_counter() - start < 5
     assert code == 3
     assert json.loads(out)["report"]["first_failure"] == "block-shape"
+
+
+@pytest.mark.parametrize("exponent, detail", [
+    (4, "degree-one block is not the recorded block-diagonal power"),
+    (23, "degree-one block is not the recorded block-diagonal power"),
+    (24, "exponent 24 is too large"),  # 4*d*bit_length(d*M) with d = 2, M = 3
+    (10 ** 9, "exponent 1000000000 is too large"),
+])
+def test_exponent_bounded_before_powering(capsys, tmp_path, exponent, detail):
+    doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    doc["exponents"][1] = exponent
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, "verify", str(GOLDEN / "c4.edges"), "--certificate", str(cert_path))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    report = json.loads(out)["report"]
+    assert report["first_failure"] == "degree-one-shape"
+    assert report["checks"][-1]["detail"].startswith(detail)
+
+
+def test_synthesize_negative_coeff_bound_exit_1(capsys, c4_path):
+    assert main(["synthesize", c4_path, "--k", "2", "--coeff-bound", "-1"]) == 1
+    assert capsys.readouterr().err == "error: coefficient bound must be >= 0, not -1\n"
 
 
 def test_synthesize_budget_exhausted_exit_4(capsys, c4_path):
@@ -260,3 +287,112 @@ def test_text_format(capsys, c4_path):
     code, out = run(capsys, "dims", c4_path, "--k", "3", "--format", "text")
     assert code == 0
     assert "total: 20" in out
+
+
+# -- the argument parser against argparse ----------------------------------------
+
+def _reference(argv):
+    """argparse's namespace for argv as a dict, or its exit code."""
+    try:
+        return vars(argparse_reference().parse_args(argv))
+    except SystemExit as e:
+        return e.code
+
+
+def _parsed(argv):
+    try:
+        return vars(parse_args(argv))
+    except SystemExit as e:
+        return e.code
+
+
+def _sample(kind, i):
+    """A valid value for an option of this kind, varied by i."""
+    if kind is int:
+        return str(i - 1)  # i = 0 gives a negative number
+    return kind[i % len(kind)] if isinstance(kind, tuple) else f"file{i}.json"
+
+
+def _shortest_prefix(flag, flags):
+    return next(flag[:n] for n in range(3, len(flag) + 1)
+                if [f for f in flags if f.startswith(flag[:n])] == [flag])
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_parser_matches_argparse_on_valid_argv(name, capsys):
+    options = COMMANDS[name][2]
+    flags = [flag for flag, *_ in options] + ["--help"]
+    required = [arg for flag, _, default, _ in options if default is REQUIRED
+                for arg in (flag, "req.json")]
+    rng = random.Random(name)
+    argvs = [[name, "g.edges", *required], [name, *required, "--", "-g.edges"]]
+    for i in range(8):
+        pairs = [[flag, _sample(kind, i)] for flag, kind, _, _ in options]
+        if i % 2:  # repeated options: the last value wins
+            pairs += [[flag, _sample(kind, i + 1)] for flag, kind, _, _ in options]
+        for pair in pairs:
+            if i % 4 >= 2:
+                pair[0] = _shortest_prefix(pair[0], flags)
+            if i % 3 == 1:
+                pair[:] = ["=".join(pair)]
+        pairs.append(["g.edges"])
+        rng.shuffle(pairs)
+        argvs.append([name] + [token for pair in pairs for token in pair])
+    for argv in argvs:
+        expected = _reference(argv)
+        assert isinstance(expected, dict), (argv, capsys.readouterr().err)
+        assert _parsed(argv) == expected, argv
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_parser_matches_argparse_on_usage_errors(name, capsys):
+    options = COMMANDS[name][2]
+    required = [arg for flag, _, default, _ in options if default is REQUIRED
+                for arg in (flag, "req.json")]
+    ok = [name, "g.edges", *required]
+    argvs = [
+        [name, *required],  # no graph
+        ok + ["extra.edges"],
+        ok + ["--bogus", "1"],
+        ok + ["-k", "1"],
+        ok + ["--=1"],  # a prefix of every option
+        ok + ["--format"],
+        ok + ["--format", "-x"],
+        ok + ["--format", "--format", "text"],
+        ok + ["--format", "xml"],
+        ok + ["--format=JSON"],
+    ]
+    argvs += [ok + [flag, "x"] for flag, kind, _, _ in options if kind is int]
+    argvs += [ok + [flag] for flag, _, _, _ in options]
+    if required:  # the required option missing, or its value missing
+        argvs += [[name, "g.edges"], [name, "g.edges", required[0]]]
+    for argv in [[], ["nonsense", "g.edges"], ["-k"]] + argvs:
+        assert _reference(argv) == 1, argv
+        assert _parsed(argv) == 1, argv
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: anosograph"), argv
+        assert "\nerror: " in captured.err, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]])
+def test_program_help_on_stdout(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: anosograph")
+    for name in COMMANDS:
+        assert name in captured.out
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_command_help_on_stdout(capsys, name):
+    for flag in ("-h", "--help", "--he"):
+        assert main([name, flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(f"usage: anosograph {name} ")
+        for option, *_ in COMMANDS[name][2]:
+            assert f"\n  {option} " in captured.out, (name, option)

@@ -9,7 +9,9 @@ Only `spectra` touches floating point, through its double-precision root
 hints, and the package calls no `float(`: approximations are proposals
 that exact arithmetic then certifies.  The package runs on the standard
 library alone: no module imports mpmath, and importing the CLI does not
-load it (the tests still use mpmath as an independent oracle).
+load it (the tests still use mpmath as an independent oracle).  The CLI
+parses its arguments from its own table, so a `dims` call loads none of
+argparse, gettext or locale.
 """
 
 import ast
@@ -61,6 +63,19 @@ def test_cli_import_leaves_mpmath_unloaded():
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_cli_call_leaves_argparse_unloaded(tmp_path):
+    graph = tmp_path / "c4.edges"
+    graph.write_text("a b\nb c\nc d\nd a\n")
+    script = ("import sys, anosograph.cli\n"
+              f"code = anosograph.cli.main(['dims', {str(graph)!r}, '--k', '3'])\n"
+              "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_no_float_calls():
