@@ -8,10 +8,11 @@ of a command.  Options and GRAPH come in any order; a value follows as
 it, the last of a repeated option wins, and a token after `--` is GRAPH.
 Help goes to stdout; a usage error prints the usage line to stderr.
 
-Exit codes: 0 verdict computed, 1 usage error, 2 synthesis refused because
-the graph is not admissible, 3 certificate verification failed, 4 synthesis
-search budget exhausted.  Identical invocations (including --seed) produce
-byte-identical JSON; text mode is for humans and is not a stable format.
+Exit codes: 0 verdict computed, 1 usage error or a root enclosure the bit
+budget cannot certify, 2 synthesis refused because the graph is not
+admissible, 3 certificate verification failed, 4 synthesis search budget
+exhausted.  Identical invocations (including --seed) produce byte-identical
+JSON; text mode is for humans and is not a stable format.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .derivations import (
 from .graphs import GraphParseError, coherent_components, parse_graph
 from .liealg import graph_algebra_dims, quotient_algebra
 from .lyndon import witt_number
+from .spectra import IndeterminateError
 
 SCHEMA = 1
 
@@ -381,7 +383,7 @@ def main(argv=None):
         return e.code
     try:
         return COMMANDS[args.command][0](args)
-    except (GraphParseError, SpecError, ValueError) as e:
+    except (GraphParseError, SpecError, IndeterminateError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

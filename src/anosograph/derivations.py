@@ -167,10 +167,11 @@ def _derivations_in_span(algebra, conditions, pairs):
     """Basis of the maps in span{E_ij : (i, j) in pairs} that satisfy every
     condition; E_ij sends generator j to basis element i.
 
-    A condition (rel, mod_rows, mod_pivots) asks that the free derivation
-    of the relation rel = {free word: coeff} vanish modulo the given row
-    space.  Each basis map is returned as its generator images, a sparse
-    map {(i, j): coeff} sending generator j to coeff * e_i.
+    A condition (rel, basis) asks that the free derivation of the relation
+    rel = {free word: coeff} vanish modulo the row space of basis, an rref
+    basis {pivot: row} from `linalg.rref` ({} for none).  Each basis map
+    is returned as its generator images, a sparse map {(i, j): coeff}
+    sending generator j to coeff * e_i.
     """
     if not pairs:
         return []
@@ -180,10 +181,10 @@ def _derivations_in_span(algebra, conditions, pairs):
         images = [{}] * n
         images[j] = {i: 1}
         d = algebra.free_derivation(images)
-        for ci, (rel, mod_rows, mod_pivots) in enumerate(conditions):
+        for ci, (rel, basis) in enumerate(conditions):
             img = combine((c, d(w)) for w, c in rel.items())
-            if mod_rows:
-                img = linalg.reduce_mod_rows(mod_rows, mod_pivots, img)
+            if basis:
+                img = linalg.reduce_mod_rows(basis, img)
             for r, x in img.items():
                 rows.setdefault((ci, r), {})[col] = x
     return [{pairs[col]: x for col, x in vec.items()}
@@ -237,7 +238,7 @@ def derivation_algebra(algebra, v_stable=False):
     by generator images; with v_stable=True only maps with D(V) inside V
     are kept (the degree-preserving weight-zero part).
     """
-    conditions = [(rel, [], []) for _, rel in algebra.relation_generators]
+    conditions = [(rel, {}) for _, rel in algebra.relation_generators]
     n = len(algebra.generators)
     maps, weights = [], []
     top = 1 if v_stable else algebra.k
@@ -293,7 +294,7 @@ def _span_report(algebra, indices, computed):
     of its spec and the maps of its V-stable derivations."""
     a, b, c, d = indices
     n = len(algebra.generators)
-    conditions = [(rel, [], []) for _, rel in algebra.relation_generators]
+    conditions = [(rel, {}) for _, rel in algebra.relation_generators]
     sprime = {a, b, c, d}
     outside = [v for v in range(n) if v not in sprime]
 
@@ -320,12 +321,12 @@ def _span_report(algebra, indices, computed):
         put(name, [m for pair in pairs
                    for m in _derivations_in_span(algebra, conditions, [pair])])
 
-    fam_rref, fam_pivots = linalg.rref(members)
-    comp_rref, comp_pivots = linalg.rref(computed)
+    fam_basis = linalg.rref(members)
+    comp_basis = linalg.rref(computed)
     missing_from_families = [_matrix(m, n) for m in computed
-                             if linalg.reduce_mod_rows(fam_rref, fam_pivots, m)]
+                             if linalg.reduce_mod_rows(fam_basis, m)]
     missing_from_computed = [_matrix(m, n) for m in members
-                             if linalg.reduce_mod_rows(comp_rref, comp_pivots, m)]
+                             if linalg.reduce_mod_rows(comp_basis, m)]
     return SpanReport(
         ok=not missing_from_families and not missing_from_computed,
         dim_total=len(computed),
@@ -356,16 +357,15 @@ def _lift_check(algebra, indices, q_maps):
     base = quotient_algebra(graph, 2)
     xrel = _step2_relation(indices)
     x = combine((c, base.project(w)) for w, c in xrel.items())
-    mod_rows, mod_pivots = linalg.rref([x])
-    conditions = [(rel, [], []) for _, rel in base.relation_generators]
-    conditions.append((xrel, mod_rows, mod_pivots))
+    conditions = [(rel, {}) for _, rel in base.relation_generators]
+    conditions.append((xrel, linalg.rref([x])))
     all_pairs = [(i, j) for j in range(graph.n) for i in range(graph.n)]
     lifted = _derivations_in_span(base, conditions, all_pairs)
 
     # every lift restricts to a quotient derivation; onto-ness is the claim
-    q_rref, q_pivots = linalg.rref(q_maps)
+    q_basis = linalg.rref(q_maps)
     return (len(lifted) == len(q_maps)
-            and not any(linalg.reduce_mod_rows(q_rref, q_pivots, m) for m in lifted))
+            and not any(linalg.reduce_mod_rows(q_basis, m) for m in lifted))
 
 
 # -- bounded nonexistence search ----------------------------------------------

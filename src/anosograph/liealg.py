@@ -39,13 +39,12 @@ def combine(terms):
 
 @dataclass
 class Reduction:
-    """Relation row space inside one free degree component, in rref form:
-    sparse rows {free Lyndon word: coeff}, pivots the lexicographically
-    smallest words."""
+    """Relation row space inside one free degree component, as the rref
+    basis {pivot word: row} of `linalg.rref`, rows sparse {free Lyndon
+    word: coeff}; pivots are the lexicographically smallest words."""
 
     words: list  # free Lyndon words of this degree, lex order
-    rel_rows: list = field(repr=False)
-    rel_pivots: list = field(repr=False)
+    relations: dict = field(repr=False)
 
 
 class GradedLieAlgebra:
@@ -62,12 +61,10 @@ class GradedLieAlgebra:
         self.graph = graph
         self.reductions = reductions
         self.relation_generators = relation_generators
-        self.basis_words = {}
-        for m in range(1, k + 1):
-            pivots = set(reductions[m].rel_pivots)
-            self.basis_words[m] = [w for w in reductions[m].words if w not in pivots]
+        self.basis_words = {m: [w for w in red.words if w not in red.relations]
+                            for m, red in reductions.items()}
         self.dims = [len(self.basis_words[m]) for m in range(1, k + 1)]
-        self.ideal_dims = [len(reductions[m].rel_rows) for m in range(1, k + 1)]
+        self.ideal_dims = [len(reductions[m].relations) for m in range(1, k + 1)]
         self.offsets = {}
         off = 0
         for m in range(1, k + 1):
@@ -85,7 +82,7 @@ class GradedLieAlgebra:
         # of relation row r is -(r - p), the rest of its row
         self._normal_form = {w: {i: 1} for i, w in enumerate(self._word)}
         for red in reductions.values():
-            for p, row in zip(red.rel_pivots, red.rel_rows):
+            for p, row in red.relations.items():
                 self._normal_form[p] = {self._index[w]: -c for w, c in row.items() if w != p}
         self.struct = {}
         self._build_structure()
@@ -212,12 +209,12 @@ def build_graded_quotient(generators, k, relation_gens, graph=None):
             raise ValueError(f"relation generator degree {deg} outside 2..{k}")
     n = len(generators)
     basis = lyndon_basis(n, k)
-    reductions = {1: Reduction(words=list(basis.words[1]), rel_rows=[], rel_pivots=[])}
+    reductions = {1: Reduction(words=list(basis.words[1]), relations={})}
     for m in range(2, k + 1):
         words = basis.words[m]
         # bracket every degree-(m-1) relation row with every generator
         rows = [combine((c, free_bracket_words((v,), w)) for w, c in row.items())
-                for row in reductions[m - 1].rel_rows for v in range(n)]
+                for row in reductions[m - 1].relations.values() for v in range(n)]
         word_set = set(words)
         for deg, d in relation_gens:
             if deg == m:
@@ -225,8 +222,7 @@ def build_graded_quotient(generators, k, relation_gens, graph=None):
                     if w not in word_set:
                         raise ValueError(f"{w} is not a degree-{m} Lyndon word")
                 rows.append(d)
-        rel_rows, rel_pivots = linalg.rref(rows)
-        reductions[m] = Reduction(words=list(words), rel_rows=rel_rows, rel_pivots=rel_pivots)
+        reductions[m] = Reduction(words=list(words), relations=linalg.rref(rows))
     return GradedLieAlgebra(generators, k, reductions, relation_gens, graph=graph)
 
 

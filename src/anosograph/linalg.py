@@ -6,14 +6,15 @@ takes int matrices only and stays in the integers throughout.
 
 The row-space routines (`rref`, `reduce_mod_rows`, `kernel_basis`) work
 on sparse rows {column: coeff} with no zero entries, the columns being
-any mutually comparable keys; a row's pivot is its smallest key.
-Relation rows of a graded quotient live in one multidegree each, so they
-have a handful of nonzeros among thousands of columns.
+any mutually comparable keys; a row's pivot is its smallest key.  An
+rref basis is one dict {pivot: row}, pivots ascending, each row 1 at its
+pivot and 0 at the others.  Relation rows of a graded quotient live in
+one multidegree each, so they have a handful of nonzeros among thousands
+of columns and meet only the few stored rows whose pivots they hold.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -89,31 +90,31 @@ def det_bareiss(m):
 
 
 def rref(rows):
-    """Reduced row echelon form over Q of sparse rows {column: coeff}.
+    """Reduced row echelon form over Q of a list of sparse rows, as the
+    rref basis {pivot: row} of their row space; zero rows are dropped.
 
-    Columns are any mutually comparable keys, and each row's pivot is its
-    smallest key.  Rows are added one at a time: each is reduced modulo
-    the rows so far, normalised on its smallest key, and that key is then
-    eliminated from the earlier rows.  Returns (rref_rows, pivots), sorted
-    ascending by pivot; zero rows are dropped.  The form is unique, so the
-    pivots are the smallest columns a row space can have.
+    Each row is first reduced on its smallest key by the stored row with
+    that pivot until that key is a new pivot, where it is stored
+    normalised.  One pass in descending pivot order then clears the larger
+    pivots, whose rows are already reduced, from each row.  The form is
+    unique, so the pivots are the smallest columns a row space can have.
     """
-    out, pivots = [], []
+    echelon = {}
     for row in rows:
-        r = reduce_mod_rows(out, pivots, row)
-        if not r:
-            continue
-        p = min(r)
-        inv = 1 / Fraction(r[p])
-        r = {c: x * inv for c, x in r.items()}
-        for earlier in out:
-            f = earlier.get(p)
-            if f:
-                _add_multiple(earlier, -f, r)
-        i = bisect_left(pivots, p)
-        pivots.insert(i, p)
-        out.insert(i, r)
-    return out, pivots
+        r = {c: x for c, x in row.items() if x}
+        while r:
+            p = min(r)
+            if p not in echelon:
+                inv = 1 / Fraction(r[p])
+                echelon[p] = {c: x * inv for c, x in r.items()}
+                break
+            _add_multiple(r, -r[p], echelon[p])
+    pivots = sorted(echelon)
+    for p in reversed(pivots):
+        r = echelon[p]
+        for q in [c for c in r if c != p and c in echelon]:
+            _add_multiple(r, -r[q], echelon[q])
+    return {p: echelon[p] for p in pivots}
 
 
 def _add_multiple(x, a, y):
@@ -126,9 +127,10 @@ def _add_multiple(x, a, y):
             del x[c]
 
 
-def reduce_mod_rows(rref_rows, pivots, vec):
-    """Residue of the sparse vec modulo the row space of an rref basis:
-    vec minus the combination of rows that clears every pivot column.
+def reduce_mod_rows(basis, vec):
+    """Residue of the sparse vec modulo the row space of the rref basis
+    {pivot: row}: vec minus the combination of rows that clears every
+    pivot column.
 
     A row has zeros at the other rows' pivots, so only the pivots already
     in vec need clearing.  vec is not changed; zero entries are dropped.
@@ -136,24 +138,21 @@ def reduce_mod_rows(rref_rows, pivots, vec):
     out = {c: x for c, x in vec.items() if x}
     for c in vec:
         f = out.get(c)
-        if f:
-            i = bisect_left(pivots, c)
-            if i < len(pivots) and pivots[i] == c:
-                _add_multiple(out, -f, rref_rows[i])
+        if f and c in basis:
+            _add_multiple(out, -f, basis[c])
     return out
 
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of the sparse rows over columns 0..ncols-1,
     as sparse vectors, via rref; with no rows, the ncols unit vectors."""
-    rr, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
+    basis = rref(rows)
+    kernel = []
     for f in range(ncols):
-        if f not in pivot_set:
+        if f not in basis:
             v = {f: Fraction(1)}
-            for row, p in zip(rr, pivots):
+            for p, row in basis.items():
                 if f in row:
                     v[p] = -row[f]
-            basis.append(v)
-    return basis
+            kernel.append(v)
+    return kernel

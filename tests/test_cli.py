@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import anosograph
+from anosograph.anosov import companion_matrix
 from anosograph.cli import COMMANDS, REQUIRED, main, parse_args
+from anosograph.graphs import parse_graph
+from anosograph.intpoly import IntPolynomial
 from oracles import argparse_reference
 
 C4_TEXT = "a b\nb c\nc d\nd a\n"
@@ -149,6 +152,51 @@ def test_exponent_bounded_before_powering(capsys, tmp_path, exponent, detail):
     report = json.loads(out)["report"]
     assert report["first_failure"] == "degree-one-shape"
     assert report["checks"][-1]["detail"].startswith(detail)
+
+
+def test_indeterminate_enclosure_exit_1(tmp_path):
+    # Mignotte's construction: p(x) = x^3 h(x + 1/x) with
+    # h(y) = (y - 3)^3 - 2(2^200 (y - 3) - 1)^2 is monic, palindromic and
+    # unimodular with no root on the unit circle, but two of its roots are
+    # too close to separate within the refinement budget.
+    y3 = IntPolynomial([-3, 1])
+    z = 2 ** 200 * y3 - IntPolynomial([1])
+    h = y3 * y3 * y3 - 2 * z * z
+    p = IntPolynomial([])
+    for j, c in enumerate(h.coeffs):
+        term = IntPolynomial([0] * (3 - j) + [c])
+        for _ in range(j):
+            term = term * IntPolynomial([1, 0, 1])
+        p = p + term
+    assert p.degree == 6 and p.leading() == 1 and p.constant() == 1 and p.is_palindromic()
+    a = companion_matrix(p)
+    text = "".join(f"vertex: v{i}\n" for i in range(6))
+    graph_path = tmp_path / "six.edges"
+    graph_path.write_text(text)
+    doc = {
+        "schema": 1,
+        "graph_digest": parse_graph(text).digest(),
+        "k": 2,
+        "classes": [[f"v{i}" for i in range(6)]],
+        "components": [{"matrix": a}],
+        "exponents": [1],
+        "degree_blocks": {"1": a, "2": []},
+        "char_polys": {},
+        "unit_root_certs": {},
+        "determinants": {},
+    }
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(anosograph.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "anosograph.cli", "verify", str(graph_path),
+         "--certificate", str(cert_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "could not certify enclosures" in proc.stderr
 
 
 def test_synthesize_negative_coeff_bound_exit_1(capsys, c4_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -192,3 +194,11 @@ def test_serialization_shape():
 def test_dims_invariant_under_relabeling():
     shuffled = parse_graph("d a\nc d\nb c\na b")  # same 4-cycle, new order
     assert quotient_algebra(shuffled, 3).dims == quotient_algebra(C4, 3).dims
+
+
+def test_large_build_is_pinned():
+    # C6 at k = 6 eliminates hundreds of relation rows per degree; the
+    # digest pins every pivot, basis word and structure constant
+    doc = quotient_algebra(cycle_graph(6), 6).to_json()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "d1d1bfc41b9ef5ed48d47ab6ba2d76b5a4a915e2d4031012bc68d0f506b19506"

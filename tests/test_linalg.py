@@ -57,18 +57,41 @@ def cases():
 def test_rref_is_reduced_echelon_with_oracle_rank():
     for dense, keys, rows in cases():
         before = copy.deepcopy(rows)
-        rr, pivots = linalg.rref(rows)
+        check_rref(dense, keys, rows)
         assert rows == before
-        assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-        for row, p in zip(rr, pivots):
-            assert min(row) == p and row[p] == 1
-            assert all(q not in row for q in pivots if q != p)
-            assert all(x != 0 for x in row.values())
-        assert len(rr) == local_rank(dense)
-        # same row space: the rref rows add no rank to the input
-        back = [[row.get(key, 0) for key in keys] for row in rr]
-        assert local_rank(dense + back) == len(rr)
-        assert not any(linalg.reduce_mod_rows(rr, pivots, row) for row in rows)
+
+
+def check_rref(dense, keys, rows):
+    basis = linalg.rref(rows)
+    pivots = list(basis)
+    assert pivots == sorted(pivots)
+    for p, row in basis.items():
+        assert min(row) == p and row[p] == 1
+        assert all(q not in row for q in pivots if q != p)
+        assert all(x != 0 for x in row.values())
+    assert len(basis) == local_rank(dense)
+    # same row space: the rref rows add no rank to the input
+    back = [[row.get(key, 0) for key in keys] for row in basis.values()]
+    assert local_rank(dense + back) == len(basis)
+    assert not any(linalg.reduce_mod_rows(basis, row) for row in rows)
+
+
+def test_rref_of_many_shuffled_block_rows():
+    # about 300 sparse rows in 100 disjoint blocks of 3 columns, like
+    # relation rows that each live in one multidegree, shuffled across
+    # blocks and keyed by tuples
+    rng = random.Random(14)
+    keys = set()
+    while len(keys) < 300:
+        keys.add(tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 5))))
+    keys = sorted(keys)
+    dense = []
+    for start in range(0, len(keys), 3):
+        for row in random_matrix(rng, rng.randint(1, 5), 3):
+            dense.append([0] * start + row + [0] * (len(keys) - start - 3))
+    rng.shuffle(dense)
+    assert 250 <= len(dense) <= 350
+    check_rref(dense, keys, [sparse(row, keys) for row in dense])
 
 
 def test_kernel_basis_matches_oracle():
@@ -82,12 +105,12 @@ def test_kernel_basis_matches_oracle():
 def test_reduce_mod_rows_leaves_input_and_clears_pivots():
     rng = random.Random(7)
     for dense, keys, rows in cases():
-        rr, pivots = linalg.rref(rows)
+        basis = linalg.rref(rows)
         vec = sparse([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in keys], keys)
-        vec_before, rr_before = dict(vec), copy.deepcopy(rr)
-        residue = linalg.reduce_mod_rows(rr, pivots, vec)
-        assert vec == vec_before and rr == rr_before
-        assert not set(residue) & set(pivots)
+        vec_before, basis_before = dict(vec), copy.deepcopy(basis)
+        residue = linalg.reduce_mod_rows(basis, vec)
+        assert vec == vec_before and basis == basis_before
+        assert not set(residue) & set(basis)
         assert all(x != 0 for x in residue.values())
         # vec - residue lies in the row space
         diff = [vec.get(key, 0) - residue.get(key, 0) for key in keys]
@@ -95,10 +118,10 @@ def test_reduce_mod_rows_leaves_input_and_clears_pivots():
 
 
 def test_empty_input():
-    assert linalg.rref([]) == ([], [])
-    assert linalg.rref([{}, {}]) == ([], [])
+    assert linalg.rref([]) == {}
+    assert linalg.rref([{}, {}]) == {}
     assert linalg.kernel_basis([], 3) == [{0: 1}, {1: 1}, {2: 1}]
-    assert linalg.reduce_mod_rows([], [], {(0, 1): 2}) == {(0, 1): 2}
+    assert linalg.reduce_mod_rows({}, {(0, 1): 2}) == {(0, 1): 2}
 
 
 def test_det_bareiss_matches_sympy():
