@@ -346,8 +346,9 @@ def synthesize(graph, k, config=None):
     Per-class component matrices come from the deterministic search, the
     exponent ladder escalates until every degree block passes direct
     certification, and the result is emitted as a self-contained
-    certificate.  The config budget caps the total number of component
-    candidates and ladder rungs examined.
+    certificate.  Only ladder rungs count against the config budget;
+    each component search is capped on its own at
+    min(config.budget, 20000) candidates.
     """
     config = config or SynthesisConfig()
     partition = coherent_components(graph)

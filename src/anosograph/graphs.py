@@ -1,7 +1,9 @@
 """Finite simple graphs and their coherent-component partitions.
 
 Vertices are arbitrary string labels; their first-appearance order in the
-input is the canonical basis order used by every downstream matrix.
+input is the canonical basis order used by every downstream matrix.  The
+coherent components are the graph's twin classes: vertices with equal
+open neighborhoods, or equal closed ones.
 """
 
 from __future__ import annotations
@@ -9,14 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 
 class GraphParseError(ValueError):
     pass
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant that should be unreachable was violated."""
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,6 @@ class Graph:
     def open_neighborhood(self, i):
         return {j for j in range(self.n) if self.adjacent(i, j)}
 
-    def closed_neighborhood(self, i):
-        return self.open_neighborhood(i) | {i}
-
     def edge_list(self):
         """Edges as sorted index pairs, sorted; the canonical enumeration."""
         return sorted(tuple(sorted(e)) for e in self.edges)
@@ -81,6 +77,9 @@ def graph_from_edges(vertices, edges):
     for u, v in edges:
         if u == v:
             raise GraphParseError(f"self-loop at {u!r}")
+        for w in (u, v):
+            if w not in idx:
+                raise GraphParseError(f"edge endpoint {w!r} is not a vertex")
         es.add(frozenset((idx[u], idx[v])))
     return Graph(vs, frozenset(es))
 
@@ -152,51 +151,41 @@ class CoherentPartition:
         }
 
 
-def _coherent(g, a, b):
-    if a == b:
-        return True
-    na, nb = g.open_neighborhood(a), g.open_neighborhood(b)
-    return na <= g.closed_neighborhood(b) and nb <= g.closed_neighborhood(a)
-
-
 def coherent_components(g):
     """Partition the vertex set into coherent components.
 
-    Two vertices are related when each one's open neighborhood sits inside
-    the other's closed neighborhood.  The relation is an equivalence; we
-    verify transitivity on the input instead of assuming it.
+    Vertices a and b are coherent when N(a) ⊆ N[b] and N(b) ⊆ N[a], that
+    is, when they are twins: adjacent with N[a] = N[b], or non-adjacent
+    with N(a) = N(b).  No vertex has twins of both kinds: if b is a true
+    twin of a and c a false twin, then b ∈ N(a) = N(c), so c ∈ N[b] = N[a],
+    which contradicts c ∉ N(a).  So the relation is an equivalence, and a
+    vertex's class is the larger of its open- and closed-neighborhood
+    groups.
     """
     n = g.n
-    rel = [[_coherent(g, a, b) for b in range(n)] for a in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if rel[a][b] != rel[b][a]:
-                raise InvariantError("coherence relation is not symmetric")
-    for a in range(n):
-        for b in range(n):
-            if rel[a][b]:
-                for c in range(n):
-                    if rel[b][c] and not rel[a][c]:
-                        raise InvariantError(
-                            f"coherence relation not transitive at "
-                            f"({g.vertices[a]}, {g.vertices[b]}, {g.vertices[c]})"
-                        )
+    nbrs = [set() for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    open_nb = [frozenset(s) for s in nbrs]
+    closed_nb = [s | {v} for v, s in enumerate(open_nb)]
+    open_groups, closed_groups = {}, {}
+    for v in range(n):
+        open_groups.setdefault(open_nb[v], []).append(v)
+        closed_groups.setdefault(closed_nb[v], []).append(v)
     class_of = [-1] * n
     classes = []
     for v in range(n):
         if class_of[v] >= 0:
             continue
-        members = tuple(w for w in range(n) if rel[v][w])
+        members = max(open_groups[open_nb[v]], closed_groups[closed_nb[v]], key=len)
         for w in members:
             class_of[w] = len(classes)
-        classes.append(members)
-    internal = []
-    for cls in classes:
-        es = sorted((u, v) for u in cls for v in cls if u < v and g.adjacent(u, v))
-        internal.append(tuple(es))
+        classes.append(tuple(members))
+    internal = [tuple((u, v) for u, v in combinations(cls, 2) if v in nbrs[u])
+                for cls in classes]
     pairs = set()
-    for e in g.edges:
-        u, v = tuple(e)
+    for u, v in g.edges:
         cu, cv = class_of[u], class_of[v]
         if cu != cv:
             pairs.add(frozenset((cu, cv)))

@@ -291,10 +291,11 @@ def count_real_roots(p, a, b):
 
 
 def isolate_one_real_root(p, a, b):
-    """An interval [a', b'] inside (a, b) with p(a')p(b') < 0.
+    """An interval [a', b'] with a <= a' < b' <= b and p(a')p(b') < 0.
 
     Requires at least one root in (a, b); p must be squarefree there.
-    Bisection by Sturm count, then endpoint cleanup.
+    Bisection by Sturm count, then endpoint cleanup.  The endpoints may be
+    a and b themselves: y - 1 on (-2, 2) gives (-2, 2).
     """
     a, b = Fraction(a), Fraction(b)
     seq = sturm_sequence(p)

@@ -163,15 +163,6 @@ def _berkowitz(block):
     return p
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-    return out
-
-
 def char_poly(a):
     """Characteristic polynomial det(xI - A), one irreducible diagonal
     block at a time.
@@ -183,7 +174,9 @@ def char_poly(a):
     iteration on the sparse rows of A_cc.
 
     Entries may be exact rationals; integral entries run in ints.  Raises
-    ValueError when det(xI - A) is not in Z[x].
+    ValueError when det(xI - A) is not in Z[x].  Each factor is monic, so
+    by Gauss's lemma the product is in Z[x] exactly when every factor is;
+    the factors are checked one by one and multiplied as IntPolynomials.
     """
     n = len(a)
     for row in a:
@@ -191,19 +184,19 @@ def char_poly(a):
             raise ValueError("matrix must be square")
     rows = [[(j, x if type(x) is int else _exact(x)) for j, x in enumerate(row) if x]
             for row in a]
-    comps = _strong_components(rows)
-    if len(comps) == 1:  # irreducible: the rows are already its one block
-        p = _berkowitz(rows)
-    else:
-        p = [1]
-        for comp in comps:
+    p = IntPolynomial([1])
+    for comp in _strong_components(rows):
+        if len(comp) == n:  # irreducible: the rows are already its one block
+            block = rows
+        else:
             pos = {v: k for k, v in enumerate(comp)}
             block = [[(pos[j], x) for j, x in rows[v] if j in pos] for v in comp]
-            p = _poly_mul(p, _berkowitz(block))
-    coeffs = [c if type(c) is int else _exact(c) for c in reversed(p)]
-    if not all(type(c) is int for c in coeffs):
-        raise ValueError("characteristic polynomial is not integral")
-    return IntPolynomial(coeffs)
+        try:  # IntPolynomial rejects a Fraction coefficient
+            factor = IntPolynomial(_berkowitz(block)[::-1])
+        except ValueError:
+            raise ValueError("characteristic polynomial is not integral") from None
+        p = p * factor
+    return p
 
 
 def _colex_subsets(n, r):
@@ -464,8 +457,9 @@ def unit_root_free(p, budget_bits=None):
     on_circle = count_real_roots(h, Fraction(-2), Fraction(2))
     if on_circle > 0:
         lo, hi = isolate_one_real_root(h, Fraction(-2), Fraction(2))
+        # the bracket may end at -2 or 2 themselves (y - 1 gives (-2, 2));
+        # narrow it until the witness lies strictly inside (-2, 2)
         while lo <= -2 or hi >= 2:
-            # sign change brackets need positive margin from +-2
             mid = (lo + hi) / 2
             if h(mid) == 0:
                 mid = lo + (hi - lo) * Fraction(3, 7)

@@ -218,32 +218,34 @@ def bipartite_deg3_formula(m, n):
 
 # -- independent admissibility from the adjacency matrix ---------------------
 
+def coherent_relation_brute(graph):
+    """For each vertex a, the set of vertices b with N(a) ⊆ N[b] and
+    N(b) ⊆ N[a], straight from the definition on the adjacency matrix."""
+    n = graph.n
+    nbhd = [{w for w in range(n) if graph.adjacent(a, w)} for a in range(n)]
+    return [{b for b in range(n) if nbhd[a] <= nbhd[b] | {b} and nbhd[b] <= nbhd[a] | {a}}
+            for a in range(n)]
+
+
+def coherent_classes_brute(graph):
+    """Coherent classes as ascending vertex lists, ordered by smallest
+    member: each vertex's related set, taken in first-vertex order."""
+    classes = []
+    assigned = set()
+    for v, related in enumerate(coherent_relation_brute(graph)):
+        if v not in assigned:
+            classes.append(sorted(related))
+            assigned |= related
+    return classes
+
+
 def decide_anosov_brute(graph, k):
     """Conditions (i)-(ii) evaluated from scratch on the adjacency matrix."""
-    n = graph.n
-    adj = [[graph.adjacent(i, j) for j in range(n)] for i in range(n)]
-
-    def related(a, b):
-        if a == b:
-            return True
-        oa = {w for w in range(n) if adj[a][w]}
-        ob = {w for w in range(n) if adj[b][w]}
-        return oa <= ob | {b} and ob <= oa | {a}
-
-    classes = []
-    assigned = [False] * n
-    for v in range(n):
-        if assigned[v]:
-            continue
-        cls = [w for w in range(n) if related(v, w)]
-        for w in cls:
-            assigned[w] = True
-        classes.append(cls)
-    for cls in classes:
+    for cls in coherent_classes_brute(graph):
         if len(cls) < 2:
             return False
         if 2 <= len(cls) <= k:
-            if any(adj[u][v] for u in cls for v in cls if u < v):
+            if any(graph.adjacent(u, v) for u in cls for v in cls if u < v):
                 return False
     return True
 

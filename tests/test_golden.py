@@ -25,6 +25,7 @@ CERT = "synthesize_c4_k3.cert.json"
 # (case, argv with {golden} and {tmp} placeholders, exit code)
 CASES = [
     ("analyze_c4_k3", ["analyze", "{golden}/c4.edges", "--k", "3"], 0),
+    ("analyze_clique_k3", ["analyze", "{golden}/clique.edges", "--k", "3"], 0),
     ("dims_c4_k3", ["dims", "{golden}/c4.edges", "--k", "3"], 0),
     ("synthesize_c4_k3",
      ["synthesize", "{golden}/c4.edges", "--k", "3", "--out", "{tmp}/cert.json"], 0),

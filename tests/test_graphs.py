@@ -7,7 +7,14 @@ from anosograph.graphs import (
     graph_from_edges,
     parse_graph,
 )
-from oracles import all_labeled_graphs, complete_graph, edgeless_graph, magnet_graph
+from oracles import (
+    all_labeled_graphs,
+    coherent_classes_brute,
+    coherent_relation_brute,
+    complete_graph,
+    edgeless_graph,
+    magnet_graph,
+)
 
 
 def test_parse_basic():
@@ -35,6 +42,11 @@ def test_parse_isolated_vertex_and_comments():
     g = parse_graph("# header\na b   # trailing\nvertex: z\n")
     assert list(g.vertices) == ["a", "b", "z"]
     assert g.open_neighborhood(g.index["z"]) == set()
+
+
+def test_graph_from_edges_names_unknown_endpoint():
+    with pytest.raises(GraphParseError, match="'c'"):
+        graph_from_edges(["a", "b"], [("a", "c")])
 
 
 def test_first_appearance_order():
@@ -80,17 +92,31 @@ def test_partition_json_shape():
     assert doc["internal_edges"]["0"] == []
 
 
+def _assert_matches_oracle(g, p):
+    classes = coherent_classes_brute(g)
+    assert [list(cls) for cls in p.classes] == classes
+    oracle_of = {v: ci for ci, cls in enumerate(classes) for v in cls}
+    assert list(p.class_of) == [oracle_of[v] for v in range(g.n)]
+
+
 def test_partition_covers_exhaustively_up_to_six_vertices():
-    # every vertex in exactly one class; relation symmetric and transitive
-    # (the transitivity assertion inside coherent_components must not fire)
+    # the definitional relation is reflexive, symmetric and transitive;
+    # every vertex is in exactly one class, and the classes are its classes
     for n in range(1, 7):
         for g in all_labeled_graphs(n):
+            related = coherent_relation_brute(g)
+            for a in range(n):
+                assert a in related[a]
+                for b in related[a]:
+                    assert a in related[b]
+                    assert related[b] <= related[a]
             p = coherent_components(g)
             seen = sorted(v for cls in p.classes for v in cls)
             assert seen == list(range(n))
             for ci, cls in enumerate(p.classes):
                 for v in cls:
                     assert p.class_of[v] == ci
+            _assert_matches_oracle(g, p)
 
 
 def test_pair_edges_against_brute_scan():
@@ -135,7 +161,7 @@ def test_merge_true_twins_never_splits_class():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 6), st.data())
+@given(st.integers(2, 9), st.data())
 def test_partition_random_graphs(n, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -146,3 +172,4 @@ def test_partition_random_graphs(n, data):
     # classes ordered by smallest member
     mins = [cls[0] for cls in p.classes]
     assert mins == sorted(mins)
+    _assert_matches_oracle(g, p)
