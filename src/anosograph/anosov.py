@@ -8,10 +8,11 @@ products avoid the unit circle for r <= min(k, class size - 1), per-class
 exponents escalated over a deterministic ladder, and the resulting
 degree-one map extended through the graded algebra, bracket by bracket
 inside the quotient.  Instead of the eigenvalue bookkeeping that picks
-exponents in the existence proof, every degree block is verified directly:
-integral, determinant +-1, and a certified unit-root-free characteristic
-polynomial.  Extension and verification use only the quotient's basis and
-structure constants; the free-algebra coordinates stay inside `liealg`.
+exponents in the existence proof, every degree block is verified directly
+by `_check_blocks`, the one hyperbolicity gate of `synthesize`,
+`verify_certificate` and `derivations.hyperbolic_search`.  Extension and
+verification use only the quotient's basis and structure constants; the
+free-algebra coordinates stay inside `liealg`.
 """
 
 from __future__ import annotations
@@ -316,25 +317,25 @@ def _is_square_int_matrix(m, n=None):
 
 
 def _check_blocks(blocks):
-    """Integrality, unimodularity and unit-root-freeness of degree blocks.
+    """The hyperbolicity gate on degree blocks {degree: matrix}.
 
-    Returns (True, (char_polys, certs, dets)) or (False, (kind, reason))
-    with kind one of "unimodularity" / "unit-root-freeness".
+    Degree by degree, the first failure wins: an integral characteristic
+    polynomial, a determinant of +-1, then a certified unit-root-free
+    polynomial.  Returns (True, (char_polys, certs, dets)) or
+    (False, (kind, reason)) with kind "unimodularity" / "unit-root-freeness".
     """
     char_polys, certs, dets = {}, {}, {}
     for m, block in sorted(blocks.items()):
-        if not linalg.is_integral(block):
-            return False, ("unimodularity", f"degree-{m} block is not integral")
-        cp = char_poly([[int(x) for x in row] for row in block])
+        try:
+            cp = char_poly(block)
+        except ValueError as e:
+            return False, ("unimodularity", f"degree-{m} block: {e}")
         det = (-1) ** len(block) * cp.constant()  # cp(0) = det(-A)
         if det not in (1, -1):
             return False, ("unimodularity",
                            f"degree-{m} block determinant {det} is not a unit")
-        cert = unit_root_free(cp)
-        char_polys[m] = cp
-        certs[m] = cert
-        dets[m] = det
-        if not cert.free:
+        char_polys[m], certs[m], dets[m] = cp, unit_root_free(cp), det
+        if not certs[m].free:
             return False, ("unit-root-freeness",
                            f"degree-{m} block has a unit-modulus eigenvalue")
     return True, (char_polys, certs, dets)
@@ -387,6 +388,12 @@ def synthesize(graph, k, config=None):
             g = _powered_degree_one(graph.n, partition.classes,
                                     [c.matrix for c in per_class], exponents)
             blocks = extend_to_algebra(algebra, g)
+            # the certificate records integer matrices, which the gate does not need
+            rational = [m for m, b in sorted(blocks.items())
+                        if any(type(x) is not int for row in b for x in row)]
+            if rational:
+                last_failure = f"exponents {exponents}: degree-{rational[0]} block is not integral"
+                continue
             ok, payload = _check_blocks(blocks)
             if not ok:
                 last_failure = f"exponents {exponents}: {payload[1]}"
@@ -398,8 +405,7 @@ def synthesize(graph, k, config=None):
                 classes=partition.class_labels(),
                 components=[c.to_json() for c in per_class],
                 exponents=list(exponents),
-                degree_blocks={m: [[int(x) for x in row] for row in b]
-                               for m, b in blocks.items()},
+                degree_blocks=blocks,
                 char_polys={m: p.to_json() for m, p in char_polys.items()},
                 unit_root_certs={m: c.to_json() for m, c in certs.items()},
                 determinants=dets,
@@ -418,11 +424,13 @@ def verify_certificate(graph, cert):
 
     Rebuilds the algebra, recomputes the partition, and checks: digest
     binding, the block-diagonal shape of degree one, exact bracket
-    compatibility on all basis pairs (the certified map applied to the
-    structure constants of [e_i, e_j] against the bracket of the images of
-    e_i and e_j), integrality and unimodularity per degree, and re-derived
-    unit-root-freeness per degree.  Returns (ok, report); the report names
-    the first failing check.
+    compatibility F[e_i, e_j] = [F e_i, F e_j] for generators e_i,
+    `_check_blocks`, and that the recorded char_polys, determinants and
+    unit_root_certs are the re-derived ones.  Returns (ok, report); the
+    report names the first failing check.  Generators suffice, as by
+    Jacobi the x with F[x, y] = [Fx, Fy] for all y form a subalgebra, and
+    they come first in the pair order, so the first failing pair is the
+    one an all-pairs loop finds.
     """
     report = {"checks": []}
 
@@ -478,8 +486,8 @@ def verify_certificate(graph, cert):
     # columns[i]: the certified map applied to basis element i
     columns = [{algebra.offsets[m] + r: row[c] for r, row in enumerate(blocks[m]) if row[c]}
                for m in range(1, cert.k + 1) for c in range(algebra.dims[m - 1])]
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.offsets[algebra.k - algebra.degree_of(i) + 1]):
+    for i in range(len(algebra.generators)):
+        for j in range(i + 1, algebra.offsets[algebra.k]):
             m = algebra.degree_of(i) + algebra.degree_of(j)
             lhs = combine((c, columns[l]) for l, c in algebra.bracket_basis(i, j).items())
             rhs = algebra.bracket(columns[i], columns[j])
@@ -499,8 +507,14 @@ def verify_certificate(graph, cert):
     char_polys, certs, dets = payload
     passed("unimodularity")
     passed("unit-root-freeness")
+    derived = {"char_polys": {m: p.to_json() for m, p in char_polys.items()},
+               "determinants": dets,
+               "unit_root_certs": {m: c.to_json() for m, c in certs.items()}}
+    for field, values in derived.items():
+        if getattr(cert, field) != values:
+            return fail(f"recorded-{field.replace('_', '-')}",
+                        f"recorded {field} differ from the re-derived ones")
     report["ok"] = True
-    report["determinants"] = {str(m): d for m, d in dets.items()}
-    report["char_polys"] = {str(m): p.to_json() for m, p in char_polys.items()}
-    report["unit_root_certs"] = {str(m): c.to_json() for m, c in certs.items()}
+    for field in ("determinants", "char_polys", "unit_root_certs"):
+        report[field] = {str(m): v for m, v in derived[field].items()}
     return True, report

@@ -22,6 +22,7 @@ only when `DerivationAlgebra.basis` is read, or for a containment witness.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +31,8 @@ from . import linalg
 from .graphs import coherent_components
 from .intpoly import IntPolynomial
 from .liealg import build_graded_quotient, combine, non_edge_relations, quotient_algebra
-from .spectra import char_poly, unit_root_free
-from .anosov import ExtensionError, _scatter_block_diagonal, extend_to_algebra
+from .spectra import unit_root_free
+from .anosov import ExtensionError, _check_blocks, _scatter_block_diagonal, extend_to_algebra
 
 
 class SpecError(ValueError):
@@ -136,9 +137,9 @@ def _step2_relation(indices):
     rel = {}
     for u, v in ((a, b), (c, d)):
         if u < v:
-            rel[(u, v)] = rel.get((u, v), Fraction(0)) + 1
+            rel[(u, v)] = rel.get((u, v), 0) + 1
         else:
-            rel[(v, u)] = rel.get((v, u), Fraction(0)) - 1
+            rel[(v, u)] = rel.get((v, u), 0) - 1
     return rel
 
 
@@ -436,8 +437,8 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
     Candidates come in a fixed order: signed permutations, block-diagonal
     maps respecting the coherent classes, then a seeded random stream, up
     to `budget` distinct candidates or the whole box, whichever is
-    smaller.  Every candidate that extends to the algebra and passes all
-    three tests is returned in full; an empty list is the expected outcome
+    smaller.  Every candidate that extends to the algebra and passes
+    `anosov._check_blocks` is returned in full; an empty list is expected
     on the quotients, and the searched box is part of the report.
     """
     if entry_bound < 0:
@@ -457,42 +458,27 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
 
     findings = []
     seen = set()
-    tested = 0
-    for stream in streams:
-        for g in stream:
-            if tested >= limit:
-                return findings
-            key = tuple(tuple(row) for row in g)
-            if key in seen:
-                continue
-            seen.add(key)
-            if any(abs(x) > entry_bound for row in g for x in row):
-                continue
-            tested += 1
-            if linalg.det_bareiss(g) not in (1, -1):
-                continue
-            try:
-                blocks = extend_to_algebra(algebra, g)
-            except ExtensionError:
-                continue
-            # monic factors: the product is in Z[x] only if every block's is
-            p = IntPolynomial([1])
-            try:
-                for m in sorted(blocks):
-                    p = p * char_poly(blocks[m])
-            except ValueError:
-                continue
-            if abs(p.constant()) != 1:
-                continue
-            cert = unit_root_free(p)
-            if cert.free:
-                findings.append(SearchFinding(
-                    matrix=[list(row) for row in g],
-                    char_poly=p.to_json(),
-                    certificate=cert.to_json(),
-                    degree_blocks={m: [[str(x) for x in row] for row in b]
-                                   for m, b in blocks.items()},
-                ))
-        if tested >= limit:
+    for g in itertools.chain.from_iterable(streams):
+        if len(seen) >= limit:
             break
+        key = tuple(tuple(row) for row in g)
+        if key in seen or any(abs(x) > entry_bound for row in g for x in row):
+            continue
+        seen.add(key)
+        if linalg.det_bareiss(g) not in (1, -1):
+            continue
+        try:
+            blocks = extend_to_algebra(algebra, g)
+        except ExtensionError:
+            continue
+        ok, payload = _check_blocks(blocks)
+        if ok:
+            p = math.prod(payload[0].values(), start=IntPolynomial([1]))
+            findings.append(SearchFinding(
+                matrix=[list(row) for row in g],
+                char_poly=p.to_json(),
+                certificate=unit_root_free(p).to_json(),
+                degree_blocks={m: [[str(x) for x in row] for row in b]
+                               for m, b in blocks.items()},
+            ))
     return findings

@@ -11,17 +11,18 @@ normal-form table from each free word to its image in the quotient, which
 is the projection (`project`) and gives every structure constant.
 
 An element of a `GradedLieAlgebra` is a sparse dict {basis index: coeff}
-with no zero entries; coefficients are ints or Fractions.  Free-algebra
-coordinates (Lyndon words, the relation row spaces) stay inside this
-module: maps defined on free words, such as the extension of a degree-one
-map or a free derivation, are pushed into the quotient here, word by word
-along the standard factorization.
+with no zero entries.  Lyndon expansions are integral and `linalg.rref`
+keeps integral values int, so coefficients are ints unless the
+quotient's relations divide.  Free-algebra coordinates (Lyndon words, the
+relation row spaces) stay inside this module: maps defined on free
+words, such as the extension of a degree-one map or a free derivation,
+are pushed into the quotient here, word by word along the standard
+factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .lyndon import _mobius, free_bracket_words, lyndon_basis, standard_factorization
@@ -184,9 +185,8 @@ class GradedLieAlgebra:
     def to_json(self):
         triples = []
         for (i, j), entry in sorted(self.struct.items()):
-            for l in sorted(entry):
-                c = Fraction(entry[l])
-                triples.append([i, j, l, c.numerator, c.denominator])
+            for l in sorted(entry):  # ints and Fractions both have these
+                triples.append([i, j, l, entry[l].numerator, entry[l].denominator])
         return {
             "k": self.k,
             "dims": list(self.dims),
@@ -232,7 +232,7 @@ def non_edge_relations(graph):
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
             if not graph.adjacent(i, j):
-                gens.append((2, {(i, j): Fraction(1)}))
+                gens.append((2, {(i, j): 1}))
     return gens
 
 

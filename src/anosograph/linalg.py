@@ -2,7 +2,9 @@
 
 Matrices are lists of rows; entries are ints or Fractions and are never
 coerced to floats, and products of int matrices stay int.  `det_bareiss`
-takes int matrices only and stays in the integers throughout.
+takes int matrices only and stays in the integers throughout.  `rref` is
+the one place that divides, and it keeps integral quotients int, so int
+rows stay int unless some pivot entry does not divide its row.
 
 The row-space routines (`rref`, `reduce_mod_rows`, `kernel_basis`) work
 on sparse rows {column: coeff} with no zero entries, the columns being
@@ -57,10 +59,6 @@ def mat_pow(a, e):
     return out
 
 
-def is_integral(m):
-    return all(Fraction(x).denominator == 1 for row in m for x in row)
-
-
 def det_bareiss(m):
     """Determinant of a square int matrix by fraction-free (Bareiss)
     elimination.  Entries must be ints; every division is exact, so the
@@ -98,6 +96,8 @@ def rref(rows):
     normalised.  One pass in descending pivot order then clears the larger
     pivots, whose rows are already reduced, from each row.  The form is
     unique, so the pivots are the smallest columns a row space can have.
+    Normalising divides by the pivot entry, the one division in this
+    module, and stores each integral quotient as an int.
     """
     echelon = {}
     for row in rows:
@@ -105,8 +105,7 @@ def rref(rows):
         while r:
             p = min(r)
             if p not in echelon:
-                inv = 1 / Fraction(r[p])
-                echelon[p] = {c: x * inv for c, x in r.items()}
+                echelon[p] = _divided(r, r[p])
                 break
             _add_multiple(r, -r[p], echelon[p])
     pivots = sorted(echelon)
@@ -115,6 +114,14 @@ def rref(rows):
         for q in [c for c in r if c != p and c in echelon]:
             _add_multiple(r, -r[q], echelon[q])
     return {p: echelon[p] for p in pivots}
+
+
+def _divided(r, a):
+    """The sparse row r / a, each integral entry as an int."""
+    if a in (1, -1) and all(type(x) is int for x in r.values()):
+        return {c: x * a for c, x in r.items()}
+    r = {c: Fraction(x, a) for c, x in r.items()}
+    return {c: q.numerator if q.denominator == 1 else q for c, q in r.items()}
 
 
 def _add_multiple(x, a, y):
@@ -150,7 +157,7 @@ def kernel_basis(rows, ncols):
     kernel = []
     for f in range(ncols):
         if f not in basis:
-            v = {f: Fraction(1)}
+            v = {f: 1}
             for p, row in basis.items():
                 if f in row:
                     v[p] = -row[f]

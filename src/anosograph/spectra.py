@@ -68,12 +68,6 @@ def _budget_bits(budget_bits):
     return int(os.environ.get("ANOSOGRAPH_BUDGET_BITS", DEFAULT_BUDGET_BITS))
 
 
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction; never rounds."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def _strong_components(rows):
     """Strongly connected components of the digraph i -> j for a_ij != 0,
     by Tarjan's algorithm with an explicit stack (no recursion)."""
@@ -173,7 +167,7 @@ def char_poly(a):
     the components c.  Each factor comes from the division-free Berkowitz
     iteration on the sparse rows of A_cc.
 
-    Entries may be exact rationals; integral entries run in ints.  Raises
+    Entries may be exact rationals; int entries run in ints.  Raises
     ValueError when det(xI - A) is not in Z[x].  Each factor is monic, so
     by Gauss's lemma the product is in Z[x] exactly when every factor is;
     the factors are checked one by one and multiplied as IntPolynomials.
@@ -182,8 +176,7 @@ def char_poly(a):
     for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    rows = [[(j, x if type(x) is int else _exact(x)) for j, x in enumerate(row) if x]
-            for row in a]
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     p = IntPolynomial([1])
     for comp in _strong_components(rows):
         if len(comp) == n:  # irreducible: the rows are already its one block
@@ -191,11 +184,10 @@ def char_poly(a):
         else:
             pos = {v: k for k, v in enumerate(comp)}
             block = [[(pos[j], x) for j, x in rows[v] if j in pos] for v in comp]
-        try:  # IntPolynomial rejects a Fraction coefficient
-            factor = IntPolynomial(_berkowitz(block)[::-1])
+        try:  # IntPolynomial rejects a non-integral coefficient
+            p = p * IntPolynomial(_berkowitz(block)[::-1])
         except ValueError:
             raise ValueError("characteristic polynomial is not integral") from None
-        p = p * factor
     return p
 
 

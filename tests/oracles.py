@@ -4,8 +4,10 @@ Everything here recomputes expected values through a different route than
 the library: plain tensor coordinates instead of Lyndon bases, a dense
 linear system for derivations, sympy resultants for eigenvalue products,
 512-bit numeric root isolation for unit-circle classification,
-mpmath's multiprecision Durand-Kerner for root enclosure centers, and the
-standard library's argparse for the CLI's argument parser.
+mpmath's multiprecision Durand-Kerner for root enclosure centers, the
+standard library's argparse for the CLI's argument parser, and one test on
+the product of all degree blocks' characteristic polynomials for the
+per-degree hyperbolicity gate.
 """
 
 import argparse
@@ -17,6 +19,8 @@ from itertools import combinations, permutations, product
 import mpmath
 
 from anosograph.graphs import graph_from_edges
+from anosograph.intpoly import IntPolynomial
+from anosograph.spectra import char_poly, unit_root_free
 
 
 # -- graph constructions -----------------------------------------------------
@@ -303,6 +307,23 @@ def derivation_identity_holds(algebra, mat):
             if lhs != rhs:
                 return False
     return True
+
+
+# -- hyperbolicity on the product polynomial ---------------------------------
+
+def product_hyperbolic(blocks):
+    """Whether the product p of the degree blocks' characteristic
+    polynomials is integral with constant term +-1 and no root of modulus
+    1: the search's predicate before it gated degree by degree.  The
+    factors are monic, so p is integral iff each factor is (Gauss), and
+    p's constant term and roots are those of its factors together."""
+    p = IntPolynomial([1])
+    try:
+        for m in sorted(blocks):
+            p = p * char_poly(blocks[m])
+    except ValueError:
+        return False
+    return abs(p.constant()) == 1 and unit_root_free(p).free
 
 
 # -- 512-bit numeric unit-circle classification ------------------------------

@@ -18,10 +18,11 @@ from anosograph.anosov import (
 from anosograph.derivations import build_quotient
 from anosograph.graphs import coherent_components, parse_graph
 from anosograph.intpoly import IntPolynomial
-from anosograph.liealg import quotient_algebra
+from anosograph.liealg import combine, quotient_algebra
 from anosograph.spectra import products_off_circle
 from oracles import (
     all_labeled_graphs,
+    bipartite_graph,
     complete_graph,
     cycle_graph,
     decide_anosov_brute,
@@ -337,3 +338,43 @@ def test_isolated_pair_forms_admissible_class():
     cert = synthesize(g, 2)
     ok, _ = verify_certificate(g, cert)
     assert ok
+
+
+def _all_pairs_first_failure(algebra, blocks):
+    """The bracket-compatibility detail of the first basis pair (i, j),
+    i < j, with F[e_i, e_j] != [F e_i, F e_j], over every pair of degree at
+    most k; None when all of them pass."""
+    columns = [{algebra.offsets[m] + r: row[c] for r, row in enumerate(blocks[m]) if row[c]}
+               for m in range(1, algebra.k + 1) for c in range(algebra.dims[m - 1])]
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            m = algebra.degree_of(i) + algebra.degree_of(j)
+            if m > algebra.k:
+                continue
+            lhs = combine((c, columns[l]) for l, c in algebra.bracket_basis(i, j).items())
+            rhs = algebra.bracket(columns[i], columns[j])
+            if lhs != rhs:
+                degree_m = range(algebra.offsets[m], algebra.offsets[m] + algebra.dims[m - 1])
+                return {"pair": [algebra.word_label(algebra.word_of(i)),
+                                 algebra.word_label(algebra.word_of(j))],
+                        "expected": [str(rhs.get(l, 0)) for l in degree_m],
+                        "got": [str(lhs.get(l, 0)) for l in degree_m]}
+    return None
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_verify_generator_brackets_report_the_all_pairs_failure(degree):
+    # at k = 4 the all-pairs loop also brackets degree 2 with degree 2;
+    # verify brackets generators only and must still name the same pair
+    g = bipartite_graph(2, 3)
+    cert = synthesize(g, 4)
+    algebra = quotient_algebra(g, 4)
+    assert algebra.dims == [5, 6, 21, 65]
+    assert _all_pairs_first_failure(algebra, cert.degree_blocks) is None
+    block = cert.degree_blocks[degree]
+    block[len(block) // 2][len(block) // 3] += 1
+    expected = _all_pairs_first_failure(algebra, cert.degree_blocks)
+    assert expected is not None
+    ok, report = verify_certificate(g, cert)
+    assert not ok and report["first_failure"] == "bracket-compatibility"
+    assert report["checks"][-1]["detail"] == expected

@@ -444,3 +444,40 @@ def test_command_help_on_stdout(capsys, name):
         assert captured.out.startswith(f"usage: anosograph {name} ")
         for option, *_ in COMMANDS[name][2]:
             assert f"\n  {option} " in captured.out, (name, option)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _bump_char_poly(doc):
+    doc["char_polys"]["2"][1] += 1
+
+
+def _flip_determinant(doc):
+    doc["determinants"]["3"] = -doc["determinants"]["3"]
+
+
+def _widen_margin(doc):
+    doc["unit_root_certs"]["2"]["witness"]["min_margin"] = "1"
+
+
+@pytest.mark.parametrize("tamper, check", [
+    (_bump_char_poly, "recorded-char-polys"),
+    (_flip_determinant, "recorded-determinants"),
+    (_widen_margin, "recorded-unit-root-certs"),
+])
+def test_verify_compares_recorded_spectral_fields(capsys, tmp_path, tamper, check):
+    # the blocks are untouched, so every re-derivation passes and only the
+    # recorded field can be wrong
+    doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    tamper(doc)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(GOLDEN / "c4.edges"), "--certificate", str(cert_path))
+    assert code == 3
+    report = json.loads(out)["report"]
+    assert report["first_failure"] == check
+    assert [c["name"] for c in report["checks"] if c["ok"]][-2:] == [
+        "unimodularity", "unit-root-freeness"]
+    field = check.removeprefix("recorded-").replace("-", "_")
+    assert report["checks"][-1]["detail"] == f"recorded {field} differ from the re-derived ones"

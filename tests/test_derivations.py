@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from oracles import (
     derivations_dense,
     edgeless_graph,
     local_rank,
+    product_hyperbolic,
 )
 
 S5_GRAPH = parse_graph("a b\nc d\na c\na d")
@@ -287,3 +290,34 @@ def test_search_deterministic():
     a = [f.to_json() for f in hyperbolic_search(algebra, entry_bound=1, budget=800, seed=3)]
     b = [f.to_json() for f in hyperbolic_search(algebra, entry_bound=1, budget=800, seed=3)]
     assert a == b
+
+
+def test_per_degree_gate_matches_product_predicate(monkeypatch):
+    # every candidate of the golden searches that reaches a hyperbolicity
+    # decision (determinant +-1 and a descending extension; the rest are
+    # rejected before either predicate) is decided degree by degree exactly
+    # as on the product of its blocks' characteristic polynomials
+    from anosograph import derivations
+
+    golden = Path(__file__).resolve().parent / "golden"
+    gate = derivations._check_blocks
+    decided = []
+
+    def recording(blocks):
+        ok, payload = gate(blocks)
+        decided.append((blocks, ok))
+        return ok, payload
+
+    monkeypatch.setattr(derivations, "_check_blocks", recording)
+    c4 = parse_graph((golden / "c4.edges").read_text())
+    control = hyperbolic_search(quotient_algebra(c4, 2), entry_bound=2, budget=500)
+    for name, bound, budget in (("step2", 2, 60), ("step3", 1, 24)):
+        graph = parse_graph((golden / f"{name}.edges").read_text())
+        spec = QuotientSpec.from_json(json.loads((golden / f"{name}.json").read_text()))
+        assert hyperbolic_search(build_quotient(graph, spec), bound, budget) == []
+    assert len(decided) > 36
+    for blocks, ok in decided:
+        assert ok == product_hyperbolic(blocks), blocks[1]
+    recorded = json.loads((golden / "search_control_c4.stdout").read_text())["findings"]
+    assert len(recorded) == 36
+    assert [f.matrix for f in control] == [f["matrix"] for f in recorded]

@@ -14,6 +14,7 @@ from anosograph.liealg import (
 from anosograph.lyndon import witt_number
 from oracles import (
     all_graphs_up_to_iso,
+    all_labeled_graphs,
     bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -202,3 +203,21 @@ def test_large_build_is_pinned():
     doc = quotient_algebra(cycle_graph(6), 6).to_json()
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == "d1d1bfc41b9ef5ed48d47ab6ba2d76b5a4a915e2d4031012bc68d0f506b19506"
+
+
+def test_graph_algebras_stay_in_the_integers():
+    # no graph relation here needs a division, so every stored value is an
+    # int, and the degree blocks of an integer map come out as int matrices
+    from anosograph.anosov import synthesize
+
+    for n in range(1, 5):
+        for g in all_labeled_graphs(n):
+            h = quotient_algebra(g, 4)
+            values = [x for red in h.reductions.values()
+                      for row in red.relations.values() for x in row.values()]
+            values += [x for red in h.reductions.values()
+                       for w in red.words for x in h.project(w).values()]
+            values += [x for entry in h.struct.values() for x in entry.values()]
+            assert all(type(x) is int for x in values), g.edges
+    blocks = synthesize(C4, 3).degree_blocks
+    assert all(type(x) is int for b in blocks.values() for row in b for x in row)
