@@ -316,6 +316,11 @@ def _is_square_int_matrix(m, n=None):
                                and all(type(x) is int for x in row) for row in m)
 
 
+def _first_non_int_block(blocks):
+    """The smallest degree whose block is not an int matrix, or None."""
+    return next((m for m, b in sorted(blocks.items()) if not _is_square_int_matrix(b)), None)
+
+
 def _check_blocks(blocks):
     """The hyperbolicity gate on degree blocks {degree: matrix}.
 
@@ -388,11 +393,9 @@ def synthesize(graph, k, config=None):
             g = _powered_degree_one(graph.n, partition.classes,
                                     [c.matrix for c in per_class], exponents)
             blocks = extend_to_algebra(algebra, g)
-            # the certificate records integer matrices, which the gate does not need
-            rational = [m for m, b in sorted(blocks.items())
-                        if any(type(x) is not int for row in b for x in row)]
-            if rational:
-                last_failure = f"exponents {exponents}: degree-{rational[0]} block is not integral"
+            bad = _first_non_int_block(blocks)
+            if bad is not None:
+                last_failure = f"exponents {exponents}: degree-{bad} block is not integral"
                 continue
             ok, payload = _check_blocks(blocks)
             if not ok:
@@ -424,13 +427,13 @@ def verify_certificate(graph, cert):
 
     Rebuilds the algebra, recomputes the partition, and checks: digest
     binding, the block-diagonal shape of degree one, exact bracket
-    compatibility F[e_i, e_j] = [F e_i, F e_j] for generators e_i,
-    `_check_blocks`, and that the recorded char_polys, determinants and
-    unit_root_certs are the re-derived ones.  Returns (ok, report); the
-    report names the first failing check.  Generators suffice, as by
-    Jacobi the x with F[x, y] = [Fx, Fy] for all y form a subalgebra, and
-    they come first in the pair order, so the first failing pair is the
-    one an all-pairs loop finds.
+    compatibility F[e_i, e_j] = [F e_i, F e_j] for generators e_i, int
+    matrix blocks, `_check_blocks`, and that the recorded char_polys,
+    determinants and unit_root_certs are the re-derived ones.  Returns
+    (ok, report); the report names the first failing check.  Generators
+    suffice, as by Jacobi the x with F[x, y] = [Fx, Fy] for all y form a
+    subalgebra, and they come first in the pair order, so the first
+    failing pair is the one an all-pairs loop finds.
     """
     report = {"checks": []}
 
@@ -501,6 +504,9 @@ def verify_certificate(graph, cert):
                 })
     passed("bracket-compatibility")
 
+    bad = _first_non_int_block(blocks)
+    if bad is not None:
+        return fail("unimodularity", f"degree-{bad} block is not integral")
     ok, payload = _check_blocks(blocks)
     if not ok:
         return fail(*payload)

@@ -12,8 +12,9 @@ is the projection (`project`) and gives every structure constant.
 
 An element of a `GradedLieAlgebra` is a sparse dict {basis index: coeff}
 with no zero entries.  Lyndon expansions are integral and `linalg.rref`
-keeps integral values int, so coefficients are ints unless the
-quotient's relations divide.  Free-algebra coordinates (Lyndon words, the
+stores a new row's integral quotients as ints, so coefficients are ints
+unless the quotient's relations divide, which no graph algebra checked
+(up to 5 vertices) needs.  Free-algebra coordinates (Lyndon words, the
 relation row spaces) stay inside this module: maps defined on free
 words, such as the extension of a degree-one map or a free derivation,
 are pushed into the quotient here, word by word along the standard

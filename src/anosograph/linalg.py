@@ -3,8 +3,8 @@
 Matrices are lists of rows; entries are ints or Fractions and are never
 coerced to floats, and products of int matrices stay int.  `det_bareiss`
 takes int matrices only and stays in the integers throughout.  `rref` is
-the one place that divides, and it keeps integral quotients int, so int
-rows stay int unless some pivot entry does not divide its row.
+the one place that divides; it stores a new row's integral quotients as
+ints, so rows stay int while every pivot entry divides its row.
 
 The row-space routines (`rref`, `reduce_mod_rows`, `kernel_basis`) work
 on sparse rows {column: coeff} with no zero entries, the columns being
@@ -105,7 +105,8 @@ def rref(rows):
         while r:
             p = min(r)
             if p not in echelon:
-                echelon[p] = _divided(r, r[p])
+                a = r[p]
+                echelon[p] = {c: x // a if x % a == 0 else Fraction(x, a) for c, x in r.items()}
                 break
             _add_multiple(r, -r[p], echelon[p])
     pivots = sorted(echelon)
@@ -114,14 +115,6 @@ def rref(rows):
         for q in [c for c in r if c != p and c in echelon]:
             _add_multiple(r, -r[q], echelon[q])
     return {p: echelon[p] for p in pivots}
-
-
-def _divided(r, a):
-    """The sparse row r / a, each integral entry as an int."""
-    if a in (1, -1) and all(type(x) is int for x in r.values()):
-        return {c: x * a for c, x in r.items()}
-    r = {c: Fraction(x, a) for c, x in r.items()}
-    return {c: q.numerator if q.denominator == 1 else q for c, q in r.items()}
 
 
 def _add_multiple(x, a, y):

@@ -6,6 +6,7 @@ import pytest
 from anosograph.anosov import (
     AutomorphismCertificate,
     _check_blocks,
+    _powered_degree_one,
     ExtensionError,
     NotAdmissibleError,
     companion_matrix,
@@ -213,6 +214,24 @@ def test_verify_detects_perturbed_block():
     ok, report = verify_certificate(C4, mutated)
     assert not ok
     assert report["first_failure"] == "bracket-compatibility"
+
+
+def test_verify_rejects_rational_conjugate_of_a_certificate():
+    # D A D^-1 with D = diag(1, 2) keeps A's characteristic polynomial, so
+    # every spectral check and recorded field still matches, but the map
+    # no longer preserves the lattice
+    cert = synthesize(C4, 3)
+    assert cert.components[0]["matrix"] == [[0, 1], [1, 1]]
+    cert.components[0]["matrix"] = [[0, Fraction(1, 2)], [2, 1]]
+    partition = coherent_components(C4)
+    g = _powered_degree_one(C4.n, partition.classes,
+                            [c["matrix"] for c in cert.components], cert.exponents)
+    cert.degree_blocks = extend_to_algebra(quotient_algebra(C4, 3), g)
+    assert _check_blocks(cert.degree_blocks)[0]
+    ok, report = verify_certificate(C4, cert)
+    assert not ok and report["first_failure"] == "unimodularity"
+    assert report["checks"][-1]["detail"] == "degree-1 block is not integral"
+    assert report["checks"][-2] == {"name": "bracket-compatibility", "ok": True}
 
 
 def test_check_blocks_determinant_from_char_poly():

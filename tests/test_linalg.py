@@ -117,6 +117,12 @@ def test_reduce_mod_rows_leaves_input_and_clears_pivots():
         assert local_rank(dense + [diff]) == local_rank(dense)
 
 
+def test_rref_stores_integral_quotients_as_ints():
+    basis = linalg.rref([{0: 2, 1: 4, 2: 3}, {1: Fraction(3), 2: Fraction(6)}])
+    assert basis == {0: {0: 1, 2: Fraction(-5, 2)}, 1: {1: 1, 2: 2}}
+    assert [type(x) for x in basis[1].values()] == [int, int]
+
+
 def test_empty_input():
     assert linalg.rref([]) == {}
     assert linalg.rref([{}, {}]) == {}
