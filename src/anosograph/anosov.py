@@ -18,6 +18,7 @@ free-algebra coordinates stay inside `liealg`.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -136,7 +137,6 @@ class ComponentMatrix:
     matrix: list
     poly: object  # IntPolynomial
     products: object  # ProductsCertificate
-    dimension: int
     r_max: int
     candidate_index: int
 
@@ -150,28 +150,23 @@ class ComponentMatrix:
         }
 
 
-def find_component_matrix(d, k, coeff_bound=3, seed=0, budget=20000, skip=0):
-    """A matrix in GL(d, Z) whose r-fold eigenvalue products avoid the unit
-    circle for every r <= min(k, d-1), found by enumerating companion
-    matrices in a fixed order.  `skip` asks for a later qualifying hit."""
+def find_component_matrix(d, k, coeff_bound=3, seed=0, budget=20000):
+    """The first matrix in GL(d, Z), in a fixed enumeration of companion
+    matrices, whose r-fold eigenvalue products avoid the unit circle for
+    every r <= min(k, d-1)."""
     if d < 2:
         raise ValueError("component dimension must be >= 2")
     if coeff_bound < 0:
         raise ValueError(f"coefficient bound must be >= 0, not {coeff_bound}")
     r_max = min(k, d - 1)
-    found = 0
     for index, poly in enumerate(_candidate_polys(d, coeff_bound, seed)):
         if index >= budget:
             break
         a = companion_matrix(poly)
         pc = products_off_circle(a, r_max)
         if pc.ok:
-            if found == skip:
-                return ComponentMatrix(
-                    matrix=a, poly=poly, products=pc,
-                    dimension=d, r_max=r_max, candidate_index=index,
-                )
-            found += 1
+            return ComponentMatrix(matrix=a, poly=poly, products=pc,
+                                   r_max=r_max, candidate_index=index)
     raise ComponentSearchExhausted(
         f"no qualifying GL({d},Z) companion within {budget} candidates "
         f"(coefficient box radius {coeff_bound}, seed {seed})"
@@ -299,9 +294,12 @@ class AutomorphismCertificate:
         require(isinstance(exponents, list) and len(exponents) == len(classes)
                 and all(type(e) is int and e >= 0 for e in exponents), "exponents")
         maps = {}
-        for name in ("degree_blocks", "char_polys", "unit_root_certs", "determinants"):
-            require(isinstance(data[name], dict), name)
-            maps[name] = {int(m): v for m, v in data[name].items()}
+        for name, kind in (("degree_blocks", list), ("char_polys", list),
+                           ("unit_root_certs", dict), ("determinants", int)):
+            values = data[name]
+            require(isinstance(values, dict) and all(isinstance(v, kind) and _is_int_json(v)
+                                                     for v in values.values()), name)
+            maps[name] = {int(m): v for m, v in values.items()}
         require(all(map(_is_square_int_matrix, maps["degree_blocks"].values())), "degree_blocks")
         return cls(graph_digest=data["graph_digest"], k=data["k"], classes=classes,
                    components=components, exponents=exponents, **maps)
@@ -314,6 +312,17 @@ def _is_square_int_matrix(m, n=None):
     n = len(m) if n is None else n
     return len(m) == n and all(isinstance(row, list) and len(row) == n
                                and all(type(x) is int for x in row) for row in m)
+
+
+def _is_int_json(v):
+    """v is JSON whose numbers are all ints: no float, no bool, no null.
+    Python equality takes true and 1.0 for 1, so recorded values are held
+    to this before they are compared with re-derived ones."""
+    if isinstance(v, dict):
+        return all(map(_is_int_json, v.values()))
+    if isinstance(v, list):
+        return all(map(_is_int_json, v))
+    return isinstance(v, str) or type(v) is int
 
 
 def _first_non_int_block(blocks):
@@ -349,11 +358,11 @@ def _check_blocks(blocks):
 def synthesize(graph, k, config=None):
     """Construct and certify a hyperbolic lattice-preserving automorphism.
 
-    Per-class component matrices come from the deterministic search, the
-    exponent ladder escalates until every degree block passes direct
-    certification, and the result is emitted as a self-contained
-    certificate.  Only ladder rungs count against the config budget;
-    each component search is capped on its own at
+    One component matrix per class size comes from the deterministic
+    search and, as in the existence argument, only the exponents vary
+    after that: one pass over the ladder, until every degree block passes
+    direct certification.  Only ladder rungs count against the config
+    budget; each component search is capped on its own at
     min(config.budget, 20000) candidates.
     """
     config = config or SynthesisConfig()
@@ -362,57 +371,41 @@ def synthesize(graph, k, config=None):
     if not verdict.admits:
         raise NotAdmissibleError(verdict)
     algebra = quotient_algebra(graph, k)
-    ladder = _exponent_ladder(len(partition.classes), config.max_exponent)
-    spent = 0
+    components = {d: find_component_matrix(d, k, coeff_bound=config.coeff_bound,
+                                           seed=config.seed, budget=min(config.budget, 20000))
+                  for d in dict.fromkeys(map(len, partition.classes))}
+    per_class = [components[len(cls)] for cls in partition.classes]
     last_failure = None
-    for round_idx in range(3):
-        try:
-            components = {}
-            for cls in partition.classes:
-                d = len(cls)
-                if d not in components:
-                    components[d] = find_component_matrix(
-                        d, k,
-                        coeff_bound=config.coeff_bound,
-                        seed=config.seed,
-                        budget=min(config.budget, 20000),
-                        skip=round_idx,
-                    )
-            per_class = [components[len(cls)] for cls in partition.classes]
-        except ComponentSearchExhausted:
-            if round_idx == 0:
-                raise
-            break
-        for exponents in ladder:
-            if spent >= config.budget:
-                raise LadderExhaustedError(
-                    f"synthesis budget {config.budget} exhausted "
-                    f"(last failure: {last_failure})"
-                )
-            spent += 1
-            g = _powered_degree_one(graph.n, partition.classes,
-                                    [c.matrix for c in per_class], exponents)
-            blocks = extend_to_algebra(algebra, g)
-            bad = _first_non_int_block(blocks)
-            if bad is not None:
-                last_failure = f"exponents {exponents}: degree-{bad} block is not integral"
-                continue
-            ok, payload = _check_blocks(blocks)
-            if not ok:
-                last_failure = f"exponents {exponents}: {payload[1]}"
-                continue
-            char_polys, certs, dets = payload
-            return AutomorphismCertificate(
-                graph_digest=graph.digest(),
-                k=k,
-                classes=partition.class_labels(),
-                components=[c.to_json() for c in per_class],
-                exponents=list(exponents),
-                degree_blocks=blocks,
-                char_polys={m: p.to_json() for m, p in char_polys.items()},
-                unit_root_certs={m: c.to_json() for m, c in certs.items()},
-                determinants=dets,
+    for spent, exponents in enumerate(_exponent_ladder(len(partition.classes),
+                                                       config.max_exponent)):
+        if spent >= config.budget:
+            raise LadderExhaustedError(
+                f"synthesis budget {config.budget} exhausted "
+                f"(last failure: {last_failure})"
             )
+        g = _powered_degree_one(graph.n, partition.classes,
+                                [c.matrix for c in per_class], exponents)
+        blocks = extend_to_algebra(algebra, g)
+        bad = _first_non_int_block(blocks)
+        if bad is not None:
+            last_failure = f"exponents {exponents}: degree-{bad} block is not integral"
+            continue
+        ok, payload = _check_blocks(blocks)
+        if not ok:
+            last_failure = f"exponents {exponents}: {payload[1]}"
+            continue
+        char_polys, certs, dets = payload
+        return AutomorphismCertificate(
+            graph_digest=graph.digest(),
+            k=k,
+            classes=partition.class_labels(),
+            components=[c.to_json() for c in per_class],
+            exponents=list(exponents),
+            degree_blocks=blocks,
+            char_polys={m: p.to_json() for m, p in char_polys.items()},
+            unit_root_certs={m: c.to_json() for m, c in certs.items()},
+            determinants=dets,
+        )
     raise LadderExhaustedError(
         f"exponent ladder exhausted at max_exponent {config.max_exponent} "
         f"(last failure: {last_failure})"
@@ -467,13 +460,13 @@ def verify_certificate(graph, cert):
     # so A has an eigenvalue that is not a root of unity, and by Dimitrov's
     # proof of the Schinzel-Zassenhaus conjecture (arXiv:1912.12545) the
     # spectral radius of A is at least 2^(1/(4d)).  With M the largest |entry|
-    # of the block, 2^(e/(4d)) <= rho(A^e) <= d*M < 2^bit_length(d*M), so a
-    # valid e is below 4*d*bit_length(d*M); refusing larger ones here bounds
-    # the work of mat_pow by the size of the block.
+    # of the block rounded up, 2^(e/(4d)) <= rho(A^e) <= d*M < 2^bit_length(d*M),
+    # so a valid e is below 4*d*bit_length(d*M); refusing larger ones here
+    # bounds the work of mat_pow by the size of the block.
     for cls, e in zip(partition.classes, cert.exponents):
         d = len(cls)
         m = max(abs(blocks[1][r][c]) for r in cls for c in cls)
-        if e >= 4 * d * (d * m).bit_length():
+        if e >= 4 * d * (d * math.ceil(m)).bit_length():
             return fail("degree-one-shape",
                         f"exponent {e} is too large for a degree-one block "
                         f"with entries of size {m}")

@@ -8,11 +8,12 @@ of a command.  Options and GRAPH come in any order; a value follows as
 it, the last of a repeated option wins, and a token after `--` is GRAPH.
 Help goes to stdout; a usage error prints the usage line to stderr.
 
-Exit codes: 0 verdict computed, 1 usage error or a root enclosure the bit
-budget cannot certify, 2 synthesis refused because the graph is not
-admissible, 3 certificate verification failed, 4 synthesis search budget
-exhausted.  Identical invocations (including --seed) produce byte-identical
-JSON; text mode is for humans and is not a stable format.
+Exit codes: 0 verdict computed, 1 usage error or roots too close to
+enclose within the fixed 256-bit refinement precision, 2 synthesis refused
+because the graph is not admissible, 3 certificate verification failed, 4
+the component search or the one pass over the exponent ladder ran out.
+Identical invocations (including --seed) produce byte-identical JSON; text
+mode is for humans and is not a stable format.
 """
 
 from __future__ import annotations

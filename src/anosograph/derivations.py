@@ -148,13 +148,13 @@ def build_quotient(graph, spec):
     if spec.step == 3:
         base = quotient_algebra(graph, 3)
         gens = non_edge_relations(graph) + [(3, spec._vector_in(base))]
-        algebra = build_graded_quotient(graph.vertices, 3, gens, graph=graph)
+        algebra = build_graded_quotient(graph, 3, gens)
         if algebra.dims[2] != base.dims[2] - 1:
             raise SpecError("X vanishes in the 3-step algebra")
         return algebra
     rel = _step2_relation(spec.validate(graph))
     gens = non_edge_relations(graph) + [(2, rel)]
-    algebra = build_graded_quotient(graph.vertices, 2, gens, graph=graph)
+    algebra = build_graded_quotient(graph, 2, gens)
     # degree 2 of the graph algebra has one basis bracket per edge
     if algebra.dims[1] != len(graph.edges) - 1:
         raise SpecError("X is not independent of the edge ideal")
@@ -451,10 +451,9 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
         while True:
             yield [[rng.randint(-entry_bound, entry_bound) for _ in range(n)] for _ in range(n)]
 
-    streams = [_signed_permutations(n)]
-    if algebra.graph is not None:
-        streams.append(_block_diagonal_candidates(algebra.graph, entry_bound, budget))
-    streams.append(random_stream())
+    streams = [_signed_permutations(n),
+               _block_diagonal_candidates(algebra.graph, entry_bound, budget),
+               random_stream()]
 
     findings = []
     seen = set()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .lyndon import _mobius, free_bracket_words, lyndon_basis, standard_factorization
+from .lyndon import _mobius, free_bracket_words, lyndon_basis, standard_factorization, witt_number
 
 
 def combine(terms):
@@ -52,21 +52,24 @@ class Reduction:
 class GradedLieAlgebra:
     """A quotient of a free k-step nilpotent Lie algebra, over exact rationals.
 
-    Basis elements are the surviving Lyndon words, globally indexed degree
-    by degree; `struct[(i, j)]` holds the bracket [e_i, e_j] for i < j as a
-    sparse map into basis indices.
+    The generators are the vertices of `graph`.  Basis elements are the
+    surviving Lyndon words, globally indexed degree by degree;
+    `struct[(i, j)]` holds the bracket [e_i, e_j] for i < j as a sparse map
+    into basis indices.
     """
 
-    def __init__(self, generators, k, reductions, relation_generators, graph=None):
-        self.generators = tuple(generators)
-        self.k = k
+    def __init__(self, graph, k, reductions, relation_generators):
         self.graph = graph
+        self.generators = tuple(graph.vertices)
+        self.k = k
         self.reductions = reductions
         self.relation_generators = relation_generators
-        self.basis_words = {m: [w for w in red.words if w not in red.relations]
-                            for m, red in reductions.items()}
+        # degrees past the last built one lie wholly in the ideal
+        self.basis_words = {m: [] for m in range(1, k + 1)}
+        for m, red in reductions.items():
+            self.basis_words[m] = [w for w in red.words if w not in red.relations]
         self.dims = [len(self.basis_words[m]) for m in range(1, k + 1)]
-        self.ideal_dims = [len(reductions[m].relations) for m in range(1, k + 1)]
+        self.ideal_dims = [witt_number(graph.n, m) - d for m, d in enumerate(self.dims, 1)]
         self.offsets = {}
         off = 0
         for m in range(1, k + 1):
@@ -87,7 +90,7 @@ class GradedLieAlgebra:
             for p, row in red.relations.items():
                 self._normal_form[p] = {self._index[w]: -c for w, c in row.items() if w != p}
         self.struct = {}
-        self._build_structure()
+        self._build_structure(max(reductions))
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -110,11 +113,12 @@ class GradedLieAlgebra:
 
     # -- brackets ----------------------------------------------------------
 
-    def _build_structure(self):
+    def _build_structure(self, top):
         # degrees ascend with the index, so the partners j of i with
-        # deg i + deg j <= k end where degree k - deg i + 1 begins
+        # deg i + deg j <= top end where degree top - deg i + 1 begins;
+        # brackets past the last built degree `top` are 0
         for i in range(self.dim):
-            for j in range(i + 1, self.offsets[self.k - self._degree[i] + 1]):
+            for j in range(i + 1, self.offsets[top - self._degree[i] + 1]):
                 expansion = free_bracket_words(self._word[i], self._word[j])
                 entry = combine((c, self._normal_form[w]) for w, c in expansion.items())
                 if entry:
@@ -198,21 +202,26 @@ class GradedLieAlgebra:
         }
 
 
-def build_graded_quotient(generators, k, relation_gens, graph=None):
-    """Quotient of the free k-step algebra by the graded ideal the given
-    homogeneous elements generate.
+def build_graded_quotient(graph, k, relation_gens):
+    """Quotient of the free k-step algebra on the graph's vertices by the
+    graded ideal the given homogeneous elements generate.
 
     relation_gens: list of (degree, {word: coeff}); degrees must lie in 2..k.
     The ideal is closed up degree by degree via bracketing with degree one.
+    The algebra is generated in degree one, so the build stops at the first
+    degree wholly in the ideal; Lyndon words are listed to twice the degree
+    reached, so none past that stop are.
     """
     for deg, _ in relation_gens:
         if deg < 2 or deg > k:
             raise ValueError(f"relation generator degree {deg} outside 2..{k}")
-    n = len(generators)
-    basis = lyndon_basis(n, k)
-    reductions = {1: Reduction(words=list(basis.words[1]), relations={})}
+    n = graph.n
+    free_words = lyndon_basis(n, min(k, 2)).words
+    reductions = {1: Reduction(words=list(free_words[1]), relations={})}
     for m in range(2, k + 1):
-        words = basis.words[m]
+        if m not in free_words:
+            free_words = lyndon_basis(n, min(k, 2 * m)).words
+        words = free_words[m]
         # bracket every degree-(m-1) relation row with every generator
         rows = [combine((c, free_bracket_words((v,), w)) for w, c in row.items())
                 for row in reductions[m - 1].relations.values() for v in range(n)]
@@ -224,7 +233,9 @@ def build_graded_quotient(generators, k, relation_gens, graph=None):
                         raise ValueError(f"{w} is not a degree-{m} Lyndon word")
                 rows.append(d)
         reductions[m] = Reduction(words=list(words), relations=linalg.rref(rows))
-    return GradedLieAlgebra(generators, k, reductions, relation_gens, graph=graph)
+        if len(reductions[m].relations) == len(words):
+            break
+    return GradedLieAlgebra(graph, k, reductions, relation_gens)
 
 
 def non_edge_relations(graph):
@@ -245,7 +256,7 @@ def quotient_algebra(graph, k):
     """
     if k < 2:
         raise ValueError("step k must be >= 2")
-    return build_graded_quotient(graph.vertices, k, non_edge_relations(graph), graph=graph)
+    return build_graded_quotient(graph, k, non_edge_relations(graph))
 
 
 def graph_algebra_dims(graph, k):

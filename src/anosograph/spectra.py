@@ -27,7 +27,8 @@ modulus exactly 1 and returns a certificate.  The decision is exact:
      a/2^bits, the containment radius n*|g/g'| is evaluated over the
      Gaussian integers, and every comparison is exact.  The disks come
      sorted by the exact center, key (|im|, re, im), so the order never
-     depends on rounding.
+     depends on rounding.  The precision goes 64 -> 128 -> 256 bits; roots
+     still not separated at 256 bits raise IndeterminateError.
 
 Compound matrices expose r-fold eigenvalue products to the same test.
 """
@@ -37,7 +38,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -55,17 +55,11 @@ from .intpoly import (
     trace_polynomial,
 )
 
-DEFAULT_BUDGET_BITS = 256
+_BUDGET_BITS = 256  # the last enclosure precision, after 64 and 128
 
 
 class IndeterminateError(RuntimeError):
     """Refinement budget exhausted before every enclosure became decisive."""
-
-
-def _budget_bits(budget_bits):
-    if budget_bits is not None:
-        return budget_bits
-    return int(os.environ.get("ANOSOGRAPH_BUDGET_BITS", DEFAULT_BUDGET_BITS))
 
 
 def _strong_components(rows):
@@ -170,25 +164,27 @@ def char_poly(a):
     Entries may be exact rationals; int entries run in ints.  Raises
     ValueError when det(xI - A) is not in Z[x].  Each factor is monic, so
     by Gauss's lemma the product is in Z[x] exactly when every factor is;
-    the factors are checked one by one and multiplied as IntPolynomials.
+    the factors are multiplied as coefficient lists and only the product
+    is checked.
     """
     n = len(a)
     for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    p = IntPolynomial([1])
+    p = [1]  # descending coefficients
     for comp in _strong_components(rows):
-        if len(comp) == n:  # irreducible: the rows are already its one block
-            block = rows
-        else:
-            pos = {v: k for k, v in enumerate(comp)}
-            block = [[(pos[j], x) for j, x in rows[v] if j in pos] for v in comp]
-        try:  # IntPolynomial rejects a non-integral coefficient
-            p = p * IntPolynomial(_berkowitz(block)[::-1])
-        except ValueError:
-            raise ValueError("characteristic polynomial is not integral") from None
-    return p
+        pos = {v: k for k, v in enumerate(comp)}
+        factor = _berkowitz([[(pos[j], x) for j, x in rows[v] if j in pos] for v in comp])
+        prod = [0] * (len(p) + len(factor) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(factor):
+                prod[i + j] += x * y
+        p = prod
+    try:  # IntPolynomial rejects a non-integral coefficient
+        return IntPolynomial(p[::-1])
+    except ValueError:
+        raise ValueError("characteristic polynomial is not integral") from None
 
 
 def _colex_subsets(n, r):
@@ -417,20 +413,19 @@ def _certified_enclosures(g, bits, hints=None):
     return [((Fraction(a, unit), Fraction(b, unit)), r2) for (a, b), r2 in zip(centers, radii)]
 
 
-def unit_root_free(p, budget_bits=None):
+def unit_root_free(p):
     """Decide whether p has a complex root of modulus exactly 1.
 
     Requires p nonzero with p(0) != 0.  Returns a UnitRootCertificate;
-    raises IndeterminateError only if the enclosure refinement budget runs
-    out (the verdict itself is decided exactly and is never guessed).
+    raises IndeterminateError only if the enclosures of a root-free p
+    stay undecided at _BUDGET_BITS bits (the verdict itself is decided
+    exactly and is never guessed).
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.constant() == 0:
         raise ValueError("p(0) = 0: zero eigenvalue; caller must handle it separately")
     p = p.primitive()
-    if p.degree == 0:
-        return UnitRootCertificate("free", "gcd-trivial", p)
     g = poly_gcd(p, p.reversed_poly())
     if g.degree == 0:
         return UnitRootCertificate("free", "gcd-trivial", p)
@@ -469,10 +464,9 @@ def unit_root_free(p, budget_bits=None):
             },
         )
     # off-circle everywhere; build per-root modulus enclosures
-    budget = _budget_bits(budget_bits)
     hints = _root_hints(g0)
     bits = 64
-    while bits <= budget:
+    while bits <= _BUDGET_BITS:
         disks = _certified_enclosures(g0, bits, hints)
         if disks is not None:
             enclosures = []
@@ -500,9 +494,7 @@ def unit_root_free(p, budget_bits=None):
                 )
         bits *= 2
     raise IndeterminateError(
-        f"could not certify enclosures within {budget} bits "
-        f"(ANOSOGRAPH_BUDGET_BITS raises the budget)"
-    )
+        f"could not certify enclosures within {_BUDGET_BITS} bits")
 
 
 @dataclass

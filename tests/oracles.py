@@ -326,6 +326,26 @@ def product_hyperbolic(blocks):
     return abs(p.constant()) == 1 and unit_root_free(p).free
 
 
+# -- a polynomial no enclosure budget separates -------------------------------
+
+def mignotte_palindromic():
+    """Mignotte's construction: p(x) = x^3 h(x + 1/x) with
+    h(y) = (y - 3)^3 - 2(2^200 (y - 3) - 1)^2 is monic, palindromic and
+    unimodular with no root on the unit circle, but two of its roots are
+    too close to separate within the refinement budget."""
+    y3 = IntPolynomial([-3, 1])
+    z = 2 ** 200 * y3 - IntPolynomial([1])
+    h = y3 * y3 * y3 - 2 * z * z
+    p = IntPolynomial([])
+    for j, c in enumerate(h.coeffs):
+        term = IntPolynomial([0] * (3 - j) + [c])
+        for _ in range(j):
+            term = term * IntPolynomial([1, 0, 1])
+        p = p + term
+    assert p.degree == 6 and p.leading() == 1 and p.constant() == 1 and p.is_palindromic()
+    return p
+
+
 # -- 512-bit numeric unit-circle classification ------------------------------
 
 def classify_unit_roots_512(coeffs):

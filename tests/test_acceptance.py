@@ -141,7 +141,7 @@ def test_criterion_5_spectral_soundness():
     assert len(polys) == 50
     disagreements = []
     for i, p in enumerate(polys):
-        cert = unit_root_free(p, budget_bits=512)
+        cert = unit_root_free(p)
         oracle = classify_unit_roots_512(p.to_json())
         if cert.verdict != oracle:
             disagreements.append((i, str(p), cert.verdict, oracle))

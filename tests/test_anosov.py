@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from anosograph import anosov
 from anosograph.anosov import (
     AutomorphismCertificate,
     _check_blocks,
     _powered_degree_one,
     ExtensionError,
+    LadderExhaustedError,
     NotAdmissibleError,
+    SynthesisConfig,
     companion_matrix,
     decide_anosov,
     extend_to_algebra,
@@ -20,6 +23,7 @@ from anosograph.derivations import build_quotient
 from anosograph.graphs import coherent_components, parse_graph
 from anosograph.intpoly import IntPolynomial
 from anosograph.liealg import combine, quotient_algebra
+from anosograph.linalg import mat_mul
 from anosograph.spectra import products_off_circle
 from oracles import (
     all_labeled_graphs,
@@ -232,6 +236,39 @@ def test_verify_rejects_rational_conjugate_of_a_certificate():
     assert not ok and report["first_failure"] == "unimodularity"
     assert report["checks"][-1]["detail"] == "degree-1 block is not integral"
     assert report["checks"][-2] == {"name": "bracket-compatibility", "ok": True}
+
+
+def test_verify_bounds_the_exponent_of_a_rational_degree_one_block():
+    # the degree-one block conjugated class by class by the shear
+    # [[1, 1/2], [0, 1]] has a largest entry that is a Fraction, which the
+    # exponent bound rounds up: verify reports, not raises
+    cert = synthesize(C4, 3)
+    shear, inverse = [[1, Fraction(1, 2)], [0, 1]], [[1, Fraction(-1, 2)], [0, 1]]
+    block = cert.degree_blocks[1]
+    for cls in coherent_components(C4).classes:
+        a = [[block[r][c] for c in cls] for r in cls]
+        conjugated = mat_mul(mat_mul(shear, a), inverse)
+        for i, r in enumerate(cls):
+            for j, c in enumerate(cls):
+                block[r][c] = conjugated[i][j]
+    assert max(abs(x) for row in block for x in row).denominator == 2
+    ok, report = verify_certificate(C4, cert)
+    assert not ok and report["first_failure"] == "degree-one-shape"
+
+
+def test_synthesize_walks_the_ladder_once(monkeypatch):
+    # max_exponent 1 leaves one rung, (1, 1), whose degree-two block has a
+    # unit-modulus eigenvalue; the component search is not repeated
+    calls = []
+
+    def counted(algebra, g):
+        calls.append(g)
+        return extend_to_algebra(algebra, g)
+
+    monkeypatch.setattr(anosov, "extend_to_algebra", counted)
+    with pytest.raises(LadderExhaustedError, match="max_exponent 1"):
+        synthesize(C4, 2, SynthesisConfig(max_exponent=1))
+    assert len(calls) == 1
 
 
 def test_check_blocks_determinant_from_char_poly():

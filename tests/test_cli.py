@@ -12,8 +12,7 @@ import anosograph
 from anosograph.anosov import companion_matrix
 from anosograph.cli import COMMANDS, REQUIRED, main, parse_args
 from anosograph.graphs import parse_graph
-from anosograph.intpoly import IntPolynomial
-from oracles import argparse_reference
+from oracles import argparse_reference, mignotte_palindromic
 
 C4_TEXT = "a b\nb c\nc d\nd a\n"
 K3_TEXT = "a b\nb c\nc a\n"
@@ -100,7 +99,12 @@ def test_verify_failure_exit_3(capsys, c4_path, tmp_path):
 @pytest.mark.parametrize("tamper", [
     lambda doc: doc.update(exponents=None),
     lambda doc: doc["degree_blocks"].update({"2": 5}),
-], ids=["null-exponents", "non-list-degree-block"])
+    # each equals the recorded value under Python equality: true == 1 == 1.0
+    lambda doc: doc["determinants"].update({"2": True}),
+    lambda doc: doc["char_polys"]["1"].__setitem__(-1, 1.0),
+    lambda doc: doc["unit_root_certs"]["1"]["symmetric_factor"].__setitem__(0, True),
+], ids=["null-exponents", "non-list-degree-block", "bool-determinant",
+        "float-char-poly", "bool-in-unit-root-cert"])
 def test_malformed_certificate_exit_1(capsys, c4_path, tmp_path, tamper):
     cert_path = str(tmp_path / "cert.json")
     run(capsys, "synthesize", c4_path, "--k", "2", "--out", cert_path)
@@ -134,6 +138,23 @@ def test_block_shape_checked_before_algebra(capsys, tmp_path, tamper):
     assert json.loads(out)["report"]["first_failure"] == "block-shape"
 
 
+def test_edgeless_pair_at_large_k(capsys, tmp_path):
+    # degree 2 of the edgeless pair lies wholly in the ideal, so every later
+    # degree does too; neither command lists or eliminates those degrees
+    graph = tmp_path / "pair.edges"
+    graph.write_text("vertex: a\nvertex: b\n")
+    cert_path = str(tmp_path / "cert.json")
+    for argv in (["synthesize", str(graph), "--k", "40", "--out", cert_path],
+                 ["verify", str(graph), "--certificate", cert_path]):
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["report"]["determinants"]["40"] == 1
+
+
 @pytest.mark.parametrize("exponent, detail", [
     (4, "degree-one block is not the recorded block-diagonal power"),
     (23, "degree-one block is not the recorded block-diagonal power"),
@@ -155,21 +176,7 @@ def test_exponent_bounded_before_powering(capsys, tmp_path, exponent, detail):
 
 
 def test_indeterminate_enclosure_exit_1(tmp_path):
-    # Mignotte's construction: p(x) = x^3 h(x + 1/x) with
-    # h(y) = (y - 3)^3 - 2(2^200 (y - 3) - 1)^2 is monic, palindromic and
-    # unimodular with no root on the unit circle, but two of its roots are
-    # too close to separate within the refinement budget.
-    y3 = IntPolynomial([-3, 1])
-    z = 2 ** 200 * y3 - IntPolynomial([1])
-    h = y3 * y3 * y3 - 2 * z * z
-    p = IntPolynomial([])
-    for j, c in enumerate(h.coeffs):
-        term = IntPolynomial([0] * (3 - j) + [c])
-        for _ in range(j):
-            term = term * IntPolynomial([1, 0, 1])
-        p = p + term
-    assert p.degree == 6 and p.leading() == 1 and p.constant() == 1 and p.is_palindromic()
-    a = companion_matrix(p)
+    a = companion_matrix(mignotte_palindromic())
     text = "".join(f"vertex: v{i}\n" for i in range(6))
     graph_path = tmp_path / "six.edges"
     graph_path.write_text(text)

@@ -11,7 +11,7 @@ that exact arithmetic then certifies.  The package runs on the standard
 library alone: no module imports mpmath, and importing the CLI does not
 load it (the tests still use mpmath as an independent oracle).  The CLI
 parses its arguments from its own table, so a `dims` call loads none of
-argparse, gettext or locale.
+argparse, gettext or locale.  No module reads the environment.
 """
 
 import ast
@@ -76,6 +76,19 @@ def test_cli_call_leaves_argparse_unloaded(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_no_environment_reads():
+    # behaviour depends on the arguments alone, never on the environment
+    readers = set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                readers.add(name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in ("environ", "getenv") for alias in node.names):
+                readers.add(name)
+    assert readers == set()
 
 
 def test_no_float_calls():

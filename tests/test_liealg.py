@@ -76,7 +76,21 @@ def test_rejects_step_below_two():
 
 def test_rejects_relation_above_step():
     with pytest.raises(ValueError, match="outside 2..2"):
-        build_graded_quotient(("a", "b"), 2, [(3, {(0, 0, 1): Fraction(1)})])
+        build_graded_quotient(parse_graph("a b"), 2, [(3, {(0, 0, 1): Fraction(1)})])
+
+
+def test_build_stops_at_a_degree_inside_the_ideal():
+    # the algebra is generated in degree one, so a zero degree makes every
+    # later one zero; those degrees are neither listed nor eliminated
+    pair = parse_graph("a b")
+    h = build_graded_quotient(pair, 5, [(3, {(0, 0, 1): 1}), (3, {(0, 1, 1): 1})])
+    assert sorted(h.reductions) == [1, 2, 3]
+    assert h.dims == [2, 1, 0, 0, 0]
+    assert h.ideal_dims == [0, 0, 2, 3, 6]
+    assert h.struct == {(0, 1): {2: 1}}
+    edgeless = quotient_algebra(edgeless_graph(2), 40)
+    assert edgeless.dims == [2] + [0] * 39
+    assert edgeless.ideal_dims[39] == witt_number(2, 40)
 
 
 def test_bracket_of_adjacent_generators():
@@ -103,7 +117,7 @@ def test_projection_recursion_matches_elimination():
     # is C4 at step 3 modulo 1/2 w0 - 3/5 w1, its first two degree-3 basis words
     w0, w1 = quotient_algebra(C4, 3).basis_words[3][:2]
     relation = {w0: Fraction(1, 2), w1: Fraction(-3, 5)}
-    step3 = build_graded_quotient(C4.vertices, 3, non_edge_relations(C4) + [(3, relation)])
+    step3 = build_graded_quotient(C4, 3, non_edge_relations(C4) + [(3, relation)])
     assert step3.dims == [4, 4, 11]
     for h in (quotient_algebra(C4, 4), step3):
         identity = h.image_map([{j: 1} for j in range(len(h.generators))])

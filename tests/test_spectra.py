@@ -22,7 +22,13 @@ from anosograph.spectra import (
     products_off_circle,
     unit_root_free,
 )
-from oracles import classify_unit_roots_512, complete_graph, mpmath_centers, product_poly_subsets
+from oracles import (
+    classify_unit_roots_512,
+    complete_graph,
+    mignotte_palindromic,
+    mpmath_centers,
+    product_poly_subsets,
+)
 
 GOLDEN = IntPolynomial([-1, -1, 1])
 
@@ -264,16 +270,10 @@ def test_unit_root_free_rejects_zero_constant():
 
 
 def test_unit_root_free_budget_exhaustion_is_loud():
-    with pytest.raises(IndeterminateError):
-        unit_root_free(IntPolynomial([1, -3, 1]), budget_bits=1)
-
-
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("ANOSOGRAPH_BUDGET_BITS", "1")
-    with pytest.raises(IndeterminateError):
-        unit_root_free(IntPolynomial([1, -3, 1]))
-    monkeypatch.setenv("ANOSOGRAPH_BUDGET_BITS", "256")
-    assert unit_root_free(IntPolynomial([1, -3, 1])).free
+    # no root on the unit circle, but two roots too close to separate
+    # within the 256-bit refinement budget
+    with pytest.raises(IndeterminateError, match="within 256 bits"):
+        unit_root_free(mignotte_palindromic())
 
 
 def test_verdicts_match_numeric_oracle_small():
