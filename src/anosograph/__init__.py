@@ -23,7 +23,6 @@ from .spectra import (
 from .anosov import (
     AnosovVerdict,
     AutomorphismCertificate,
-    ComponentSearchExhausted,
     ExtensionError,
     LadderExhaustedError,
     NotAdmissibleError,
@@ -49,7 +48,6 @@ __all__ = [
     "AnosovVerdict",
     "AutomorphismCertificate",
     "CoherentPartition",
-    "ComponentSearchExhausted",
     "DerivationAlgebra",
     "ExtensionError",
     "GradedLieAlgebra",

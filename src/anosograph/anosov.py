@@ -4,7 +4,8 @@ A graph's k-step nilmanifold admits an Anosov automorphism iff every
 coherent class has at least two vertices and no class of size 2..k is
 internally complete.  When the criterion holds, the constructive route is
 followed: one unimodular integer matrix per class whose r-fold eigenvalue
-products avoid the unit circle for r <= min(k, class size - 1), per-class
+products avoid the unit circle for r <= min(k, class size d - 1), the
+companion of the Pisot polynomial x^d - x^(d-1) - ... - 1, per-class
 exponents escalated over a deterministic ladder, and the resulting
 degree-one map extended through the graded algebra, bracket by bracket
 inside the quotient.  Instead of the eigenvalue bookkeeping that picks
@@ -18,12 +19,13 @@ free-algebra coordinates stay inside `liealg`.
 from __future__ import annotations
 
 import itertools
+import json
 import math
-import random
 from dataclasses import dataclass
 
 from . import linalg
 from .graphs import coherent_components
+from .intpoly import IntPolynomial
 from .liealg import combine, graph_algebra_dims, quotient_algebra
 from .spectra import char_poly, products_off_circle, unit_root_free
 
@@ -32,10 +34,6 @@ class NotAdmissibleError(RuntimeError):
     def __init__(self, verdict):
         self.verdict = verdict
         super().__init__("graph does not admit an Anosov automorphism at this step")
-
-
-class ComponentSearchExhausted(RuntimeError):
-    pass
 
 
 class LadderExhaustedError(RuntimeError):
@@ -107,70 +105,47 @@ def companion_matrix(poly):
     return m
 
 
-def _candidate_polys(d, coeff_bound, seed):
-    """Monic degree-d integer polynomials with constant term +-1.
-
-    Deterministic shells of growing coefficient radius first, then a
-    seeded random stream drawing beyond the deterministic box.
-    """
-    from .intpoly import IntPolynomial
-
-    for b in range(coeff_bound + 1):
-        for mids in itertools.product(range(-b, b + 1), repeat=d - 1):
-            if mids and max(abs(x) for x in mids) != b:
-                continue
-            if not mids and b > 0:
-                continue
-            for c0 in (-1, 1):
-                # mids holds (a_{d-1}, ..., a_1)
-                yield IntPolynomial([c0] + list(reversed(mids)) + [1])
-    rng = random.Random(seed)
-    wide = 2 * coeff_bound + 1
-    while True:
-        mids = [rng.randint(-wide, wide) for _ in range(d - 1)]
-        c0 = rng.choice((-1, 1))
-        yield IntPolynomial([c0] + list(reversed(mids)) + [1])
-
-
 @dataclass
 class ComponentMatrix:
     matrix: list
     poly: object  # IntPolynomial
     products: object  # ProductsCertificate
     r_max: int
-    candidate_index: int
 
     def to_json(self):
         return {
             "matrix": self.matrix,
             "char_poly": self.poly.to_json(),
             "r_max": self.r_max,
-            "candidate_index": self.candidate_index,
+            # schema 1 records the index of x^d - x^(d-1) - ... - 1 in the
+            # coefficient enumeration that once searched for a component,
+            # after x^d - 1 and x^d + 1 (roots on the unit circle)
+            "candidate_index": 2,
             "products": self.products.to_json(),
         }
 
 
-def find_component_matrix(d, k, coeff_bound=3, seed=0, budget=20000):
-    """The first matrix in GL(d, Z), in a fixed enumeration of companion
-    matrices, whose r-fold eigenvalue products avoid the unit circle for
-    every r <= min(k, d-1)."""
+def find_component_matrix(d, k):
+    """The companion matrix of P = x^d - x^(d-1) - ... - x - 1 in GL(d, Z),
+    with its r-fold eigenvalue products certified off the unit circle for
+    every r <= min(k, d-1).
+
+    P is a Pisot polynomial (Brauer, 1951): one real root beta > 1, the
+    other d-1 roots strictly inside the unit disk, and the product of all
+    d roots has modulus |P(0)| = 1.  An r-subset S of the roots with
+    r <= d-1 has |prod S| < 1 if beta is not in S; otherwise its
+    complement T is nonempty without beta, and |prod S| = 1/|prod T| > 1.
+    So the certification cannot fail, and failing it raises AssertionError.
+    """
     if d < 2:
         raise ValueError("component dimension must be >= 2")
-    if coeff_bound < 0:
-        raise ValueError(f"coefficient bound must be >= 0, not {coeff_bound}")
+    poly = IntPolynomial([-1] * d + [1])
+    a = companion_matrix(poly)
     r_max = min(k, d - 1)
-    for index, poly in enumerate(_candidate_polys(d, coeff_bound, seed)):
-        if index >= budget:
-            break
-        a = companion_matrix(poly)
-        pc = products_off_circle(a, r_max)
-        if pc.ok:
-            return ComponentMatrix(matrix=a, poly=poly, products=pc,
-                                   r_max=r_max, candidate_index=index)
-    raise ComponentSearchExhausted(
-        f"no qualifying GL({d},Z) companion within {budget} candidates "
-        f"(coefficient box radius {coeff_bound}, seed {seed})"
-    )
+    products = products_off_circle(a, r_max)
+    if not products.ok:
+        raise AssertionError(f"Pisot companion of degree {d} has a product on the unit circle")
+    return ComponentMatrix(matrix=a, poly=poly, products=products, r_max=r_max)
 
 
 # -- graded extension --------------------------------------------------------
@@ -209,9 +184,10 @@ def extend_to_algebra(algebra, g):
 
 @dataclass
 class SynthesisConfig:
-    coeff_bound: int = 3
+    """The exponent ladder's largest exponent and the number of its rungs
+    `synthesize` may try."""
+
     max_exponent: int = 64
-    seed: int = 0
     budget: int = 100000
 
 
@@ -358,12 +334,11 @@ def _check_blocks(blocks):
 def synthesize(graph, k, config=None):
     """Construct and certify a hyperbolic lattice-preserving automorphism.
 
-    One component matrix per class size comes from the deterministic
-    search and, as in the existence argument, only the exponents vary
-    after that: one pass over the ladder, until every degree block passes
-    direct certification.  Only ladder rungs count against the config
-    budget; each component search is capped on its own at
-    min(config.budget, 20000) candidates.
+    Each class of size d gets the Pisot companion matrix
+    `find_component_matrix(d, k)` and, as in the existence argument, only
+    the exponents vary after that: one pass over the ladder, until every
+    degree block passes direct certification.  The ladder stops after
+    config.budget rungs.
     """
     config = config or SynthesisConfig()
     partition = coherent_components(graph)
@@ -371,8 +346,7 @@ def synthesize(graph, k, config=None):
     if not verdict.admits:
         raise NotAdmissibleError(verdict)
     algebra = quotient_algebra(graph, k)
-    components = {d: find_component_matrix(d, k, coeff_bound=config.coeff_bound,
-                                           seed=config.seed, budget=min(config.budget, 20000))
+    components = {d: find_component_matrix(d, k)
                   for d in dict.fromkeys(map(len, partition.classes))}
     per_class = [components[len(cls)] for cls in partition.classes]
     last_failure = None
@@ -421,8 +395,9 @@ def verify_certificate(graph, cert):
     Rebuilds the algebra, recomputes the partition, and checks: digest
     binding, the block-diagonal shape of degree one, exact bracket
     compatibility F[e_i, e_j] = [F e_i, F e_j] for generators e_i, int
-    matrix blocks, `_check_blocks`, and that the recorded char_polys,
-    determinants and unit_root_certs are the re-derived ones.  Returns
+    matrix blocks, `_check_blocks`, that the recorded char_polys,
+    determinants and unit_root_certs are the re-derived ones, and that each
+    component's char_poly, r_max and products are those of its matrix.  Returns
     (ok, report); the report names the first failing check.  Generators
     suffice, as by Jacobi the x with F[x, y] = [Fx, Fy] for all y form a
     subalgebra, and they come first in the pair order, so the first
@@ -513,6 +488,21 @@ def verify_certificate(graph, cert):
         if getattr(cert, field) != values:
             return fail(f"recorded-{field.replace('_', '-')}",
                         f"recorded {field} differ from the re-derived ones")
+    # compared as JSON text, as Python equality takes true and 1.0 for 1
+    seen = set()
+    for i, comp in enumerate(cert.components):
+        text = json.dumps(comp, sort_keys=True)
+        if text in seen:
+            continue
+        seen.add(text)
+        a = comp["matrix"]
+        r_max = min(cert.k, len(a) - 1)
+        rederived = {"char_poly": char_poly(a).to_json(), "r_max": r_max,
+                     "products": products_off_circle(a, r_max).to_json()}
+        for field, value in rederived.items():
+            if json.dumps(comp.get(field), sort_keys=True) != json.dumps(value, sort_keys=True):
+                return fail("recorded-components",
+                            f"component {i}: recorded {field} differs from the re-derived one")
     report["ok"] = True
     for field in ("determinants", "char_polys", "unit_root_certs"):
         report[field] = {str(m): v for m, v in derived[field].items()}

@@ -11,9 +11,9 @@ Help goes to stdout; a usage error prints the usage line to stderr.
 Exit codes: 0 verdict computed, 1 usage error or roots too close to
 enclose within the fixed 256-bit refinement precision, 2 synthesis refused
 because the graph is not admissible, 3 certificate verification failed, 4
-the component search or the one pass over the exponent ladder ran out.
-Identical invocations (including --seed) produce byte-identical JSON; text
-mode is for humans and is not a stable format.
+the one pass over the exponent ladder ran out.  Identical invocations
+(including search's --seed) produce byte-identical JSON; text mode is for
+humans and is not a stable format.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from types import SimpleNamespace
 
 from .anosov import (
     AutomorphismCertificate,
-    ComponentSearchExhausted,
     LadderExhaustedError,
     NotAdmissibleError,
     SynthesisConfig,
@@ -126,12 +125,7 @@ def _cmd_dims(args):
 
 def _cmd_synthesize(args):
     g = _load_graph(args.graph)
-    config = SynthesisConfig(
-        coeff_bound=args.coeff_bound,
-        max_exponent=args.max_exponent,
-        seed=args.seed,
-        budget=args.budget,
-    )
+    config = SynthesisConfig(max_exponent=args.max_exponent, budget=args.budget)
     try:
         cert = synthesize(g, args.k, config)
     except NotAdmissibleError as e:
@@ -142,7 +136,7 @@ def _cmd_synthesize(args):
             "violations": [v.to_json() for v in e.verdict.violations],
         }, args.format)
         return 2
-    except (ComponentSearchExhausted, LadderExhaustedError) as e:
+    except LadderExhaustedError as e:
         _emit({
             "schema": SCHEMA,
             "command": "synthesize",
@@ -228,8 +222,6 @@ REQUIRED = ...  # the default of an option that must be given
 _K = ("--k", int, 2, "nilpotency step")
 _FORMAT = ("--format", ("json", "text"), "json", "output format")
 _QUOTIENT = ("--quotient", str, None, "quotient spec JSON sidecar (step 2 or 3)")
-_SEED = ("--seed", int, 0, "random seed")
-_BUDGET = ("--budget", int, 100000, "candidates to try")
 
 # name: (handler, help, options).  Every command also takes one graph file.
 # An option is (flag, type, default, help): type is int, str or a tuple of
@@ -239,9 +231,8 @@ COMMANDS = {
     "dims": (_cmd_dims, "per-degree dimensions of the graph algebra", (_K, _FORMAT)),
     "synthesize": (_cmd_synthesize, "construct and certify a hyperbolic automorphism", (
         _K, _FORMAT,
-        ("--coeff-bound", int, 3, "coefficient radius of the component search"),
         ("--max-exponent", int, 64, "largest exponent on the ladder"),
-        _SEED, _BUDGET,
+        ("--budget", int, 100000, "ladder rungs to try"),
         ("--out", str, None, "also write the certificate JSON to this file"),
     )),
     "verify": (_cmd_verify, "independently verify a certificate file", (
@@ -252,14 +243,15 @@ COMMANDS = {
     "search": (_cmd_search, "bounded search for hyperbolic automorphisms", (
         _K, _FORMAT, _QUOTIENT,
         ("--entry-bound", int, 2, "largest |entry| of a candidate degree-one matrix"),
-        _BUDGET, _SEED,
+        ("--budget", int, 100000, "candidates to try"),
+        ("--seed", int, 0, "random seed"),
     )),
 }
 _HELP = ("-h", "--help")
 
 
 def _dest(flag):
-    """The namespace attribute of an option: `--coeff-bound` sets `coeff_bound`."""
+    """The namespace attribute of an option: `--max-exponent` sets `max_exponent`."""
     return flag[2:].replace("-", "_")
 
 

@@ -473,9 +473,7 @@ def argparse_reference():
 
     p = add_parser("synthesize", "construct and certify a hyperbolic automorphism")
     common(p, k_default=2)
-    p.add_argument("--coeff-bound", type=int, default=3)
     p.add_argument("--max-exponent", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--out", help="also write the certificate JSON to this file")
 

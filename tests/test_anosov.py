@@ -1,6 +1,7 @@
 import copy
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from anosograph import anosov
@@ -106,6 +107,39 @@ def test_component_matrix_d4_passes_all_orders():
 def test_component_matrix_rejects_d1():
     with pytest.raises(ValueError):
         find_component_matrix(1, 2)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_pisot_polynomial_has_one_root_outside_the_disk(d):
+    # mpmath's roots of x^d - x^(d-1) - ... - 1, independent of spectra:
+    # one real root above 1, the other d-1 strictly inside the unit disk
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([1] + [-1] * d, maxsteps=200, extraprec=200)
+        outside = [z for z in roots if abs(z) > 1]
+        assert len(outside) == 1
+        assert abs(mpmath.im(outside[0])) < 1e-40 and mpmath.re(outside[0]) > 1
+        assert all(abs(z) < 1 - 1e-3 for z in roots if abs(z) <= 1)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_component_matrix_is_the_pisot_companion(d):
+    # ones on the subdiagonal and in the last column
+    expected = [[int(j == i - 1 or j == d - 1) for j in range(d)] for i in range(d)]
+    for k in range(2, d + 1):
+        cm = find_component_matrix(d, k)
+        assert cm.matrix == expected
+        assert cm.poly.to_json() == [-1] * d + [1]
+        assert cm.r_max == min(k, d - 1)
+        assert cm.products.ok and len(cm.products.per_r) == cm.r_max
+
+
+def test_x_d_plus_minus_one_companions_have_products_on_the_circle():
+    # the first two candidates of the coefficient enumeration that once
+    # searched for component matrices; the Pisot polynomial came third
+    for d in range(2, 7):
+        for c0 in (-1, 1):
+            a = companion_matrix(IntPolynomial([c0] + [0] * (d - 1) + [1]))
+            assert not products_off_circle(a, 1).ok
 
 
 def test_companion_char_poly():

@@ -206,9 +206,10 @@ def test_indeterminate_enclosure_exit_1(tmp_path):
     assert "could not certify enclosures" in proc.stderr
 
 
-def test_synthesize_negative_coeff_bound_exit_1(capsys, c4_path):
-    assert main(["synthesize", c4_path, "--k", "2", "--coeff-bound", "-1"]) == 1
-    assert capsys.readouterr().err == "error: coefficient bound must be >= 0, not -1\n"
+def test_synthesize_has_no_component_search_options(capsys, c4_path):
+    for option in ("--coeff-bound", "--seed"):
+        assert main(["synthesize", c4_path, "--k", "2", option, "0"]) == 1
+        assert f"error: unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_synthesize_budget_exhausted_exit_4(capsys, c4_path):
@@ -226,8 +227,9 @@ def test_usage_error_exit_1(capsys, tmp_path):
 
 
 def test_byte_identical_output(capsys, c4_path):
-    _, a = run(capsys, "synthesize", c4_path, "--k", "2", "--seed", "0")
-    _, b = run(capsys, "synthesize", c4_path, "--k", "2", "--seed", "0")
+    code_a, a = run(capsys, "synthesize", c4_path, "--k", "2")
+    code_b, b = run(capsys, "synthesize", c4_path, "--k", "2")
+    assert code_a == code_b == 0
     assert a == b
     _, c = run(capsys, "analyze", c4_path, "--k", "3")
     _, d = run(capsys, "analyze", c4_path, "--k", "3")
@@ -488,3 +490,35 @@ def test_verify_compares_recorded_spectral_fields(capsys, tmp_path, tamper, chec
         "unimodularity", "unit-root-freeness"]
     field = check.removeprefix("recorded-").replace("-", "_")
     assert report["checks"][-1]["detail"] == f"recorded {field} differ from the re-derived ones"
+
+
+def _misrecord_component(doc):
+    doc["components"][0]["char_poly"] = [7]
+    doc["components"][0]["products"] = {"ok": False}
+
+
+def _bool_r_max(doc):
+    doc["components"][0]["r_max"] = True
+
+
+def _float_coefficient(doc):
+    doc["components"][0]["char_poly"][-1] = 1.0
+
+
+@pytest.mark.parametrize("tamper, field", [
+    (_misrecord_component, "char_poly"),
+    (_bool_r_max, "r_max"),
+    (_float_coefficient, "char_poly"),
+])
+def test_verify_compares_recorded_components(capsys, tmp_path, tamper, field):
+    # true and 1.0 equal 1 in Python, so the comparison is of JSON text
+    doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    tamper(doc)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(GOLDEN / "c4.edges"), "--certificate", str(cert_path))
+    assert code == 3
+    report = json.loads(out)["report"]
+    assert report["first_failure"] == "recorded-components"
+    assert report["checks"][-1]["detail"] == (
+        f"component 0: recorded {field} differs from the re-derived one")
