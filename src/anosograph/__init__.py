@@ -26,7 +26,6 @@ from .anosov import (
     ExtensionError,
     LadderExhaustedError,
     NotAdmissibleError,
-    SynthesisConfig,
     decide_anosov,
     extend_to_algebra,
     find_component_matrix,
@@ -60,7 +59,6 @@ __all__ = [
     "NotAdmissibleError",
     "QuotientSpec",
     "SpecError",
-    "SynthesisConfig",
     "UnitRootCertificate",
     "build_graded_quotient",
     "build_quotient",

@@ -1,19 +1,22 @@
 """Deciding and constructing hyperbolic lattice-preserving automorphisms.
 
-A graph's k-step nilmanifold admits an Anosov automorphism iff every
-coherent class has at least two vertices and no class of size 2..k is
-internally complete.  When the criterion holds, the constructive route is
-followed: one unimodular integer matrix per class whose r-fold eigenvalue
-products avoid the unit circle for r <= min(k, class size d - 1), the
-companion of the Pisot polynomial x^d - x^(d-1) - ... - 1, per-class
-exponents escalated over a deterministic ladder, and the resulting
-degree-one map extended through the graded algebra, bracket by bracket
-inside the quotient.  Instead of the eigenvalue bookkeeping that picks
-exponents in the existence proof, every degree block is verified directly
-by `_check_blocks`, the one hyperbolicity gate of `synthesize`,
-`verify_certificate` and `derivations.hyperbolic_search`.  Extension and
-verification use only the quotient's basis and structure constants; the
-free-algebra coordinates stay inside `liealg`.
+`decide_anosov` admits a graph's k-step nilmanifold when every coherent
+class has at least two vertices and no class of size 2..k is internally
+complete.  That rule is stated as an iff, but it is not one for k >= 4:
+at k = 4 it admits the 4-cycle, where every rung of the ladder leaves a
+block with a unit-modulus eigenvalue.  When the rule holds, the
+constructive route is followed: one unimodular integer matrix per class
+whose r-fold eigenvalue products avoid the unit circle for
+r <= min(k, class size d - 1), the companion of the Pisot polynomial
+x^d - x^(d-1) - ... - 1, per-class exponents escalated over a
+deterministic ladder, and the resulting degree-one map extended through
+the graded algebra, bracket by bracket inside the quotient.  Instead of
+the eigenvalue bookkeeping that picks exponents in the existence proof,
+every degree block is verified directly by `_check_blocks`, the one
+hyperbolicity gate of `synthesize`, `verify_certificate` and
+`derivations.hyperbolic_search`.  Extension and verification use only
+the quotient's basis and structure constants; the free-algebra
+coordinates stay inside `liealg`.
 """
 
 from __future__ import annotations
@@ -182,30 +185,47 @@ def extend_to_algebra(algebra, g):
 # -- synthesis ---------------------------------------------------------------
 
 
-@dataclass
-class SynthesisConfig:
-    """The exponent ladder's largest exponent and the number of its rungs
-    `synthesize` may try."""
-
-    max_exponent: int = 64
-    budget: int = 100000
-
+MAX_EXPONENT = 64  # the largest exponent on the ladder
+MAX_RUNGS = 100000  # the ladder rungs `synthesize` tries
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 def _exponent_ladder(num_classes, max_exponent):
-    """Per-class prime-power exponent tuples, ordered by total size."""
-    options = []
-    for c in range(num_classes):
-        p = _PRIMES[c % len(_PRIMES)]
-        opts = []
-        v = 1
-        while v <= max_exponent:
-            opts.append(v)
-            v *= p
-        options.append(opts)
-    return sorted(itertools.product(*options), key=lambda t: (sum(t), t))
+    """Per-class prime-power exponent tuples in (sum, tuple) order, made one
+    at a time, never as the product of the per-class options.  Within a sum
+    each tuple follows from the last: raise the rightmost exponent that can
+    grow while the classes after it still reach the sum (`reach[i]` holds
+    the sums classes i, i+1, ... reach), and give those the smallest tuple."""
+    primes = (_PRIMES[c % len(_PRIMES)] for c in range(num_classes))
+    options = [[p ** e for e in range(max_exponent.bit_length()) if p ** e <= max_exponent]
+               for p in primes]
+    reach = [{0}]
+    for opts in reversed(options):
+        reach.append({s + v for s in reach[-1] for v in opts})
+    reach.reverse()
+
+    def fill(t, i, rest):
+        """t[i:] := the smallest tuple with sum rest."""
+        for j in range(i, num_classes):
+            t[j] = next(v for v in options[j] if rest - v in reach[j + 1])
+            rest -= t[j]
+
+    for total in sorted(reach[0]):
+        t = [0] * num_classes
+        fill(t, 0, total)
+        while True:
+            yield tuple(t)
+            rest = 0
+            for i in reversed(range(num_classes)):
+                rest += t[i]
+                v = next((v for v in options[i] if v > t[i] and rest - v in reach[i + 1]), None)
+                if v is not None:
+                    t[i] = v
+                    fill(t, i + 1, rest - v)
+                    break
+            else:
+                break
 
 
 def _scatter_block_diagonal(n, classes, mats):
@@ -290,14 +310,14 @@ def _is_square_int_matrix(m, n=None):
                                and all(type(x) is int for x in row) for row in m)
 
 
-def _is_int_json(v):
-    """v is JSON whose numbers are all ints: no float, no bool, no null.
+def _is_int_json(v, depth=8):
+    """v is JSON whose numbers are all ints (no float, no bool, no null),
+    nested at most `depth` deep; no recorded value nests deeper than 5.
     Python equality takes true and 1.0 for 1, so recorded values are held
     to this before they are compared with re-derived ones."""
-    if isinstance(v, dict):
-        return all(map(_is_int_json, v.values()))
-    if isinstance(v, list):
-        return all(map(_is_int_json, v))
+    if isinstance(v, (dict, list)):
+        items = v.values() if isinstance(v, dict) else v
+        return depth > 0 and all(_is_int_json(x, depth - 1) for x in items)
     return isinstance(v, str) or type(v) is int
 
 
@@ -331,16 +351,15 @@ def _check_blocks(blocks):
     return True, (char_polys, certs, dets)
 
 
-def synthesize(graph, k, config=None):
+def synthesize(graph, k):
     """Construct and certify a hyperbolic lattice-preserving automorphism.
 
     Each class of size d gets the Pisot companion matrix
     `find_component_matrix(d, k)` and, as in the existence argument, only
     the exponents vary after that: one pass over the ladder, until every
     degree block passes direct certification.  The ladder stops after
-    config.budget rungs.
+    MAX_RUNGS rungs.
     """
-    config = config or SynthesisConfig()
     partition = coherent_components(graph)
     verdict = decide_anosov(partition, k)
     if not verdict.admits:
@@ -349,16 +368,11 @@ def synthesize(graph, k, config=None):
     components = {d: find_component_matrix(d, k)
                   for d in dict.fromkeys(map(len, partition.classes))}
     per_class = [components[len(cls)] for cls in partition.classes]
+    matrices = [c.matrix for c in per_class]
     last_failure = None
-    for spent, exponents in enumerate(_exponent_ladder(len(partition.classes),
-                                                       config.max_exponent)):
-        if spent >= config.budget:
-            raise LadderExhaustedError(
-                f"synthesis budget {config.budget} exhausted "
-                f"(last failure: {last_failure})"
-            )
-        g = _powered_degree_one(graph.n, partition.classes,
-                                [c.matrix for c in per_class], exponents)
+    ladder = _exponent_ladder(len(partition.classes), MAX_EXPONENT)
+    for exponents in itertools.islice(ladder, MAX_RUNGS):
+        g = _powered_degree_one(graph.n, partition.classes, matrices, exponents)
         blocks = extend_to_algebra(algebra, g)
         bad = _first_non_int_block(blocks)
         if bad is not None:
@@ -380,8 +394,11 @@ def synthesize(graph, k, config=None):
             unit_root_certs={m: c.to_json() for m, c in certs.items()},
             determinants=dets,
         )
+    if next(ladder, None) is not None:
+        raise LadderExhaustedError(
+            f"synthesis budget {MAX_RUNGS} exhausted (last failure: {last_failure})")
     raise LadderExhaustedError(
-        f"exponent ladder exhausted at max_exponent {config.max_exponent} "
+        f"exponent ladder exhausted at max_exponent {MAX_EXPONENT} "
         f"(last failure: {last_failure})"
     )
 

@@ -8,12 +8,13 @@ of a command.  Options and GRAPH come in any order; a value follows as
 it, the last of a repeated option wins, and a token after `--` is GRAPH.
 Help goes to stdout; a usage error prints the usage line to stderr.
 
-Exit codes: 0 verdict computed, 1 usage error or roots too close to
-enclose within the fixed 256-bit refinement precision, 2 synthesis refused
-because the graph is not admissible, 3 certificate verification failed, 4
-the one pass over the exponent ladder ran out.  Identical invocations
-(including search's --seed) produce byte-identical JSON; text mode is for
-humans and is not a stable format.
+Exit codes: 0 verdict computed, 1 usage error, unreadable or malformed
+input, an unwritable --out, or roots too close to enclose within the fixed
+256-bit refinement precision, 2 synthesis refused because the graph is not
+admissible, 3 certificate verification failed, 4 the one pass over the
+exponent ladder (exponents up to 64, at most 100,000 rungs) ran out.
+Identical invocations (including search's --seed) produce byte-identical
+JSON; text mode is for humans and is not a stable format.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .anosov import (
     AutomorphismCertificate,
     LadderExhaustedError,
     NotAdmissibleError,
-    SynthesisConfig,
     decide_anosov,
     synthesize,
     verify_certificate,
@@ -64,6 +64,8 @@ def _load_spec(path):
         raise SpecError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SpecError(f"{path} is nested too deeply") from None
 
 
 def _emit(doc, fmt):
@@ -125,9 +127,8 @@ def _cmd_dims(args):
 
 def _cmd_synthesize(args):
     g = _load_graph(args.graph)
-    config = SynthesisConfig(max_exponent=args.max_exponent, budget=args.budget)
     try:
-        cert = synthesize(g, args.k, config)
+        cert = synthesize(g, args.k)
     except NotAdmissibleError as e:
         _emit({
             "schema": SCHEMA,
@@ -146,9 +147,13 @@ def _cmd_synthesize(args):
         return 4
     doc = cert.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 1
     _emit(doc, args.format)
     return 0
 
@@ -158,7 +163,7 @@ def _cmd_verify(args):
     try:
         with open(args.certificate, encoding="utf-8") as fh:
             cert = AutomorphismCertificate.from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as e:  # JSONDecodeError is a ValueError
+    except (OSError, KeyError, ValueError, RecursionError) as e:
         print(f"error: cannot load certificate: {e}", file=sys.stderr)
         return 1
     ok, report = verify_certificate(g, cert)
@@ -231,8 +236,6 @@ COMMANDS = {
     "dims": (_cmd_dims, "per-degree dimensions of the graph algebra", (_K, _FORMAT)),
     "synthesize": (_cmd_synthesize, "construct and certify a hyperbolic automorphism", (
         _K, _FORMAT,
-        ("--max-exponent", int, 64, "largest exponent on the ladder"),
-        ("--budget", int, 100000, "ladder rungs to try"),
         ("--out", str, None, "also write the certificate JSON to this file"),
     )),
     "verify": (_cmd_verify, "independently verify a certificate file", (
@@ -251,7 +254,7 @@ _HELP = ("-h", "--help")
 
 
 def _dest(flag):
-    """The namespace attribute of an option: `--max-exponent` sets `max_exponent`."""
+    """The namespace attribute of an option: `--entry-bound` sets `entry_bound`."""
     return flag[2:].replace("-", "_")
 
 

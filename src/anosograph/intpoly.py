@@ -129,25 +129,6 @@ class IntPolynomial:
     def to_json(self):
         return list(self.coeffs)
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-                term = f"{mag}x" + (f"^{i}" if i > 1 else "")
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
-
 
 def poly_divmod_exact(a, b):
     """The integer polynomial q with a = q*b, by long division over Z.

@@ -473,8 +473,6 @@ def argparse_reference():
 
     p = add_parser("synthesize", "construct and certify a hyperbolic automorphism")
     common(p, k_default=2)
-    p.add_argument("--max-exponent", type=int, default=64)
-    p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--out", help="also write the certificate JSON to this file")
 
     p = add_parser("verify", "independently verify a certificate file")

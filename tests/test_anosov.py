@@ -1,4 +1,6 @@
 import copy
+import itertools
+import time
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +14,7 @@ from anosograph.anosov import (
     ExtensionError,
     LadderExhaustedError,
     NotAdmissibleError,
-    SynthesisConfig,
+    _exponent_ladder,
     companion_matrix,
     decide_anosov,
     extend_to_algebra,
@@ -291,8 +293,8 @@ def test_verify_bounds_the_exponent_of_a_rational_degree_one_block():
 
 
 def test_synthesize_walks_the_ladder_once(monkeypatch):
-    # max_exponent 1 leaves one rung, (1, 1), whose degree-two block has a
-    # unit-modulus eigenvalue; the component search is not repeated
+    # largest exponent 1 leaves one rung, (1, 1), whose degree-two block has
+    # a unit-modulus eigenvalue; the component search is not repeated
     calls = []
 
     def counted(algebra, g):
@@ -300,9 +302,39 @@ def test_synthesize_walks_the_ladder_once(monkeypatch):
         return extend_to_algebra(algebra, g)
 
     monkeypatch.setattr(anosov, "extend_to_algebra", counted)
-    with pytest.raises(LadderExhaustedError, match="max_exponent 1"):
-        synthesize(C4, 2, SynthesisConfig(max_exponent=1))
+    monkeypatch.setattr(anosov, "MAX_EXPONENT", 1)
+    with pytest.raises(LadderExhaustedError, match="exponent ladder exhausted at max_exponent 1 "):
+        synthesize(C4, 2)
     assert len(calls) == 1
+
+
+def _sorted_ladder(num_classes, max_exponent):
+    """The ladder as the sorted product of the per-class options."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    options = []
+    for c in range(num_classes):
+        opts, v = [], 1
+        while v <= max_exponent:
+            opts.append(v)
+            v *= primes[c % len(primes)]
+        options.append(opts)
+    return sorted(itertools.product(*options), key=lambda t: (sum(t), t))
+
+
+@pytest.mark.parametrize("num_classes", range(1, 9))
+@pytest.mark.parametrize("max_exponent", [1, 64])
+def test_exponent_ladder_is_the_sorted_product(num_classes, max_exponent):
+    assert list(_exponent_ladder(num_classes, max_exponent)) == _sorted_ladder(
+        num_classes, max_exponent)
+
+
+def test_exponent_ladder_is_lazy():
+    # the product of the 40 classes' options has about 4.3 * 10^15 tuples
+    start = time.perf_counter()
+    rungs = list(itertools.islice(_exponent_ladder(40, 64), 1000))
+    assert time.perf_counter() - start < 2
+    assert rungs[0] == (1,) * 40
+    assert [sum(t) for t in rungs] == sorted(sum(t) for t in rungs)
 
 
 def test_check_blocks_determinant_from_char_poly():

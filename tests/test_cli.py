@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import anosograph
+from anosograph import anosov
 from anosograph.anosov import companion_matrix
 from anosograph.cli import COMMANDS, REQUIRED, main, parse_args
 from anosograph.graphs import parse_graph
 from oracles import argparse_reference, mignotte_palindromic
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 C4_TEXT = "a b\nb c\nc d\nd a\n"
 K3_TEXT = "a b\nb c\nc a\n"
 
@@ -118,9 +120,6 @@ def test_malformed_certificate_exit_1(capsys, c4_path, tmp_path, tamper):
     assert captured.err.startswith("error: cannot load certificate")
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
 @pytest.mark.parametrize("tamper", [
     lambda doc: doc.update(k=40),
     lambda doc: doc["degree_blocks"].update({"9": [[2, 1], [1, 1]]}),
@@ -207,15 +206,77 @@ def test_indeterminate_enclosure_exit_1(tmp_path):
 
 
 def test_synthesize_has_no_component_search_options(capsys, c4_path):
-    for option in ("--coeff-bound", "--seed"):
+    for option in ("--coeff-bound", "--seed", "--max-exponent", "--budget"):
         assert main(["synthesize", c4_path, "--k", "2", option, "0"]) == 1
         assert f"error: unrecognized arguments: {option}" in capsys.readouterr().err
 
 
-def test_synthesize_budget_exhausted_exit_4(capsys, c4_path):
-    code, out = run(capsys, "synthesize", c4_path, "--k", "2", "--budget", "0")
+def test_synthesize_budget_exhausted_exit_4(capsys, c4_path, monkeypatch):
+    # one rung, (1, 1), whose degree-two block has a unit-modulus eigenvalue
+    monkeypatch.setattr(anosov, "MAX_RUNGS", 1)
+    code, out = run(capsys, "synthesize", c4_path, "--k", "2")
     assert code == 4
-    assert json.loads(out)["admits"] is True
+    doc = json.loads(out)
+    assert doc["admits"] is True
+    assert doc["error"] == ("synthesis budget 1 exhausted (last failure: exponents (1, 1): "
+                            "degree-2 block has a unit-modulus eigenvalue)")
+
+
+def test_synthesize_ladder_exhausted_exit_4(capsys, c4_path, monkeypatch):
+    monkeypatch.setattr(anosov, "MAX_EXPONENT", 1)
+    code, out = run(capsys, "synthesize", c4_path, "--k", "2")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["admits"] is True
+    assert doc["error"].startswith("exponent ladder exhausted at max_exponent 1 ")
+
+
+def test_synthesize_unwritable_out_exit_1(capsys, c4_path, tmp_path):
+    out_path = tmp_path / "no" / "such" / "dir" / "c.json"
+    code = main(["synthesize", c4_path, "--k", "2", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out_path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def _nested_list(depth):
+    v = []
+    for _ in range(depth):
+        v = [v]
+    return v
+
+
+def _assert_one_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_deeply_nested_certificate_exit_1(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text("[" * 100000)
+    _assert_one_error_line(capsys, ["verify", str(GOLDEN / "c4.edges"),
+                                    "--certificate", str(cert_path)])
+
+
+def test_deeply_nested_certificate_field_exit_1(capsys, tmp_path):
+    doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    doc["unit_root_certs"]["1"]["nested"] = _nested_list(900)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    _assert_one_error_line(capsys, ["verify", str(GOLDEN / "c4.edges"),
+                                    "--certificate", str(cert_path)])
+
+
+def test_deeply_nested_spec_exit_1(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"step": 3, "vector": ' + "[" * 100000 + "]" * 100000 + "}")
+    _assert_one_error_line(capsys, ["derivations", str(GOLDEN / "step3.edges"),
+                                    "--quotient", str(spec)])
 
 
 def test_usage_error_exit_1(capsys, tmp_path):
@@ -453,9 +514,6 @@ def test_command_help_on_stdout(capsys, name):
         assert captured.out.startswith(f"usage: anosograph {name} ")
         for option, *_ in COMMANDS[name][2]:
             assert f"\n  {option} " in captured.out, (name, option)
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _bump_char_poly(doc):

@@ -219,9 +219,3 @@ def test_squarefree_part_matches_sympy():
     for p in random_polys(2008, 300):
         expected = IntPolynomial([int(c) for c in reversed(to_sympy(p).sqf_part().all_coeffs())])
         assert squarefree_part(p).to_json() == expected.primitive().to_json()
-
-
-def test_str_rendering():
-    assert str(IntPolynomial([-1, -1, 1])) == "x^2 - x - 1"
-    assert str(IntPolynomial([2])) == "2"
-    assert str(IntPolynomial([])) == "0"
