@@ -273,13 +273,17 @@ class AutomorphismCertificate:
     @classmethod
     def from_json(cls, data):
         """Parse a certificate: KeyError for a missing field, ValueError for
-        a field of the wrong type or shape."""
+        an unknown key or a field of the wrong type or shape."""
 
         def require(ok, field):
             if not ok:
                 raise ValueError(f"malformed certificate field {field!r}")
 
         require(isinstance(data, dict), "(top level)")
+        # an unknown key is named by its first 64 characters only, so
+        # the error stays one short line
+        for key in data:
+            require(key in _CERTIFICATE_KEYS, key[:64])
         classes, components, exponents = data["classes"], data["components"], data["exponents"]
         require(isinstance(data["graph_digest"], str), "graph_digest")
         require(type(data["k"]) is int and data["k"] >= 2, "k")
@@ -287,6 +291,9 @@ class AutomorphismCertificate:
         require(isinstance(components, list) and len(components) == len(classes)
                 and all(isinstance(c, dict) and _is_square_int_matrix(c.get("matrix"), len(cl))
                         for c, cl in zip(components, classes)), "components")
+        for i, comp in enumerate(components):
+            for key in comp:
+                require(key in _COMPONENT_KEYS, f"components[{i}].{key[:64]}")
         require(isinstance(exponents, list) and len(exponents) == len(classes)
                 and all(type(e) is int and e >= 0 for e in exponents), "exponents")
         maps = {}
@@ -299,6 +306,14 @@ class AutomorphismCertificate:
         require(all(map(_is_square_int_matrix, maps["degree_blocks"].values())), "degree_blocks")
         return cls(graph_digest=data["graph_digest"], k=data["k"], classes=classes,
                    components=components, exponents=exponents, **maps)
+
+
+# the keys AutomorphismCertificate.to_json and ComponentMatrix.to_json
+# write; from_json refuses any other, so a file cannot carry extra content
+_CERTIFICATE_KEYS = frozenset((
+    "schema", "graph_digest", "k", "classes", "components", "exponents",
+    "degree_blocks", "char_polys", "unit_root_certs", "determinants"))
+_COMPONENT_KEYS = frozenset(("matrix", "char_poly", "r_max", "candidate_index", "products"))
 
 
 def _is_square_int_matrix(m, n=None):

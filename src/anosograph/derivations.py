@@ -129,7 +129,10 @@ def _coefficient(word, c):
             return Fraction(c)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
-    raise SpecError(f"coefficient of {word} must be a number or a string 'p/q', not {c!r}")
+    # the value's type, not the value: a large or deeply nested one would
+    # fill the error line
+    raise SpecError(f"coefficient of {word} must be a number or a string 'p/q' "
+                    f"(got a {type(c).__name__})")
 
 
 def _step2_relation(indices):

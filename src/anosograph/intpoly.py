@@ -1,17 +1,19 @@
 """Integer polynomials with exact-arithmetic utilities.
 
 Coefficients are arbitrary-precision ints, ascending degree.  Includes the
-pieces the spectral certificates are built from: primitive-PRS gcd,
+pieces the spectral certificates are built from: a modular gcd,
 cyclotomic polynomials, Sturm counts, and the trace substitution
 y = x + 1/x that turns a palindromic polynomial's unit-circle roots into
 real roots of half the degree in [-2, 2].
 
-All of it runs on ints.  One sign-preserving pseudo-remainder, a positive
-multiple of the remainder over Q, serves both the primitive remainder
-sequence of `poly_gcd` (Collins; Brown-Traub) and the Sturm chains.  Exact
-division is long division over Z: the divisors used here are primitive,
-so by Gauss's lemma a quotient that exists over Q is already integral.
-Only evaluation at a rational point leaves the integers.
+All of it runs on ints.  `poly_gcd` is Brown's modular gcd: monic gcds
+modulo 61-bit primes, joined by the Chinese remainder theorem, and
+accepted only once the candidate divides both inputs exactly.  A
+sign-preserving pseudo-remainder, a positive multiple of the remainder
+over Q, serves the Sturm chains only.  Exact division is long division
+over Z: the divisors used here are primitive, so by Gauss's lemma a
+quotient that exists over Q is already integral.  Only evaluation at a
+rational point leaves the integers.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ def divides(b, a):
 
 def _pseudo_rem(a, b):
     """|lc(b)|^e * a mod b over the integers, e <= deg a - deg b + 1: a
-    positive multiple of the remainder of a by b over Q."""
+    positive multiple of the remainder of a by b over Q, for the Sturm
+    chains."""
     rb = list(b.coeffs)
     if rb[-1] < 0:
         rb = [-c for c in rb]
@@ -179,8 +182,101 @@ def _pseudo_rem(a, b):
     return IntPolynomial(ra)
 
 
+# Primes below 2^61 in descending order from the Mersenne prime 2^61 - 1;
+# `_prime_below` continues the sequence past the last one.
+_PRIMES = (
+    2305843009213693951, 2305843009213693921, 2305843009213693907,
+    2305843009213693723, 2305843009213693693, 2305843009213693669,
+    2305843009213693613, 2305843009213693561, 2305843009213693549,
+    2305843009213693487, 2305843009213693421, 2305843009213693373,
+    2305843009213693277, 2305843009213693193, 2305843009213693153,
+    2305843009213693133,
+)
+# Miller-Rabin with these bases is exact below 3.3 * 10^24 (Sorenson and
+# Webster, Math. Comp. 2017), far above 2^61.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_below(n):
+    """The largest prime below n."""
+    q = n - 1
+    while not _is_prime(q):
+        q -= 1
+    return q
+
+
+def _primes():
+    """The gcd primes: `_PRIMES`, then each next prime below the last."""
+    yield from _PRIMES
+    q = _PRIMES[-1]
+    while True:
+        q = _prime_below(q)
+        yield q
+
+
+def _monic_gcd_mod(a, b, q):
+    """The monic gcd of two coefficient lists reduced mod the prime q, by
+    Euclid's algorithm over GF(q); [1] when they are coprime.  The
+    reductions must not both vanish."""
+    a = [c % q for c in a]
+    b = [c % q for c in b]
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[-1], -1, q)
+        n = len(b) - 1
+        for s in range(len(a) - n - 1, -1, -1):
+            f = a.pop() * inv % q
+            if f:
+                a[s:] = [(x - f * y) % q for x, y in zip(a[s:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    if b:
+        return [1]
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
 def poly_gcd(a, b):
-    """Primitive gcd over Z via the primitive PRS (no coefficient blowup)."""
+    """The primitive gcd over Z with positive leading coefficient, by
+    Brown's modular algorithm (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 6).
+
+    With c = gcd(lc a, lc b) and g the gcd, a prime q that divides c is
+    skipped; for any other, deg gcd(a mod q, b mod q) >= deg g, with
+    equality for all but finitely many q.  Degree 0 settles g = 1 at once;
+    the degree of b, the input of lower degree, settles g = b if b divides
+    a.  Otherwise the images c * gcd_q, all of the least degree seen so far
+    (primes of larger degree are dropped, a smaller one restarts), are
+    joined by CRT with a symmetric lift.  Its primitive part h has
+    degree >= deg g, so once h divides both a and b it is g.
+    """
     a, b = a.primitive(), b.primitive()
     if a.is_zero():
         return b
@@ -188,10 +284,29 @@ def poly_gcd(a, b):
         return a
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero():
-        r = _pseudo_rem(a, b).primitive()
-        a, b = b, r
-    return a.primitive()
+    c = math.gcd(a.leading(), b.leading())
+    lift, modulus = None, 1
+    for q in _primes():
+        if c % q == 0:
+            continue
+        image = _monic_gcd_mod(a.coeffs, b.coeffs, q)
+        if len(image) == 1:
+            return IntPolynomial([1])
+        if len(image) == len(b.coeffs) and divides(b, a):
+            return b
+        if lift is not None and len(image) > len(lift):
+            continue
+        image = [x * c % q for x in image]
+        if lift is None or len(image) < len(lift):
+            lift, modulus = image, q
+        else:
+            u = pow(modulus, -1, q)
+            lift = [x + modulus * ((y - x) * u % q) for x, y in zip(lift, image)]
+            modulus *= q
+        half = modulus // 2
+        h = IntPolynomial([x - modulus if x > half else x for x in lift]).primitive()
+        if divides(h, a) and divides(h, b):
+            return h
 
 
 def squarefree_part(p):

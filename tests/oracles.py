@@ -5,6 +5,7 @@ the library: plain tensor coordinates instead of Lyndon bases, a dense
 linear system for derivations, sympy resultants for eigenvalue products,
 512-bit numeric root isolation for unit-circle classification,
 mpmath's multiprecision Durand-Kerner for root enclosure centers, the
+primitive remainder sequence for the modular polynomial gcd, the
 standard library's argparse for the CLI's argument parser, and one test on
 the product of all degree blocks' characteristic polynomials for the
 per-degree hyperbolicity gate.
@@ -324,6 +325,34 @@ def product_hyperbolic(blocks):
     except ValueError:
         return False
     return abs(p.constant()) == 1 and unit_root_free(p).free
+
+
+# -- primitive PRS gcd, the reference for the modular poly_gcd ---------------
+
+def prs_gcd(a, b):
+    """Primitive gcd over Z with positive leading coefficient, by the
+    primitive polynomial remainder sequence (Collins; Brown-Traub): each
+    pseudo-remainder lc(b)^e * a mod b is made primitive before the next
+    step."""
+    a, b = a.primitive(), b.primitive()
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero():
+        r = list(a.coeffs)
+        lb = b.leading()
+        while len(r) >= len(b.coeffs):
+            shift, lr = len(r) - len(b.coeffs), r[-1]
+            r = [c * lb for c in r]
+            for j, c in enumerate(b.coeffs):
+                r[shift + j] -= lr * c
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, IntPolynomial(r).primitive()
+    return a.primitive()
 
 
 # -- a polynomial no enclosure budget separates -------------------------------

@@ -240,6 +240,12 @@ def test_certificate_json_round_trip():
     assert ok
 
 
+def test_from_json_accepts_exactly_the_written_keys():
+    doc = synthesize(C4, 2).to_json()
+    assert set(doc) == anosov._CERTIFICATE_KEYS
+    assert all(set(comp) == anosov._COMPONENT_KEYS for comp in doc["components"])
+
+
 def test_verify_rejects_wrong_graph():
     cert = synthesize(C4, 2)
     other = cycle_graph(4)  # different labels, different digest

@@ -87,6 +87,19 @@ def test_synthesize_verify_round_trip(capsys, c4_path, tmp_path):
     assert json.loads(out)["ok"] is True
 
 
+def test_synthesize_verify_round_trip_k33_k4(capsys, tmp_path):
+    # blocks up to 132 x 132 with coefficients up to 266 bits; the failing
+    # ladder rungs have degree-132 blocks whose gcd(p, rev p) has degree 48
+    # and 12, so the lift and the exact-division check run on them
+    cert_path = str(tmp_path / "cert.json")
+    graph = str(GOLDEN / "k33.edges")
+    code, _ = run(capsys, "synthesize", graph, "--k", "4", "--out", cert_path)
+    assert code == 0
+    code, out = run(capsys, "verify", graph, "--certificate", cert_path)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_verify_failure_exit_3(capsys, c4_path, tmp_path):
     cert_path = str(tmp_path / "cert.json")
     run(capsys, "synthesize", c4_path, "--k", "2", "--out", cert_path)
@@ -254,6 +267,7 @@ def _assert_one_error_line(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_deeply_nested_certificate_exit_1(capsys, tmp_path):
@@ -270,6 +284,29 @@ def test_deeply_nested_certificate_field_exit_1(capsys, tmp_path):
     cert_path.write_text(json.dumps(doc))
     _assert_one_error_line(capsys, ["verify", str(GOLDEN / "c4.edges"),
                                     "--certificate", str(cert_path)])
+
+
+@pytest.mark.parametrize("tamper, field", [
+    (lambda doc: doc.update(extra=_nested_list(900)), "extra"),
+    (lambda doc: doc["components"][0].update(extra=_nested_list(900)), "components[0].extra"),
+    (lambda doc: doc.update({"x" * 100000: 1}), "x" * 64),
+], ids=["top-level", "component", "long-key"])
+def test_unknown_certificate_key_exit_1(capsys, tmp_path, tamper, field):
+    doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    tamper(doc)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    err = _assert_one_error_line(capsys, ["verify", str(GOLDEN / "c4.edges"),
+                                          "--certificate", str(cert_path)])
+    assert err == f"error: cannot load certificate: malformed certificate field {field!r}\n"
+
+
+def test_nested_spec_coefficient_is_one_short_line(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"step": 3, "vector": {"a.a.b": _nested_list(900)}}))
+    err = _assert_one_error_line(capsys, ["derivations", str(GOLDEN / "step3.edges"),
+                                          "--quotient", str(spec)])
+    assert "(got a list)" in err and len(err) < 200
 
 
 def test_deeply_nested_spec_exit_1(capsys, tmp_path):

@@ -1,9 +1,14 @@
+import contextlib
+import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from anosograph import intpoly
 from anosograph.intpoly import (
     IntPolynomial,
     count_real_roots,
@@ -17,6 +22,7 @@ from anosograph.intpoly import (
     squarefree_part,
     trace_polynomial,
 )
+from oracles import prs_gcd
 
 
 def test_cyclotomic_small():
@@ -219,3 +225,140 @@ def test_squarefree_part_matches_sympy():
     for p in random_polys(2008, 300):
         expected = IntPolynomial([int(c) for c in reversed(to_sympy(p).sqf_part().all_coeffs())])
         assert squarefree_part(p).to_json() == expected.primitive().to_json()
+
+
+# -- the modular gcd against the primitive PRS and sympy ---------------------
+
+def sympy_gcd(a, b):
+    """sympy's gcd, made primitive with a positive leading coefficient."""
+    import sympy
+
+    g = sympy.gcd(to_sympy(a), to_sympy(b))
+    return IntPolynomial([int(c) for c in reversed(g.all_coeffs())]).primitive()
+
+
+def assert_gcd_matches_oracles(a, b):
+    g = poly_gcd(a, b)
+    assert g.to_json() == prs_gcd(a, b).to_json()
+    if not (a.is_zero() and b.is_zero()):
+        assert g.to_json() == sympy_gcd(a, b).to_json()
+    return g
+
+
+def polys(coeffs, min_degree=0, max_degree=6):
+    """Integer polynomials of degree min_degree..max_degree with nonzero
+    leading coefficient, both signs."""
+    return st.lists(coeffs, min_size=min_degree, max_size=max_degree).flatmap(
+        lambda low: coeffs.filter(bool).map(lambda lead: IntPolynomial(low + [lead])))
+
+
+@contextlib.contextmanager
+def primes_used():
+    """The list of primes `poly_gcd` reduces modulo, while in the block."""
+    used = []
+    monic_gcd_mod = intpoly._monic_gcd_mod
+
+    def spy(a, b, q):
+        used.append(q)
+        return monic_gcd_mod(a, b, q)
+
+    with mock.patch.object(intpoly, "_monic_gcd_mod", spy):
+        yield used
+
+
+SMALL = st.integers(-9, 9)
+WIDE = st.integers(-(2 ** 260), 2 ** 260)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(SMALL, 3, 10), polys(SMALL, 0, 6), polys(SMALL, 0, 6))
+def test_gcd_shared_high_degree_factor(f, u, v):
+    g = assert_gcd_matches_oracles(f * u, f * v)
+    assert divides(f.primitive(), g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(WIDE, 1, 5), polys(WIDE, 0, 4), polys(WIDE, 0, 4))
+def test_gcd_wide_coefficients(f, u, v):
+    # coefficients up to 260 bits: the lift often needs several primes
+    assert_gcd_matches_oracles(f * u, f * v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(SMALL, 1, 5), polys(SMALL, 0, 5), polys(SMALL, 0, 5), st.integers(1, 3))
+def test_gcd_skips_primes_dividing_both_leading_coefficients(f, u, v, skipped):
+    # lc(a) and lc(b) are multiples of the first `skipped` primes
+    lead = math.prod(intpoly._PRIMES[:skipped])
+    f = IntPolynomial(list(f.coeffs[:-1]) + [lead * f.leading()])
+    a, b = f * u, f * v
+    assume(math.gcd(a.primitive().leading(), b.primitive().leading()) % lead == 0)
+    with primes_used() as used:
+        assert_gcd_matches_oracles(a, b)
+    assert used and not set(used) & set(intpoly._PRIMES[:skipped])
+
+
+@pytest.mark.parametrize("unlucky, bits", [(0, 200), (1, 200), (2, 200), (0, 4)])
+def test_gcd_unlucky_primes(unlucky, bits):
+    # u = x and v = x - q are coprime over Z but equal mod q, so the prime q
+    # gives a gcd of one degree more: a restart when q comes first, a
+    # dropped image after that.  A 200-bit g needs several primes to lift;
+    # a 4-bit g lifts from q alone to g * x, which divides g * u only.
+    rng = random.Random(unlucky)
+    g = IntPolynomial([rng.getrandbits(bits) - 2 ** (bits - 1) for _ in range(5)] + [3])
+    q = intpoly._PRIMES[unlucky]
+    u, v = IntPolynomial([0, 1]), IntPolynomial([-q, 1])
+    assert poly_gcd(g * u, g * v).to_json() == g.primitive().to_json()
+    assert prs_gcd(g * u, g * v).to_json() == g.primitive().to_json()
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ([], [], []),
+    ([], [0, -4, -6], [0, 2, 3]),
+    ([-6, 0, 4], [], [-3, 0, 2]),
+    ([5], [1, 2, 3], [1]),
+    ([-7], [], [1]),
+    ([0, 2, 2], [-3], [1]),
+])
+def test_gcd_zero_and_constant_inputs(a, b, expected):
+    a, b = IntPolynomial(a), IntPolynomial(b)
+    assert poly_gcd(a, b).to_json() == expected
+    assert poly_gcd(b, a).to_json() == expected
+    assert prs_gcd(a, b).to_json() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(SMALL, 1, 5), polys(SMALL, 0, 4), polys(SMALL, 0, 4),
+       st.sampled_from([-3, -1, 1, 2]), st.sampled_from([-5, -1, 1, 7]))
+def test_gcd_sign_and_content_normalised(f, u, v, s, t):
+    g = assert_gcd_matches_oracles(f * u * s, f * v * t)
+    assert g.leading() > 0 and g.content() == 1
+    assert poly_gcd(f * u * -s, f * v * t).to_json() == g.to_json()
+
+
+def test_gcd_past_the_literal_primes():
+    # a shared factor with 1,200-bit coefficients needs more than the
+    # 16 literal primes (976 bits), so the lift runs on searched ones
+    rng = random.Random(20)
+    f = IntPolynomial([rng.getrandbits(1200) - 2 ** 1199 for _ in range(4)] + [2 ** 1200 + 1])
+    u, v = IntPolynomial([3, -1, 2]), IntPolynomial([-5, 0, 0, 1])
+    with primes_used() as used:
+        assert poly_gcd(f * u, f * v).to_json() == f.primitive().to_json()
+    assert len(used) > len(intpoly._PRIMES)
+
+
+def test_gcd_primes_are_prime():
+    import sympy
+
+    assert intpoly._PRIMES[0] == 2 ** 61 - 1
+    assert all(sympy.isprime(q) for q in intpoly._PRIMES)
+    # the literal tuple and its continuation are consecutive primes
+    primes = list(itertools.islice(intpoly._primes(), len(intpoly._PRIMES) + 40))
+    assert all(q == sympy.prevprime(p) for p, q in zip(primes, primes[1:]))
+
+
+def test_miller_rabin_matches_sympy():
+    import sympy
+
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    for n in [*range(2000), 3215031751, 3825123056546413051, 2 ** 61 - 1, 2 ** 61 + 1]:
+        assert intpoly._is_prime(n) == sympy.isprime(n), n
