@@ -10,12 +10,16 @@ whose r-fold eigenvalue products avoid the unit circle for
 r <= min(k, class size d - 1), the companion of the Pisot polynomial
 x^d - x^(d-1) - ... - 1, per-class exponents escalated over a
 deterministic ladder, and the resulting degree-one map extended through
-the graded algebra, bracket by bracket inside the quotient.  Instead of
-the eigenvalue bookkeeping that picks exponents in the existence proof,
-every degree block is verified directly by `_check_blocks`, the one
-hyperbolicity gate of `synthesize`, `verify_certificate` and
-`derivations.hyperbolic_search`.  Extension and verification use only
-the quotient's basis and structure constants; the free-algebra
+the graded algebra, bracket by bracket inside the quotient.  The
+eigenvalues of every degree block are fixed by the class matrices alone,
+so `synthesize` decides each rung on the characteristic polynomials that
+`liealg.block_char_polys` reads from the class polynomials and exponents
+in closed form, and extends only the rung that passes, to record its
+blocks.  `verify_certificate` and `derivations.hyperbolic_search` build
+the blocks and take their polynomials by Berkowitz, so the checker shares
+no spectral code with the producer.  All three decide hyperbolicity with
+the one polynomial gate `_check_polys`.  Extension and verification use
+only the quotient's basis and structure constants; the free-algebra
 coordinates stay inside `liealg`.
 """
 
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 from . import linalg
 from .graphs import coherent_components
 from .intpoly import IntPolynomial
-from .liealg import combine, graph_algebra_dims, quotient_algebra
-from .spectra import char_poly, products_off_circle, unit_root_free
+from .liealg import block_char_polys, combine, graph_algebra_dims, quotient_algebra
+from .spectra import char_poly, enclose_roots, products_off_circle, unit_root_free
 
 
 class NotAdmissibleError(RuntimeError):
@@ -341,29 +345,48 @@ def _first_non_int_block(blocks):
     return next((m for m, b in sorted(blocks.items()) if not _is_square_int_matrix(b)), None)
 
 
-def _check_blocks(blocks):
-    """The hyperbolicity gate on degree blocks {degree: matrix}.
+def _check_polys(degrees, poly_of):
+    """The hyperbolicity gate on the characteristic polynomials
+    poly_of(m) of the degree blocks, m in `degrees` ascending.
 
-    Degree by degree, the first failure wins: an integral characteristic
-    polynomial, a determinant of +-1, then a certified unit-root-free
-    polynomial.  Returns (True, (char_polys, certs, dets)) or
-    (False, (kind, reason)) with kind "unimodularity" / "unit-root-freeness".
+    Degree by degree, the first failure wins: poly_of(m) raises no
+    ValueError (an integral characteristic polynomial), a determinant of
+    +-1, then no unit-modulus root.  poly_of is called one degree at a
+    time.  The gate builds no root enclosure: a unit-root certificate that
+    needs them lacks them until `_recorded` builds them for a certificate.
+    Returns (True, (char_polys, certs, dets)) or (False, (kind, reason))
+    with kind "unimodularity" / "unit-root-freeness".
     """
     char_polys, certs, dets = {}, {}, {}
-    for m, block in sorted(blocks.items()):
+    for m in degrees:
         try:
-            cp = char_poly(block)
+            cp = poly_of(m)
         except ValueError as e:
             return False, ("unimodularity", f"degree-{m} block: {e}")
-        det = (-1) ** len(block) * cp.constant()  # cp(0) = det(-A)
+        det = (-1) ** cp.degree * cp.constant()  # cp(0) = det(-A), cp monic
         if det not in (1, -1):
             return False, ("unimodularity",
                            f"degree-{m} block determinant {det} is not a unit")
-        char_polys[m], certs[m], dets[m] = cp, unit_root_free(cp), det
+        char_polys[m], certs[m], dets[m] = cp, unit_root_free(cp, enclose=False), det
         if not certs[m].free:
             return False, ("unit-root-freeness",
                            f"degree-{m} block has a unit-modulus eigenvalue")
     return True, (char_polys, certs, dets)
+
+
+def _recorded(payload):
+    """The char_polys, determinants and unit_root_certs fields of a
+    certificate, from the payload of a passing `_check_polys`; the root
+    enclosures the unit-root certificates lack are built here."""
+    char_polys, certs, dets = payload
+    return {"char_polys": {m: p.to_json() for m, p in char_polys.items()},
+            "determinants": dets,
+            "unit_root_certs": {m: enclose_roots(c).to_json() for m, c in certs.items()}}
+
+
+def _check_blocks(blocks):
+    """`_check_polys` on the Berkowitz polynomials of blocks {degree: matrix}."""
+    return _check_polys(sorted(blocks), lambda m: char_poly(blocks[m]))
 
 
 def synthesize(graph, k):
@@ -371,33 +394,38 @@ def synthesize(graph, k):
 
     Each class of size d gets the Pisot companion matrix
     `find_component_matrix(d, k)` and, as in the existence argument, only
-    the exponents vary after that: one pass over the ladder, until every
-    degree block passes direct certification.  The ladder stops after
-    MAX_RUNGS rungs.
+    the exponents vary after that: one pass over the ladder, until a rung
+    passes `_check_polys` on the characteristic polynomials that
+    `block_char_polys` reads from the class polynomials and exponents.
+    Only that rung is extended to the algebra, to record its blocks.  The
+    ladder stops after MAX_RUNGS rungs.
     """
     partition = coherent_components(graph)
     verdict = decide_anosov(partition, k)
     if not verdict.admits:
         raise NotAdmissibleError(verdict)
-    algebra = quotient_algebra(graph, k)
     components = {d: find_component_matrix(d, k)
                   for d in dict.fromkeys(map(len, partition.classes))}
     per_class = [components[len(cls)] for cls in partition.classes]
-    matrices = [c.matrix for c in per_class]
+    class_polys = [c.poly for c in per_class]
+    algebra = None
     last_failure = None
     ladder = _exponent_ladder(len(partition.classes), MAX_EXPONENT)
     for exponents in itertools.islice(ladder, MAX_RUNGS):
-        g = _powered_degree_one(graph.n, partition.classes, matrices, exponents)
+        polys = block_char_polys(partition, class_polys, exponents, k)
+        ok, payload = _check_polys(sorted(polys), polys.get)
+        if not ok:
+            last_failure = f"exponents {exponents}: {payload[1]}"
+            continue
+        if algebra is None:
+            algebra = quotient_algebra(graph, k)
+        g = _powered_degree_one(graph.n, partition.classes, [c.matrix for c in per_class],
+                                exponents)
         blocks = extend_to_algebra(algebra, g)
         bad = _first_non_int_block(blocks)
         if bad is not None:
             last_failure = f"exponents {exponents}: degree-{bad} block is not integral"
             continue
-        ok, payload = _check_blocks(blocks)
-        if not ok:
-            last_failure = f"exponents {exponents}: {payload[1]}"
-            continue
-        char_polys, certs, dets = payload
         return AutomorphismCertificate(
             graph_digest=graph.digest(),
             k=k,
@@ -405,9 +433,7 @@ def synthesize(graph, k):
             components=[c.to_json() for c in per_class],
             exponents=list(exponents),
             degree_blocks=blocks,
-            char_polys={m: p.to_json() for m, p in char_polys.items()},
-            unit_root_certs={m: c.to_json() for m, c in certs.items()},
-            determinants=dets,
+            **_recorded(payload),
         )
     if next(ladder, None) is not None:
         raise LadderExhaustedError(
@@ -510,12 +536,9 @@ def verify_certificate(graph, cert):
     ok, payload = _check_blocks(blocks)
     if not ok:
         return fail(*payload)
-    char_polys, certs, dets = payload
     passed("unimodularity")
     passed("unit-root-freeness")
-    derived = {"char_polys": {m: p.to_json() for m, p in char_polys.items()},
-               "determinants": dets,
-               "unit_root_certs": {m: c.to_json() for m, c in certs.items()}}
+    derived = _recorded(payload)
     for field, values in derived.items():
         if getattr(cert, field) != values:
             return fail(f"recorded-{field.replace('_', '-')}",

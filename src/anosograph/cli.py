@@ -9,17 +9,20 @@ it, the last of a repeated option wins, and a token after `--` is GRAPH.
 Help goes to stdout; a usage error prints the usage line to stderr.
 
 Exit codes: 0 verdict computed, 1 usage error, unreadable or malformed
-input, an unwritable --out, or roots too close to enclose within the fixed
-256-bit refinement precision, 2 synthesis refused because the graph is not
-admissible, 3 certificate verification failed, 4 the one pass over the
-exponent ladder (exponents up to 64, at most 100,000 rungs) ran out.
+input, an unwritable --out, a closed stdout, or roots too close to enclose
+within the fixed 256-bit refinement precision, 2 synthesis refused because
+the graph is not admissible, 3 certificate verification failed, 4 the one
+pass over the exponent ladder (exponents up to 64, at most 100,000 rungs)
+ran out.
 Identical invocations (including search's --seed) produce byte-identical
 JSON; text mode is for humans and is not a stable format.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -372,9 +375,9 @@ def parse_args(argv):
     return SimpleNamespace(command=name, graph=positionals[0], **options)
 
 
-def main(argv=None):
+def _run(argv):
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(argv)
     except SystemExit as e:
         return e.code
     try:
@@ -382,6 +385,25 @@ def main(argv=None):
     except (GraphParseError, SpecError, IndeterminateError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+
+
+def main(argv=None):
+    # The objects alive when a command starts, the imported modules above
+    # all, outlive it.  Frozen, they are left out of the command's garbage
+    # collections, and the first collection waits for the command's own
+    # allocations instead of coming at whatever count the imports left.
+    gc.freeze()
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone (`anosograph ... | head -1`): send what
+        # is left to devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        gc.unfreeze()
+    return code
 
 
 if __name__ == "__main__":

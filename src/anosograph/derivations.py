@@ -60,7 +60,7 @@ class QuotientSpec:
             try:
                 a, b, c, d = (graph.index[v] for v in self.vertices)
             except KeyError as e:
-                raise SpecError(f"unknown vertex {e.args[0]!r}") from None
+                raise SpecError(f"unknown vertex {_echo(e.args[0])!r}") from None
             if len({a, b, c, d}) != 4:
                 raise SpecError("the four vertices must be distinct")
             for u, v, which in ((a, b, "alpha beta"), (c, d, "gamma delta"),
@@ -83,10 +83,10 @@ class QuotientSpec:
             try:
                 word = tuple(base.graph.index[l] for l in labels)
             except KeyError as e:
-                raise SpecError(f"unknown vertex {e.args[0]!r}") from None
+                raise SpecError(f"unknown vertex {_echo(e.args[0])!r}") from None
             if word not in words3:
                 raise SpecError(
-                    f"{'.'.join(labels)} is not a degree-3 basis word of this algebra"
+                    f"{_echo('.'.join(labels))} is not a degree-3 basis word of this algebra"
                 )
             coeffs[word] = coeffs.get(word, Fraction(0)) + Fraction(c)
         coeffs = {w: c for w, c in coeffs.items() if c}
@@ -131,8 +131,14 @@ def _coefficient(word, c):
         pass
     # the value's type, not the value: a large or deeply nested one would
     # fill the error line
-    raise SpecError(f"coefficient of {word} must be a number or a string 'p/q' "
+    raise SpecError(f"coefficient of {_echo(word)} must be a number or a string 'p/q' "
                     f"(got a {type(c).__name__})")
+
+
+def _echo(text):
+    """The first 64 characters of a word or label from a spec file, as an
+    error message quotes it, so that the message stays one short line."""
+    return str(text)[:64]
 
 
 def _step2_relation(indices):

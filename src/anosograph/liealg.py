@@ -24,8 +24,10 @@ factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 
 from . import linalg
+from .intpoly import IntPolynomial
 from .lyndon import _mobius, free_bracket_words, lyndon_basis, standard_factorization, witt_number
 
 
@@ -290,3 +292,174 @@ def graph_algebra_dims(graph, k):
         b[m] = -m * coeffs[m] - sum(coeffs[j] * b[m - j] for j in range(1, m))
     return [sum(_mobius(m // e) * b[e] for e in range(1, m + 1) if m % e == 0) // m
             for m in range(1, k + 1)]
+
+
+def _exact(a, b):
+    """a / b, which must divide: a remainder means a wrong identity."""
+    q, r = divmod(a, b)
+    assert r == 0, f"{a} is not divisible by {b}"
+    return q
+
+
+def _mobius_pairs(m):
+    """(e, mu(m/e)) for the divisors e of m with mu(m/e) != 0."""
+    return [(e, _mobius(m // e)) for e in range(1, m + 1) if m % e == 0 and _mobius(m // e)]
+
+
+def _power_sums(f, n):
+    """[p_0, p_1, .., p_n] with p_m = m [t^m] -log f for m >= 1 and p_0 =
+    deg f, from the coefficients f[0] = 1, f[1], .., f[d] of f (Newton's
+    identities, p_m = -m f_m - sum_{0<j<m} f_j p_(m-j), f_j = 0 for j > d).
+    For f = det(1 - tA) these are the power sums tr(A^m)."""
+    d = len(f) - 1
+    p = [d]
+    for m in range(1, min(n, d) + 1):
+        p.append(-m * f[m] - sum(map(mul, f[1:m], p[m - 1:0:-1])))
+    tail = f[:0:-1]  # f_d, .., f_1 against p_(m-d), .., p_(m-1)
+    for m in range(d + 1, n + 1):
+        p.append(-sum(map(mul, tail, p[m - d:m])))
+    return p
+
+
+def _from_power_sums(p, n):
+    """The coefficients f[0] = 1, f[1], .., f[n] of the series whose power
+    sums (`_power_sums`) are p[1..n]: j f_j = -sum_{0<i<=j} p_i f_(j-i)."""
+    f = [1] + [0] * n
+    for j in range(1, n + 1):
+        f[j] = _exact(-sum(map(mul, p[1:j + 1], f[j - 1::-1])), j)
+    return f
+
+
+def _columns_power_sums(f, n):
+    """`_power_sums` of several series at once, [None, p_1, .., p_n]: f[j]
+    and p[m] are columns, one entry per series."""
+    p = [None]
+    for m in range(1, n + 1):
+        acc = [-m * x for x in f[m]]
+        for j in range(1, m):
+            acc = list(map(sub, acc, map(mul, f[j], p[m - j])))
+        p.append(acc)
+    return p
+
+
+def _columns_from_power_sums(p, n):
+    """`_from_power_sums` of several series at once, [f_0, .., f_n]: p[i]
+    and f[j] are columns, one entry per series."""
+    f = [[1] * len(p[1])]
+    for j in range(1, n + 1):
+        acc = [-x for x in p[j]]
+        for i in range(1, j):
+            acc = list(map(sub, acc, map(mul, p[i], f[j - i])))
+        assert not any(a % j for a in acc), f"a column is not divisible by {j}"
+        f.append([a // j for a in acc])
+    return f
+
+
+def block_char_polys(partition, class_polys, exponents, k):
+    """det(x - g_m) for m = 1..k, as {m: IntPolynomial}, without building g_m.
+
+    g is the automorphism of the k-step graph algebra induced by the
+    degree-one map that is B_i = A_i^(e_i) on coherent class i, where
+    class_polys[i] is det(x - A_i) and e_i = exponents[i].  By PBW and
+    Cartier-Foata, as in `graph_algebra_dims`, prod_m det(1 - t^m g_m) is
+    the independence polynomial evaluated class by class.  Cross-class
+    adjacency is uniform, so an independent vertex set is a set of pairwise
+    non-adjacent classes with a nonempty choice in each: any vertices of a
+    class without internal edges, one vertex of any other.  Weighted by g,
+    the choices in class i sum to det(1 - t B_i) - 1, or to -t tr(B_i) if
+    class i has internal edges, and a class set contributes the product of
+    its classes' terms.  With b_n(g) = n [t^n] of -log of that sum, and
+    g^s in place of g,
+
+        tr(g_m^r) = (1/m) sum_{e | m} mu(m/e) b_e(g^(rm/e)),
+
+    and Newton's identities turn tr(g_m^r), r = 1..dim g_m, into
+    det(x - g_m); s = 0 gives the dimensions.  A class's power sums
+    tr(B_i^s) follow the linear recurrence of its characteristic
+    polynomial.  Every division is exact; a remainder raises
+    AssertionError.
+    """
+    independent = [not edges for edges in partition.internal_edges]
+    sizes = [len(cls) for cls in partition.classes]
+    mobius = [_mobius_pairs(m) for m in range(k + 1)]
+
+    def unjoined(i, candidates):
+        return [j for j in candidates
+                if j > i and frozenset((i, j)) not in partition.pair_edges]
+
+    # the class sets of size <= k by size, each as (position of the set
+    # without its last class, or -1; its last class); sets[:ends[j]] are
+    # those of size <= j
+    sets, ends = [], [0]
+    level = [(-1, i, unjoined(i, range(len(sizes)))) for i in range(len(sizes))]
+    while level and len(ends) <= k:
+        grown = []
+        for parent, i, after in level:  # after: the classes the set can grow by
+            sets.append((parent, i))
+            grown += [(len(sets) - 1, j, unjoined(j, after)) for j in after]
+        ends.append(len(sets))
+        level = grown
+    ends += [len(sets)] * (k + 1 - len(ends))
+
+    def log_coefficients(class_sums, ss, top):
+        """{s: b} for the s in ss, b[n] = b_n(g^s) for 1 <= n <= top, where
+        class_sums[i][n] = tr(B_i^n).  The s are taken together: each
+        coefficient is a column, one entry per s."""
+        factors = []
+        for i, p in enumerate(class_sums):
+            if independent[i]:
+                room = min(top, sizes[i])
+                factors.append(_columns_from_power_sums(
+                    [None] + [[p[j * s] for s in ss] for j in range(1, room + 1)], room))
+            else:
+                factors.append([None, [-p[s] for s in ss]])
+        total = [[1] * len(ss)] + [[0] * len(ss) for _ in range(top)]
+        prods = []
+        for parent, i in sets[:ends[top]]:
+            base = prods[parent] if parent >= 0 else total[:1]
+            prod = [None] * (top + 1)
+            for a, x in enumerate(base):  # None: a zero column
+                if x is not None:
+                    for c, y in enumerate(factors[i][1:top + 1 - a], a + 1):
+                        term = list(map(mul, x, y))
+                        prod[c] = term if prod[c] is None else list(map(add, prod[c], term))
+            prods.append(prod)
+            for c, x in enumerate(prod):
+                if x is not None:
+                    total[c] = list(map(add, total[c], x))
+        b = _columns_power_sums(total, top)
+        return {s: [0] + [b[n][w] for n in range(1, top + 1)] for w, s in enumerate(ss)}
+
+    # tr(B_i^0) = |class i| stands in for every power at s = 0
+    b0 = log_coefficients([[d] for d in sizes], [0], k)[0]
+    dims = [_exact(sum(c * b0[e] for e, c in mobius[m]), m) for m in range(1, k + 1)]
+    # the s with b_e(g^s) needed, s = rm/e for some r <= dim g_m, by the
+    # largest such e
+    top = {}
+    for m, dim in enumerate(dims, 1):
+        for e, _ in mobius[m]:
+            for r in range(1, dim + 1):
+                s = r * m // e
+                top[s] = max(top.get(s, 0), e)
+    groups = {}
+    for s, e in top.items():
+        groups.setdefault(e, []).append(s)
+    class_sums = []
+    for i, (poly, exponent) in enumerate(zip(class_polys, exponents)):
+        d = poly.degree
+        reach = max((max(ss) * (min(e, d) if independent[i] else 1)
+                     for e, ss in groups.items()), default=0)
+        f = list(reversed(poly.coeffs))  # det(1 - tA)
+        if exponent != 1:  # det(1 - tA^e) from tr(A^(je)), j <= d
+            p = _power_sums(f, d * exponent)
+            f = _from_power_sums([p[j * exponent] for j in range(d + 1)], d)
+        class_sums.append(_power_sums(f, reach))
+    b = {}
+    for e, ss in groups.items():
+        b.update(log_coefficients(class_sums, ss, e))
+    polys = {}
+    for m, dim in enumerate(dims, 1):
+        traces = [dim] + [_exact(sum(c * b[r * m // e][e] for e, c in mobius[m]), m)
+                          for r in range(1, dim + 1)]
+        polys[m] = IntPolynomial(_from_power_sums(traces, dim)[::-1])
+    return polys

@@ -20,12 +20,13 @@ modulus exactly 1 and returns a certificate.  The decision is exact:
      in (-2, 2), which a Sturm count settles;
   4. in the root-free case, every root of g is additionally enclosed in a
      certified disk, giving per-root modulus intervals with positive
-     margin from 1.  Approximations only propose centers: Durand-Kerner
-     sweeps in Gaussian-integer fixed point, with bits + 32 fractional
-     bits, refine double-precision hints (or a cold start when the hints
-     overflow or do not settle).  The centers are rounded to dyadics
-     a/2^bits, the containment radius n*|g/g'| is evaluated over the
-     Gaussian integers, and every comparison is exact.  The disks come
+     margin from 1 (`enclose_roots` does it later for a caller that asks
+     for the verdict first).  Approximations only propose centers:
+     Durand-Kerner sweeps in Gaussian-integer fixed point, with bits + 32
+     fractional bits, refine double-precision hints (or a cold start when
+     the hints overflow or do not settle).  The centers are rounded to
+     dyadics a/2^bits, the containment radius n*|g/g'| is evaluated over
+     the Gaussian integers, and every comparison is exact.  The disks come
      sorted by the exact center, key (|im|, re, im), so the order never
      depends on rounding.  The precision goes 64 -> 128 -> 256 bits; roots
      still not separated at 256 bits raise IndeterminateError.
@@ -413,13 +414,15 @@ def _certified_enclosures(g, bits, hints=None):
     return [((Fraction(a, unit), Fraction(b, unit)), r2) for (a, b), r2 in zip(centers, radii)]
 
 
-def unit_root_free(p):
+def unit_root_free(p, enclose=True):
     """Decide whether p has a complex root of modulus exactly 1.
 
     Requires p nonzero with p(0) != 0.  Returns a UnitRootCertificate;
     raises IndeterminateError only if the enclosures of a root-free p
     stay undecided at _BUDGET_BITS bits (the verdict itself is decided
-    exactly and is never guessed).
+    exactly and is never guessed).  With enclose=False the enclosures are
+    not built: a root-free p that needs them gets an "isolated-interval"
+    certificate without its witness, which `enclose_roots` completes.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -463,7 +466,25 @@ def unit_root_free(p):
                 "on_circle_pairs": on_circle,
             },
         )
-    # off-circle everywhere; build per-root modulus enclosures
+    if not enclose:
+        return UnitRootCertificate("free", "isolated-interval", p, symmetric_factor=g)
+    return _enclosed(p, g, g0)
+
+
+def enclose_roots(cert):
+    """The certificate with its root enclosures: a certificate from
+    `unit_root_free(p, enclose=False)` that lacks them gets them, any
+    other is returned as it is."""
+    if cert.free and cert.method == "isolated-interval" and cert.witness is None:
+        return _enclosed(cert.polynomial, cert.symmetric_factor,
+                         squarefree_part(cert.symmetric_factor))
+    return cert
+
+
+def _enclosed(p, g, g0):
+    """The "free" certificate of p from per-root modulus enclosures of the
+    squarefree part g0 of its symmetric factor g, which has no root on
+    the unit circle."""
     hints = _root_hints(g0)
     bits = 64
     while bits <= _BUDGET_BITS:

@@ -25,7 +25,7 @@ from anosograph.anosov import (
 from anosograph.derivations import build_quotient
 from anosograph.graphs import coherent_components, parse_graph
 from anosograph.intpoly import IntPolynomial
-from anosograph.liealg import combine, quotient_algebra
+from anosograph.liealg import block_char_polys, combine, quotient_algebra
 from anosograph.linalg import mat_mul
 from anosograph.spectra import products_off_circle
 from oracles import (
@@ -300,18 +300,25 @@ def test_verify_bounds_the_exponent_of_a_rational_degree_one_block():
 
 def test_synthesize_walks_the_ladder_once(monkeypatch):
     # largest exponent 1 leaves one rung, (1, 1), whose degree-two block has
-    # a unit-modulus eigenvalue; the component search is not repeated
-    calls = []
+    # a unit-modulus eigenvalue: the closed form is evaluated once, and a
+    # failing rung is never extended to the algebra
+    evaluated, extended = [], []
 
-    def counted(algebra, g):
-        calls.append(g)
+    def counted(partition, class_polys, exponents, k):
+        evaluated.append(exponents)
+        return block_char_polys(partition, class_polys, exponents, k)
+
+    def extend(algebra, g):
+        extended.append(g)
         return extend_to_algebra(algebra, g)
 
-    monkeypatch.setattr(anosov, "extend_to_algebra", counted)
+    monkeypatch.setattr(anosov, "block_char_polys", counted)
+    monkeypatch.setattr(anosov, "extend_to_algebra", extend)
     monkeypatch.setattr(anosov, "MAX_EXPONENT", 1)
     with pytest.raises(LadderExhaustedError, match="exponent ladder exhausted at max_exponent 1 "):
         synthesize(C4, 2)
-    assert len(calls) == 1
+    assert evaluated == [(1, 1)]
+    assert extended == []
 
 
 def _sorted_ladder(num_classes, max_exponent):

@@ -309,6 +309,63 @@ def test_nested_spec_coefficient_is_one_short_line(capsys, tmp_path):
     assert "(got a list)" in err and len(err) < 200
 
 
+@pytest.mark.parametrize("vector, quoted", [
+    ({"a." * 50000 + "b": 1}, "a." * 32),  # not a degree-3 basis word
+    ({"a.a." + "x" * 100000: 1}, repr("x" * 64)),  # unknown vertex
+    ({"a.a." + "b" * 100000: [1]}, "a.a." + "b" * 60),  # bad coefficient
+], ids=["word", "vertex", "coefficient"])
+def test_long_spec_text_is_cut_in_the_error_line(capsys, tmp_path, vector, quoted):
+    # a word or label from the spec is quoted by its first 64 characters only
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"step": 3, "vector": vector}))
+    err = _assert_one_error_line(capsys, ["derivations", str(GOLDEN / "step3.edges"),
+                                          "--quotient", str(spec)])
+    assert quoted in err and len(err) < 200
+
+
+def test_step2_unknown_vertex_is_cut_in_the_error_line(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"step": 2, "alpha": "y" * 100000, "beta": "b",
+                                "gamma": "c", "delta": "d"}))
+    err = _assert_one_error_line(capsys, ["derivations", str(GOLDEN / "step2.edges"),
+                                          "--quotient", str(spec)])
+    assert err == f"error: unknown vertex {'y' * 64!r}\n"
+
+
+def test_closed_stdout_is_no_traceback():
+    # `anosograph analyze ... | head -1` after head has gone: the write fails
+    # with EPIPE, which ends the run without a traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(anosograph.__file__).parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "anosograph.cli", "analyze", str(GOLDEN / "c4.edges"),
+             "--k", "3"], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and done.stderr.count("\n") <= 1
+
+
+def test_command_runs_with_the_imports_frozen(capsys, c4_path, monkeypatch):
+    # the objects alive at the start are out of the command's collections,
+    # and main leaves nothing frozen behind
+    import gc
+
+    frozen = []
+    handler, text, options = COMMANDS["dims"]
+
+    def recording(args):
+        frozen.append(gc.get_freeze_count())
+        return handler(args)
+
+    monkeypatch.setitem(COMMANDS, "dims", (recording, text, options))
+    assert main(["dims", c4_path, "--k", "3"]) == 0
+    assert frozen[0] > 0 and gc.get_freeze_count() == 0
+
+
 def test_deeply_nested_spec_exit_1(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text('{"step": 3, "vector": ' + "[" * 100000 + "]" * 100000 + "}")
