@@ -147,12 +147,17 @@ def find_component_matrix(d, k):
     if d < 2:
         raise ValueError("component dimension must be >= 2")
     poly = IntPolynomial([-1] * d + [1])
-    a = companion_matrix(poly)
-    r_max = min(k, d - 1)
-    products = products_off_circle(a, r_max)
-    if not products.ok:
+    component = _component(companion_matrix(poly), poly, k)
+    if not component.products.ok:
         raise AssertionError(f"Pisot companion of degree {d} has a product on the unit circle")
-    return ComponentMatrix(matrix=a, poly=poly, products=products, r_max=r_max)
+    return component
+
+
+def _component(a, poly, k):
+    """The ComponentMatrix of a, whose char poly is `poly`, up to r_max = min(k, len(a) - 1)."""
+    r_max = min(k, len(a) - 1)
+    return ComponentMatrix(matrix=a, poly=poly, products=products_off_circle(a, r_max),
+                           r_max=r_max)
 
 
 # -- graded extension --------------------------------------------------------
@@ -277,7 +282,8 @@ class AutomorphismCertificate:
     @classmethod
     def from_json(cls, data):
         """Parse a certificate: KeyError for a missing field, ValueError for
-        an unknown key or a field of the wrong type or shape."""
+        an unknown key, a schema other than the int 1, a degree keyed other
+        than as str(m), or a field of the wrong type or shape."""
 
         def require(ok, field):
             if not ok:
@@ -288,6 +294,7 @@ class AutomorphismCertificate:
         # the error stays one short line
         for key in data:
             require(key in _CERTIFICATE_KEYS, key[:64])
+        require(type(data["schema"]) is int and data["schema"] == 1, "schema")
         classes, components, exponents = data["classes"], data["components"], data["exponents"]
         require(isinstance(data["graph_digest"], str), "graph_digest")
         require(type(data["k"]) is int and data["k"] >= 2, "k")
@@ -307,6 +314,8 @@ class AutomorphismCertificate:
             require(isinstance(values, dict) and all(isinstance(v, kind) and _is_int_json(v)
                                                      for v in values.values()), name)
             maps[name] = {int(m): v for m, v in values.items()}
+            # keys are str(m) only, else "01" could hide an unchecked copy of degree 1
+            require(list(map(str, maps[name])) == list(values), name)
         require(all(map(_is_square_int_matrix, maps["degree_blocks"].values())), "degree_blocks")
         return cls(graph_digest=data["graph_digest"], k=data["k"], classes=classes,
                    components=components, exponents=exponents, **maps)
@@ -455,7 +464,7 @@ def verify_certificate(graph, cert):
     compatibility F[e_i, e_j] = [F e_i, F e_j] for generators e_i, int
     matrix blocks, `_check_blocks`, that the recorded char_polys,
     determinants and unit_root_certs are the re-derived ones, and that each
-    component's char_poly, r_max and products are those of its matrix.  Returns
+    component records what `_component` writes for its matrix.  Returns
     (ok, report); the report names the first failing check.  Generators
     suffice, as by Jacobi the x with F[x, y] = [Fx, Fy] for all y form a
     subalgebra, and they come first in the pair order, so the first
@@ -551,10 +560,7 @@ def verify_certificate(graph, cert):
             continue
         seen.add(text)
         a = comp["matrix"]
-        r_max = min(cert.k, len(a) - 1)
-        rederived = {"char_poly": char_poly(a).to_json(), "r_max": r_max,
-                     "products": products_off_circle(a, r_max).to_json()}
-        for field, value in rederived.items():
+        for field, value in _component(a, char_poly(a), cert.k).to_json().items():
             if json.dumps(comp.get(field), sort_keys=True) != json.dumps(value, sort_keys=True):
                 return fail("recorded-components",
                             f"component {i}: recorded {field} differs from the re-derived one")

@@ -28,7 +28,8 @@ from operator import add, mul, sub
 
 from . import linalg
 from .intpoly import IntPolynomial
-from .lyndon import _mobius, free_bracket_words, lyndon_basis, standard_factorization, witt_number
+from .lyndon import (free_bracket_words, lyndon_basis, mobius_inversion, standard_factorization,
+                     witt_number)
 
 
 def combine(terms):
@@ -286,24 +287,8 @@ def graph_algebra_dims(graph, k):
         return memo[vs, room]
 
     coeffs = [(-1) ** s * c for s, c in enumerate(count(tuple(range(graph.n)), k))]
-    # b_m = m [t^m] -log I(-t), from I(-t) L' = -I'(-t) with L = -log I(-t)
-    b = [0] * (k + 1)
-    for m in range(1, k + 1):
-        b[m] = -m * coeffs[m] - sum(coeffs[j] * b[m - j] for j in range(1, m))
-    return [sum(_mobius(m // e) * b[e] for e in range(1, m + 1) if m % e == 0) // m
-            for m in range(1, k + 1)]
-
-
-def _exact(a, b):
-    """a / b, which must divide: a remainder means a wrong identity."""
-    q, r = divmod(a, b)
-    assert r == 0, f"{a} is not divisible by {b}"
-    return q
-
-
-def _mobius_pairs(m):
-    """(e, mu(m/e)) for the divisors e of m with mu(m/e) != 0."""
-    return [(e, _mobius(m // e)) for e in range(1, m + 1) if m % e == 0 and _mobius(m // e)]
+    b = _power_sums(coeffs, k)  # b[m] = m [t^m] -log I(-t)
+    return [mobius_inversion(m)(b.__getitem__) for m in range(1, k + 1)]
 
 
 def _power_sums(f, n):
@@ -326,7 +311,8 @@ def _from_power_sums(p, n):
     sums (`_power_sums`) are p[1..n]: j f_j = -sum_{0<i<=j} p_i f_(j-i)."""
     f = [1] + [0] * n
     for j in range(1, n + 1):
-        f[j] = _exact(-sum(map(mul, p[1:j + 1], f[j - 1::-1])), j)
+        f[j], r = divmod(-sum(map(mul, p[1:j + 1], f[j - 1::-1])), j)
+        assert r == 0, f"a coefficient is not divisible by {j}"
     return f
 
 
@@ -374,14 +360,14 @@ def block_char_polys(partition, class_polys, exponents, k):
         tr(g_m^r) = (1/m) sum_{e | m} mu(m/e) b_e(g^(rm/e)),
 
     and Newton's identities turn tr(g_m^r), r = 1..dim g_m, into
-    det(x - g_m); s = 0 gives the dimensions.  A class's power sums
-    tr(B_i^s) follow the linear recurrence of its characteristic
+    det(x - g_m), with dim g_m from `graph_algebra_dims`.  A class's power
+    sums tr(B_i^s) follow the linear recurrence of its characteristic
     polynomial.  Every division is exact; a remainder raises
     AssertionError.
     """
     independent = [not edges for edges in partition.internal_edges]
     sizes = [len(cls) for cls in partition.classes]
-    mobius = [_mobius_pairs(m) for m in range(k + 1)]
+    invert = [None] + [mobius_inversion(m) for m in range(1, k + 1)]
 
     def unjoined(i, candidates):
         return [j for j in candidates
@@ -430,14 +416,12 @@ def block_char_polys(partition, class_polys, exponents, k):
         b = _columns_power_sums(total, top)
         return {s: [0] + [b[n][w] for n in range(1, top + 1)] for w, s in enumerate(ss)}
 
-    # tr(B_i^0) = |class i| stands in for every power at s = 0
-    b0 = log_coefficients([[d] for d in sizes], [0], k)[0]
-    dims = [_exact(sum(c * b0[e] for e, c in mobius[m]), m) for m in range(1, k + 1)]
+    dims = graph_algebra_dims(partition.graph, k)
     # the s with b_e(g^s) needed, s = rm/e for some r <= dim g_m, by the
     # largest such e
     top = {}
     for m, dim in enumerate(dims, 1):
-        for e, _ in mobius[m]:
+        for e, _ in invert[m].pairs:
             for r in range(1, dim + 1):
                 s = r * m // e
                 top[s] = max(top.get(s, 0), e)
@@ -459,7 +443,6 @@ def block_char_polys(partition, class_polys, exponents, k):
         b.update(log_coefficients(class_sums, ss, e))
     polys = {}
     for m, dim in enumerate(dims, 1):
-        traces = [dim] + [_exact(sum(c * b[r * m // e][e] for e, c in mobius[m]), m)
-                          for r in range(1, dim + 1)]
+        traces = [dim] + [invert[m](lambda e: b[r * m // e][e]) for r in range(1, dim + 1)]
         polys[m] = IntPolynomial(_from_power_sums(traces, dim)[::-1])
     return polys

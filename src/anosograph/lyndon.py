@@ -89,33 +89,43 @@ def free_bracket_words(u, v):
     return {w: c for w, c in out.items() if c}
 
 
-def _mobius(n):
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+@lru_cache(maxsize=None)
+def mobius_inversion(m):
+    """The degree-m Mobius inversion b -> (1/m) sum_{e | m} mu(m/e) b(e): for
+    b(n) = n [t^n] -log prod_j (1 - t^j)^(d_j) = sum_{j | n} j d_j it gives
+    d_m.  b is called on the e with mu(m/e) != 0; the returned function
+    keeps its table [(e, mu(m/e))], ascending in e, as `pairs`, which the
+    caller must not change.  One function per m serves every caller: a
+    `dims` call reads each m twice, a synthesis once per rung.  The
+    division is exact: a remainder means a wrong identity and raises
+    AssertionError."""
+    pairs = [(m, 1)]  # (e, mu(m/e)) for the squarefree m/e, by trial division
+    n, p = m, 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            pairs += [(e // p, -mu) for e, mu in pairs]
+            while n % p == 0:
+                n //= p
+        p += 1
+    pairs.sort()
+
+    def invert(b):
+        total = 0
+        for e, mu in pairs:
+            total += mu * b(e)
+        q, r = divmod(total, m)
+        assert r == 0, f"the degree-{m} Mobius sum is not divisible by {m}"
+        return q
+
+    invert.pairs = pairs
+    return invert
 
 
 def witt_number(n, m):
     """Dimension of degree m of the free Lie algebra on n generators."""
-    total = 0
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            total += _mobius(d) * n ** (m // d)
-            e = m // d
-            if e != d:
-                total += _mobius(e) * n ** d
-        d += 1
-    return total // m
+    return mobius_inversion(m)(lambda e: n ** e)  # prod_j (1 - t^j)^(d_j) = 1 - nt
 
 
 @dataclass(frozen=True)

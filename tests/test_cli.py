@@ -286,11 +286,30 @@ def test_deeply_nested_certificate_field_exit_1(capsys, tmp_path):
                                     "--certificate", str(cert_path)])
 
 
+def _bogus_block_first(key):
+    # int() reads key as degree 1, and the real block after it would
+    # overwrite the bogus one, which would then go unchecked
+    def tamper(doc):
+        n = len(doc["degree_blocks"]["1"])
+        doc["degree_blocks"] = {key: [[7] * n for _ in range(n)], **doc["degree_blocks"]}
+    return tamper
+
+
+def _rekey_determinant(doc):
+    doc["determinants"] = {("0" + m if m == "2" else m): v
+                           for m, v in doc["determinants"].items()}
+
+
 @pytest.mark.parametrize("tamper, field", [
     (lambda doc: doc.update(extra=_nested_list(900)), "extra"),
     (lambda doc: doc["components"][0].update(extra=_nested_list(900)), "components[0].extra"),
     (lambda doc: doc.update({"x" * 100000: 1}), "x" * 64),
-], ids=["top-level", "component", "long-key"])
+    (_bogus_block_first("01"), "degree_blocks"),
+    (_bogus_block_first(" 1"), "degree_blocks"),
+    (_bogus_block_first("+1"), "degree_blocks"),
+    (_rekey_determinant, "determinants"),
+], ids=["top-level", "component", "long-key", "degree-key-leading-zero",
+        "degree-key-leading-space", "degree-key-plus-sign", "degree-key-only-copy"])
 def test_unknown_certificate_key_exit_1(capsys, tmp_path, tamper, field):
     doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
     tamper(doc)
@@ -299,6 +318,24 @@ def test_unknown_certificate_key_exit_1(capsys, tmp_path, tamper, field):
     err = _assert_one_error_line(capsys, ["verify", str(GOLDEN / "c4.edges"),
                                           "--certificate", str(cert_path)])
     assert err == f"error: cannot load certificate: malformed certificate field {field!r}\n"
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc.update(schema=99),
+    lambda doc: doc.update(schema=None),
+    lambda doc: doc.update(schema=True),
+    lambda doc: doc.update(schema=_nested_list(900)),
+    lambda doc: doc.pop("schema"),
+], ids=["99", "null", "true", "deep-list", "missing"])
+def test_certificate_schema_must_be_1(capsys, tmp_path, tamper):
+    doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    tamper(doc)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    err = _assert_one_error_line(capsys, ["verify", str(GOLDEN / "c4.edges"),
+                                          "--certificate", str(cert_path)])
+    reason = "malformed certificate field 'schema'" if "schema" in doc else "'schema'"
+    assert err == f"error: cannot load certificate: {reason}\n"
 
 
 def test_nested_spec_coefficient_is_one_short_line(capsys, tmp_path):
@@ -657,10 +694,25 @@ def _float_coefficient(doc):
     doc["components"][0]["char_poly"][-1] = 1.0
 
 
+def _string_candidate_index(doc):
+    doc["components"][0]["candidate_index"] = "2"
+
+
+def _deep_candidate_index(doc):
+    doc["components"][0]["candidate_index"] = _nested_list(900)
+
+
+def _drop_candidate_index(doc):
+    del doc["components"][0]["candidate_index"]
+
+
 @pytest.mark.parametrize("tamper, field", [
     (_misrecord_component, "char_poly"),
     (_bool_r_max, "r_max"),
     (_float_coefficient, "char_poly"),
+    (_string_candidate_index, "candidate_index"),
+    (_deep_candidate_index, "candidate_index"),
+    (_drop_candidate_index, "candidate_index"),
 ])
 def test_verify_compares_recorded_components(capsys, tmp_path, tamper, field):
     # true and 1.0 equal 1 in Python, so the comparison is of JSON text

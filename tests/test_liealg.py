@@ -11,7 +11,7 @@ from anosograph.liealg import (
     non_edge_relations,
     quotient_algebra,
 )
-from anosograph.lyndon import witt_number
+from anosograph.lyndon import mobius_inversion, witt_number
 from oracles import (
     all_graphs_up_to_iso,
     all_labeled_graphs,
@@ -141,6 +141,18 @@ def test_closed_form_dims_match_elimination():
                 check(g, k)
     for g in (cycle_graph(6), bipartite_graph(3, 3)):
         check(g, 5)
+
+
+def test_dims_and_witt_numbers_share_an_exact_inversion():
+    # K_n has no relation: its algebra is free; the edgeless one is abelian
+    for n in range(1, 7):
+        for k in (2, 5, 9):
+            assert graph_algebra_dims(complete_graph(n), k) == [
+                witt_number(n, m) for m in range(1, k + 1)]
+            assert graph_algebra_dims(edgeless_graph(n), k) == [n] + [0] * (k - 1)
+    # mu(2) b(1) + mu(1) b(2) = 1 is not divisible by 2
+    with pytest.raises(AssertionError):
+        mobius_inversion(2)(lambda e: int(e == 2))
 
 
 def test_antisymmetry_of_structure_constants():

@@ -4,6 +4,7 @@ from anosograph.lyndon import (
     free_bracket_words,
     lyndon_basis,
     lyndon_words,
+    mobius_inversion,
     standard_factorization,
     witt_number,
 )
@@ -116,3 +117,13 @@ def test_witt_consistency_with_generation():
         words = lyndon_words(n, 4)
         for m in range(1, 5):
             assert len(words[m]) == witt_number(n, m)
+
+
+def test_mobius_inversion_inverts_the_divisor_sum():
+    # b(n) = sum_{j | n} j d_j, built forward from an arbitrary d
+    d = [None, 3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8]
+    for m in range(1, len(d)):
+        inverse = mobius_inversion(m)
+        assert inverse(lambda n: sum(j * d[j] for j in range(1, n + 1) if n % j == 0)) == d[m]
+        assert [e for e, _ in inverse.pairs] == [
+            e for e in range(1, m + 1) if m % e == 0 and all((m // e) % (p * p) for p in (2, 3))]
