@@ -17,6 +17,7 @@ from .spectra import (
     UnitRootCertificate,
     char_poly,
     compound_matrix,
+    enclose_roots,
     products_off_circle,
     unit_root_free,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "cyclotomic",
     "decide_anosov",
     "derivation_algebra",
+    "enclose_roots",
     "extend_to_algebra",
     "find_component_matrix",
     "graph_from_edges",

@@ -361,8 +361,8 @@ def _check_polys(degrees, poly_of):
     Degree by degree, the first failure wins: poly_of(m) raises no
     ValueError (an integral characteristic polynomial), a determinant of
     +-1, then no unit-modulus root.  poly_of is called one degree at a
-    time.  The gate builds no root enclosure: a unit-root certificate that
-    needs them lacks them until `_recorded` builds them for a certificate.
+    time.  The gate only decides, by `unit_root_free`: an "isolated-interval"
+    certificate lacks its witness until `_recorded` builds it.
     Returns (True, (char_polys, certs, dets)) or (False, (kind, reason))
     with kind "unimodularity" / "unit-root-freeness".
     """
@@ -376,7 +376,7 @@ def _check_polys(degrees, poly_of):
         if det not in (1, -1):
             return False, ("unimodularity",
                            f"degree-{m} block determinant {det} is not a unit")
-        char_polys[m], certs[m], dets[m] = cp, unit_root_free(cp, enclose=False), det
+        char_polys[m], certs[m], dets[m] = cp, unit_root_free(cp), det
         if not certs[m].free:
             return False, ("unit-root-freeness",
                            f"degree-{m} block has a unit-modulus eigenvalue")
@@ -385,8 +385,9 @@ def _check_polys(degrees, poly_of):
 
 def _recorded(payload):
     """The char_polys, determinants and unit_root_certs fields of a
-    certificate, from the payload of a passing `_check_polys`; the root
-    enclosures the unit-root certificates lack are built here."""
+    certificate, from the payload of a passing `_check_polys`; the witness
+    of each "isolated-interval" unit-root certificate, its root enclosures,
+    is built here by `enclose_roots`."""
     char_polys, certs, dets = payload
     return {"char_polys": {m: p.to_json() for m, p in char_polys.items()},
             "determinants": dets,

@@ -149,15 +149,19 @@ def _cmd_synthesize(args):
         }, args.format)
         return 4
     doc = cert.to_json()
+    # encoded once, for the file and for json stdout
+    text = json.dumps(doc, indent=2) if args.out or args.format == "json" else None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+                fh.write(text + "\n")
         except OSError as e:
             print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
             return 1
-    _emit(doc, args.format)
+    if args.format == "json":
+        print(text)
+    else:
+        _emit_text(doc)
     return 0
 
 

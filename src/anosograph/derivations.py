@@ -31,7 +31,7 @@ from . import linalg
 from .graphs import coherent_components
 from .intpoly import IntPolynomial
 from .liealg import build_graded_quotient, combine, non_edge_relations, quotient_algebra
-from .spectra import unit_root_free
+from .spectra import enclose_roots, unit_root_free
 from .anosov import ExtensionError, _check_blocks, _scatter_block_diagonal, extend_to_algebra
 
 
@@ -485,7 +485,7 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
             findings.append(SearchFinding(
                 matrix=[list(row) for row in g],
                 char_poly=p.to_json(),
-                certificate=unit_root_free(p).to_json(),
+                certificate=enclose_roots(unit_root_free(p)).to_json(),
                 degree_blocks={m: [[str(x) for x in row] for row in b]
                                for m, b in blocks.items()},
             ))

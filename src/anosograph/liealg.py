@@ -269,8 +269,8 @@ def graph_algebra_dims(graph, k):
     partially commutative Lie algebra truncated at step k, and its degree
     dimensions d_m satisfy prod_m (1 - t^m)^(d_m) = I(-t), with I the
     independence polynomial of the graph (Cartier-Foata and PBW).  Only the
-    independent sets of size <= k are counted; Mobius inversion of
-    -log I(-t) then gives d_1..d_k.
+    independent sets of size <= min(k, n) are counted, as I has degree at
+    most n; Mobius inversion of -log I(-t) then gives d_1..d_k.
     """
     memo = {}
 
@@ -286,7 +286,7 @@ def graph_algebra_dims(graph, k):
             memo[vs, room] = out
         return memo[vs, room]
 
-    coeffs = [(-1) ** s * c for s, c in enumerate(count(tuple(range(graph.n)), k))]
+    coeffs = [(-1) ** s * c for s, c in enumerate(count(tuple(range(graph.n)), min(k, graph.n)))]
     b = _power_sums(coeffs, k)  # b[m] = m [t^m] -log I(-t)
     return [mobius_inversion(m)(b.__getitem__) for m in range(1, k + 1)]
 

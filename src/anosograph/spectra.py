@@ -18,18 +18,20 @@ modulus exactly 1 and returns a certificate.  The decision is exact:
      no root at +-1, and under y = x + 1/x its unit-circle roots
      correspond exactly to real roots of the half-degree trace polynomial
      in (-2, 2), which a Sturm count settles;
-  4. in the root-free case, every root of g is additionally enclosed in a
-     certified disk, giving per-root modulus intervals with positive
-     margin from 1 (`enclose_roots` does it later for a caller that asks
-     for the verdict first).  Approximations only propose centers:
-     Durand-Kerner sweeps in Gaussian-integer fixed point, with bits + 32
-     fractional bits, refine double-precision hints (or a cold start when
-     the hints overflow or do not settle).  The centers are rounded to
-     dyadics a/2^bits, the containment radius n*|g/g'| is evaluated over
-     the Gaussian integers, and every comparison is exact.  The disks come
-     sorted by the exact center, key (|im|, re, im), so the order never
-     depends on rounding.  The precision goes 64 -> 128 -> 256 bits; roots
-     still not separated at 256 bits raise IndeterminateError.
+  4. `unit_root_free` stops at the verdict; `enclose_roots` builds the
+     witness of a verdict settled in step 3, for a certificate that is
+     recorded.  For "not-free" it isolates a root of the trace polynomial
+     in (-2, 2).  For "free" it encloses every root of g in a certified
+     disk, giving per-root modulus intervals with positive margin from 1.
+     Approximations only propose centers: Durand-Kerner sweeps in
+     Gaussian-integer fixed point, with bits + 32 fractional bits, refine
+     double-precision hints (or a cold start when the hints overflow or
+     do not settle).  The centers are rounded to dyadics a/2^bits, the
+     containment radius n*|g/g'| is evaluated over the Gaussian integers,
+     and every comparison is exact.  The disks come sorted by the exact
+     center, key (|im|, re, im), so the order never depends on rounding.
+     The precision goes 64 -> 128 -> 256 bits; roots still not separated
+     at 256 bits raise IndeterminateError.
 
 Compound matrices expose r-fold eigenvalue products to the same test.
 """
@@ -39,7 +41,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
@@ -239,11 +241,6 @@ class UnitRootCertificate:
         return out
 
 
-def _frac_str(q):
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def _sqrt_bounds(q, bits):
     """Rational l <= sqrt(q) <= u with dyadic endpoints, q >= 0."""
     q = Fraction(q)
@@ -414,15 +411,13 @@ def _certified_enclosures(g, bits, hints=None):
     return [((Fraction(a, unit), Fraction(b, unit)), r2) for (a, b), r2 in zip(centers, radii)]
 
 
-def unit_root_free(p, enclose=True):
+def unit_root_free(p):
     """Decide whether p has a complex root of modulus exactly 1.
 
-    Requires p nonzero with p(0) != 0.  Returns a UnitRootCertificate;
-    raises IndeterminateError only if the enclosures of a root-free p
-    stay undecided at _BUDGET_BITS bits (the verdict itself is decided
-    exactly and is never guessed).  With enclose=False the enclosures are
-    not built: a root-free p that needs them gets an "isolated-interval"
-    certificate without its witness, which `enclose_roots` completes.
+    Requires p nonzero with p(0) != 0.  Returns a UnitRootCertificate; the
+    verdict is decided exactly and is never guessed.  A verdict settled by
+    the Sturm count gets an "isolated-interval" certificate without its
+    witness, which `enclose_roots` builds.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -443,9 +438,23 @@ def unit_root_free(p, enclose=True):
     # no root at +-1 (those are cyclotomic), so g0 is palindromic of even degree
     if g0(1) == 0 or g0(-1) == 0 or not g0.is_palindromic() or g0.degree % 2:
         raise AssertionError("symmetric factor failed palindromic normalization")
-    h = trace_polynomial(g0)
-    on_circle = count_real_roots(h, Fraction(-2), Fraction(2))
-    if on_circle > 0:
+    on_circle = count_real_roots(trace_polynomial(g0), Fraction(-2), Fraction(2))
+    return UnitRootCertificate("not-free" if on_circle else "free", "isolated-interval", p,
+                               symmetric_factor=g)
+
+
+def enclose_roots(cert):
+    """The certificate with its "isolated-interval" witness, built from the
+    squarefree part g0 of the symmetric factor.  For "not-free", an
+    interval of the trace polynomial that isolates a root in (-2, 2); for
+    "free", per-root modulus enclosures of g0 (IndeterminateError if they
+    stay undecided at _BUDGET_BITS bits).  A certificate of another
+    method is returned as it is."""
+    if cert.method != "isolated-interval":
+        return cert
+    g0 = squarefree_part(cert.symmetric_factor)
+    if not cert.free:
+        h = trace_polynomial(g0)
         lo, hi = isolate_one_real_root(h, Fraction(-2), Fraction(2))
         # the bracket may end at -2 or 2 themselves (y - 1 gives (-2, 2));
         # narrow it until the witness lies strictly inside (-2, 2)
@@ -457,34 +466,12 @@ def unit_root_free(p, enclose=True):
                 hi = mid
             else:
                 lo = mid
-        return UnitRootCertificate(
-            "not-free", "isolated-interval", p, symmetric_factor=g,
-            witness={
-                "trace_poly": h.to_json(),
-                "trace_interval": [_frac_str(lo), _frac_str(hi)],
-                "real_part_interval": [_frac_str(lo / 2), _frac_str(hi / 2)],
-                "on_circle_pairs": on_circle,
-            },
-        )
-    if not enclose:
-        return UnitRootCertificate("free", "isolated-interval", p, symmetric_factor=g)
-    return _enclosed(p, g, g0)
-
-
-def enclose_roots(cert):
-    """The certificate with its root enclosures: a certificate from
-    `unit_root_free(p, enclose=False)` that lacks them gets them, any
-    other is returned as it is."""
-    if cert.free and cert.method == "isolated-interval" and cert.witness is None:
-        return _enclosed(cert.polynomial, cert.symmetric_factor,
-                         squarefree_part(cert.symmetric_factor))
-    return cert
-
-
-def _enclosed(p, g, g0):
-    """The "free" certificate of p from per-root modulus enclosures of the
-    squarefree part g0 of its symmetric factor g, which has no root on
-    the unit circle."""
+        return replace(cert, witness={
+            "trace_poly": h.to_json(),
+            "trace_interval": [str(lo), str(hi)],
+            "real_part_interval": [str(lo / 2), str(hi / 2)],
+            "on_circle_pairs": count_real_roots(h, Fraction(-2), Fraction(2)),
+        })
     hints = _root_hints(g0)
     bits = 64
     while bits <= _BUDGET_BITS:
@@ -500,19 +487,14 @@ def _enclosed(p, g, g0):
                     break
                 margins.append(lo - 1 if lo > 1 else 1 - hi)
                 enclosures.append({
-                    "center": [_frac_str(re), _frac_str(im)],
-                    "radius_upper": _frac_str(r_hi),
-                    "modulus_interval": [_frac_str(lo), _frac_str(hi)],
-                    "margin": _frac_str(margins[-1]),
+                    "center": [str(re), str(im)],
+                    "radius_upper": str(r_hi),
+                    "modulus_interval": [str(lo), str(hi)],
+                    "margin": str(margins[-1]),
                 })
             if len(enclosures) == len(disks):
-                return UnitRootCertificate(
-                    "free", "isolated-interval", p, symmetric_factor=g,
-                    witness={
-                        "root_enclosures": enclosures,
-                        "min_margin": _frac_str(min(margins)),
-                    },
-                )
+                return replace(cert, witness={"root_enclosures": enclosures,
+                                              "min_margin": str(min(margins))})
         bits *= 2
     raise IndeterminateError(
         f"could not certify enclosures within {_BUDGET_BITS} bits")
@@ -549,7 +531,7 @@ def products_off_circle(a, r_max):
         comp = compound_matrix(a, r)
         cp = char_poly(comp)
         reduced = cp.shift_right(cp.trailing_zero_order())
-        cert = unit_root_free(reduced)
+        cert = enclose_roots(unit_root_free(reduced))
         per_r.append((r, cp, cert))
         if not cert.free:
             ok = False

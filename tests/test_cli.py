@@ -150,6 +150,21 @@ def test_block_shape_checked_before_algebra(capsys, tmp_path, tamper):
     assert json.loads(out)["report"]["first_failure"] == "block-shape"
 
 
+def test_block_shape_of_a_large_k_is_quick(capsys, tmp_path):
+    # 1x1 blocks for degrees 4..5000: the dimension count stops at the
+    # independent sets of C4 instead of running its recurrence to k = 5000
+    doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    doc["k"] = 5000
+    doc["degree_blocks"].update({str(m): [[1]] for m in range(4, 5001)})
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, "verify", str(GOLDEN / "c4.edges"), "--certificate", str(cert_path))
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert json.loads(out)["report"]["first_failure"] == "block-shape"
+
+
 def test_edgeless_pair_at_large_k(capsys, tmp_path):
     # degree 2 of the edgeless pair lies wholly in the ideal, so every later
     # degree does too; neither command lists or eliminates those degrees

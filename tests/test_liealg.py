@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from anosograph import liealg
 from anosograph.graphs import parse_graph
 from anosograph.liealg import (
     build_graded_quotient,
@@ -153,6 +155,30 @@ def test_dims_and_witt_numbers_share_an_exact_inversion():
     # mu(2) b(1) + mu(1) b(2) = 1 is not divisible by 2
     with pytest.raises(AssertionError):
         mobius_inversion(2)(lambda e: int(e == 2))
+
+
+def test_dims_count_independent_sets_only_up_to_n(monkeypatch):
+    # I(-t) has degree at most n, so Newton's recurrence gets at most n + 1
+    # coefficients however large k is
+    lengths = []
+    power_sums = liealg._power_sums
+
+    def spy(f, n):
+        lengths.append(len(f))
+        return power_sums(f, n)
+
+    monkeypatch.setattr(liealg, "_power_sums", spy)
+    k = 50
+    dims = graph_algebra_dims(C4, k)
+    assert lengths and max(lengths) <= C4.n + 1
+    # prod_m (1 - t^m)^(d_m) = I_C4(-t) = 1 - 4t + 2t^2, up to t^k
+    series = [1] + [0] * k
+    for m, d in enumerate(dims, 1):
+        factor = [0] * (k + 1)
+        for j in range(k // m + 1):
+            factor[m * j] = (-1) ** j * math.comb(d, j)
+        series = [sum(series[i] * factor[s - i] for i in range(s + 1)) for s in range(k + 1)]
+    assert series == [1, -4, 2] + [0] * (k - 2)
 
 
 def test_antisymmetry_of_structure_constants():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from anosograph.spectra import (
     _strong_components,
     char_poly,
     compound_matrix,
+    enclose_roots,
     products_off_circle,
     unit_root_free,
 )
@@ -222,7 +224,7 @@ def test_unit_root_free_cyclotomic():
 
 def test_unit_root_free_reciprocal_pisot():
     # x^2 - 3x + 1: both roots real, moduli ~2.618 and ~0.382
-    cert = unit_root_free(IntPolynomial([1, -3, 1]))
+    cert = enclose_roots(unit_root_free(IntPolynomial([1, -3, 1])))
     assert cert.free and cert.method == "isolated-interval"
     enclosures = cert.witness["root_enclosures"]
     assert len(enclosures) == 2
@@ -238,12 +240,47 @@ def test_unit_root_free_salem():
     lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
     for d in range(1, 40):
         assert not divides(cyclotomic(d), lehmer) or cyclotomic(d).degree > lehmer.degree
-    cert = unit_root_free(lehmer)
+    cert = enclose_roots(unit_root_free(lehmer))
     assert not cert.free and cert.method == "isolated-interval"
     lo, hi = (Fraction(*map(int, s.split("/"))) if "/" in s else Fraction(int(s))
               for s in cert.witness["trace_interval"])
     assert Fraction(-2) < lo < hi < Fraction(2)
     assert cert.witness["on_circle_pairs"] == 4
+
+
+def test_unit_root_free_decides_and_enclose_roots_witnesses():
+    # Lehmer's polynomial: the verdict comes without a witness, and
+    # enclose_roots builds its trace interval
+    lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    cert = unit_root_free(lehmer)
+    assert (cert.verdict, cert.method, cert.witness) == ("not-free", "isolated-interval", None)
+    assert enclose_roots(cert).to_json() == {
+        "verdict": "not-free",
+        "method": "isolated-interval",
+        "polynomial": lehmer.to_json(),
+        "symmetric_factor": lehmer.to_json(),
+        "witness": {"trace_poly": [3, 4, -5, -5, 1, 1],
+                    "trace_interval": ["-31/16", "-15/8"],
+                    "real_part_interval": ["-31/32", "-15/16"],
+                    "on_circle_pairs": 4},
+    }
+    # a certificate of another method is returned as it is
+    for done in (unit_root_free(GOLDEN), unit_root_free(cyclotomic(5))):
+        assert enclose_roots(done) is done
+
+
+def test_synthesize_encloses_only_the_recorded_certificate(monkeypatch):
+    # K_{3,3} at k = 4: failing rungs are decided without any witness, and
+    # the one free "isolated-interval" certificate recorded gets its disks
+    calls = {"isolate_one_real_root": 0, "_refine_roots": 0}
+    for name in calls:
+        def spy(*args, _name=name, _fn=getattr(spectra, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(spectra, name, spy)
+    synthesize(parse_graph((Path(__file__).resolve().parent / "golden" / "k33.edges")
+                           .read_text()), 4)
+    assert calls == {"isolate_one_real_root": 0, "_refine_roots": 1}
 
 
 def test_gcd_step_soundness():
@@ -271,9 +308,11 @@ def test_unit_root_free_rejects_zero_constant():
 
 def test_unit_root_free_budget_exhaustion_is_loud():
     # no root on the unit circle, but two roots too close to separate
-    # within the 256-bit refinement budget
+    # within the 256-bit refinement budget; the verdict needs no enclosure
+    cert = unit_root_free(mignotte_palindromic())
+    assert cert.free and cert.witness is None
     with pytest.raises(IndeterminateError, match="within 256 bits"):
-        unit_root_free(mignotte_palindromic())
+        enclose_roots(cert)
 
 
 def test_verdicts_match_numeric_oracle_small():
@@ -308,7 +347,7 @@ def test_products_certificate_serializes():
 
 
 def test_certificate_serialization_round_trip_fields():
-    cert = unit_root_free(IntPolynomial([1, -3, 1]))
+    cert = enclose_roots(unit_root_free(IntPolynomial([1, -3, 1])))
     doc = cert.to_json()
     assert doc["verdict"] == "free"
     assert doc["method"] == "isolated-interval"
@@ -372,7 +411,7 @@ def test_overflowing_hints_fall_back_to_a_cold_start(monkeypatch):
         return _refine_roots(g, bits, start)
 
     monkeypatch.setattr(spectra, "_refine_roots", spy)
-    cert = unit_root_free(p)
+    cert = enclose_roots(unit_root_free(p))
     assert starts == [None]
     witness = cert.witness
     assert [e["center"][1] for e in witness["root_enclosures"]] == ["0", "0"]
