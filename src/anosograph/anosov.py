@@ -23,12 +23,9 @@ only the quotient's basis and structure constants; the free-algebra
 coordinates stay inside `liealg`.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 from . import linalg
 from .graphs import coherent_components
@@ -51,11 +48,13 @@ class ExtensionError(ValueError):
     """The degree-one map does not descend to the quotient algebra."""
 
 
-@dataclass(frozen=True)
 class Violation:
-    class_index: int
-    reason: str  # "singleton-class" | "internal-edge-in-small-class"
-    offending_edge: tuple | None = None
+    __slots__ = ("class_index", "reason", "offending_edge")
+
+    def __init__(self, class_index, reason, offending_edge=None):
+        self.class_index = class_index
+        self.reason = reason  # "singleton-class" | "internal-edge-in-small-class"
+        self.offending_edge = offending_edge  # (label, label) or None
 
     def to_json(self):
         out = {"class_index": self.class_index, "reason": self.reason}
@@ -64,11 +63,13 @@ class Violation:
         return out
 
 
-@dataclass(frozen=True)
 class AnosovVerdict:
-    k: int
-    admits: bool
-    violations: tuple
+    __slots__ = ("k", "admits", "violations")
+
+    def __init__(self, k, admits, violations):
+        self.k = k
+        self.admits = admits
+        self.violations = violations  # tuple of Violation
 
     def to_json(self):
         return {
@@ -112,12 +113,14 @@ def companion_matrix(poly):
     return m
 
 
-@dataclass
 class ComponentMatrix:
-    matrix: list
-    poly: object  # IntPolynomial
-    products: object  # ProductsCertificate
-    r_max: int
+    __slots__ = ("matrix", "poly", "products", "r_max")
+
+    def __init__(self, matrix, poly, products, r_max):
+        self.matrix = matrix
+        self.poly = poly  # IntPolynomial
+        self.products = products  # ProductsCertificate
+        self.r_max = r_max
 
     def to_json(self):
         return {
@@ -253,17 +256,21 @@ def _powered_degree_one(n, classes, matrices, exponents):
         n, classes, [linalg.mat_pow(a, j) for a, j in zip(matrices, exponents)])
 
 
-@dataclass
 class AutomorphismCertificate:
-    graph_digest: str
-    k: int
-    classes: list  # per class, list of vertex labels
-    components: list  # per class, ComponentMatrix json
-    exponents: list
-    degree_blocks: dict  # degree -> integer matrix
-    char_polys: dict  # degree -> ascending coefficients
-    unit_root_certs: dict  # degree -> certificate json
-    determinants: dict  # degree -> +-1
+    __slots__ = ("graph_digest", "k", "classes", "components", "exponents", "degree_blocks",
+                 "char_polys", "unit_root_certs", "determinants")
+
+    def __init__(self, graph_digest, k, classes, components, exponents, degree_blocks,
+                 char_polys, unit_root_certs, determinants):
+        self.graph_digest = graph_digest
+        self.k = k
+        self.classes = classes  # per class, list of vertex labels
+        self.components = components  # per class, ComponentMatrix json
+        self.exponents = exponents
+        self.degree_blocks = degree_blocks  # degree -> integer matrix
+        self.char_polys = char_polys  # degree -> ascending coefficients
+        self.unit_root_certs = unit_root_certs  # degree -> certificate json
+        self.determinants = determinants  # degree -> +-1
 
     def to_json(self):
         return {

@@ -18,8 +18,6 @@ Identical invocations (including search's --seed) produce byte-identical
 JSON; text mode is for humans and is not a stable format.
 """
 
-from __future__ import annotations
-
 import gc
 import json
 import os

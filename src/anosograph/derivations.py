@@ -19,16 +19,13 @@ kernel solve through the span and lift reports; full matrices are built
 only when `DerivationAlgebra.basis` is read, or for a containment witness.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graphs import coherent_components
+from .graphs import _echo, coherent_components
 from .intpoly import IntPolynomial
 from .liealg import build_graded_quotient, combine, non_edge_relations, quotient_algebra
 from .spectra import enclose_roots, unit_root_free
@@ -39,7 +36,6 @@ class SpecError(ValueError):
     """A quotient specification failed validation."""
 
 
-@dataclass(frozen=True)
 class QuotientSpec:
     """One-dimensional central quotient data.
 
@@ -49,9 +45,12 @@ class QuotientSpec:
     the 3-step graph algebra, given as ((word labels tuple, coeff), ...).
     """
 
-    step: int
-    vertices: tuple = None
-    vector: tuple = None
+    __slots__ = ("step", "vertices", "vector")
+
+    def __init__(self, step, vertices=None, vector=None):
+        self.step = step
+        self.vertices = vertices
+        self.vector = vector
 
     def validate(self, graph):
         if self.step == 2:
@@ -135,12 +134,6 @@ def _coefficient(word, c):
                     f"(got a {type(c).__name__})")
 
 
-def _echo(text):
-    """The first 64 characters of a word or label from a spec file, as an
-    error message quotes it, so that the message stays one short line."""
-    return str(text)[:64]
-
-
 def _step2_relation(indices):
     a, b, c, d = indices
     rel = {}
@@ -206,7 +199,6 @@ def _matrix(m, size):
     return [[m.get((i, j), 0) for j in range(size)] for i in range(size)]
 
 
-@dataclass
 class DerivationAlgebra:
     """A basis of Der(A), each derivation stored as its generator images.
 
@@ -217,9 +209,12 @@ class DerivationAlgebra:
     matrices on every read.
     """
 
-    algebra: object  # the GradedLieAlgebra the derivations act on
-    maps: list
-    weights: list
+    __slots__ = ("algebra", "maps", "weights")
+
+    def __init__(self, algebra, maps, weights):
+        self.algebra = algebra  # the GradedLieAlgebra the derivations act on
+        self.maps = maps
+        self.weights = weights
 
     @property
     def dimension(self):
@@ -264,13 +259,16 @@ def derivation_algebra(algebra, v_stable=False):
 # -- Proposition 5.3 / 5.4 evidence -------------------------------------------
 
 
-@dataclass
 class SpanReport:
-    ok: bool
-    dim_total: int
-    families: dict  # name -> {"dim": int}
-    missing_from_families: list  # witness matrices, if containment fails
-    missing_from_computed: list
+    __slots__ = ("ok", "dim_total", "families", "missing_from_families", "missing_from_computed")
+
+    def __init__(self, ok, dim_total, families, missing_from_families, missing_from_computed):
+        self.ok = ok
+        self.dim_total = dim_total
+        self.families = families  # name -> {"dim": int}
+        # witness matrices, if containment fails
+        self.missing_from_families = missing_from_families
+        self.missing_from_computed = missing_from_computed
 
     def to_json(self):
         return {
@@ -381,12 +379,14 @@ def _lift_check(algebra, indices, q_maps):
 # -- bounded nonexistence search ----------------------------------------------
 
 
-@dataclass
 class SearchFinding:
-    matrix: list
-    char_poly: list
-    certificate: dict
-    degree_blocks: dict
+    __slots__ = ("matrix", "char_poly", "certificate", "degree_blocks")
+
+    def __init__(self, matrix, char_poly, certificate, degree_blocks):
+        self.matrix = matrix
+        self.char_poly = char_poly
+        self.certificate = certificate
+        self.degree_blocks = degree_blocks
 
     def to_json(self):
         return {

@@ -6,11 +6,8 @@ coherent components are the graph's twin classes: vertices with equal
 open neighborhoods, or equal closed ones.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 
 
@@ -18,26 +15,41 @@ class GraphParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+def _echo(text):
+    """The first 64 characters of a line or label from an input file, as an
+    error message quotes it, so that the message stays one short line."""
+    return str(text)[:64]
+
+
 class Graph:
     """A finite simple graph: ordered vertex labels plus an edge set.
 
-    Edges are stored as frozensets of index pairs into `vertices`.
+    Edges are stored as frozensets of index pairs into `vertices`; `index`
+    maps each label to its position.  Equality and hashing ignore `index`,
+    which the labels determine.
     """
 
-    vertices: tuple[str, ...]
-    edges: frozenset[frozenset[int]]
-    index: dict = field(repr=False, compare=False, default_factory=dict)
+    __slots__ = ("vertices", "edges", "index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {v: i for i, v in enumerate(self.vertices)})
-        if len(self.index) != len(self.vertices):
+    def __init__(self, vertices, edges):
+        self.vertices = vertices  # tuple of str labels
+        self.edges = edges  # frozenset of frozenset index pairs
+        self.index = {v: i for i, v in enumerate(vertices)}
+        if len(self.index) != len(vertices):
             raise GraphParseError("duplicate vertex label")
-        for e in self.edges:
+        for e in edges:
             if len(e) != 2:
                 raise GraphParseError("self-loop or malformed edge")
-            if any(i not in range(len(self.vertices)) for i in e):
+            if any(i not in range(len(vertices)) for i in e):
                 raise GraphParseError("edge endpoint outside vertex set")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     @property
     def n(self):
@@ -76,10 +88,10 @@ def graph_from_edges(vertices, edges):
     es = set()
     for u, v in edges:
         if u == v:
-            raise GraphParseError(f"self-loop at {u!r}")
+            raise GraphParseError(f"self-loop at {_echo(u)!r}")
         for w in (u, v):
             if w not in idx:
-                raise GraphParseError(f"edge endpoint {w!r} is not a vertex")
+                raise GraphParseError(f"edge endpoint {_echo(w)!r} is not a vertex")
         es.add(frozenset((idx[u], idx[v])))
     return Graph(vs, frozenset(es))
 
@@ -113,17 +125,17 @@ def parse_graph(text):
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'u v' or 'vertex: u', got {raw!r}")
+            raise GraphParseError(
+                f"line {lineno}: expected 'u v' or 'vertex: u', got {_echo(raw)!r}")
         u, v = parts
         if u == v:
-            raise GraphParseError(f"line {lineno}: self-loop at {u!r}")
+            raise GraphParseError(f"line {lineno}: self-loop at {_echo(u)!r}")
         edges.add(frozenset((intern(u), intern(v))))
     if not vertices:
         raise GraphParseError("empty graph: at least one vertex is required")
     return Graph(tuple(vertices), frozenset(edges))
 
 
-@dataclass(frozen=True)
 class CoherentPartition:
     """Equivalence classes of the coherence relation, with edge metadata.
 
@@ -131,11 +143,14 @@ class CoherentPartition:
     adjacency is uniform, so `pair_edges` is a set of class-index pairs.
     """
 
-    graph: Graph
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    internal_edges: tuple[tuple[tuple[int, int], ...], ...]
-    pair_edges: frozenset[frozenset[int]]
+    __slots__ = ("graph", "classes", "class_of", "internal_edges", "pair_edges")
+
+    def __init__(self, graph, classes, class_of, internal_edges, pair_edges):
+        self.graph = graph
+        self.classes = classes  # tuple of tuples of vertex indices
+        self.class_of = class_of  # tuple: vertex index -> class index
+        self.internal_edges = internal_edges  # per class, tuple of (u, v) index pairs
+        self.pair_edges = pair_edges  # frozenset of frozenset class-index pairs
 
     def class_labels(self):
         return [[self.graph.vertices[i] for i in cls] for cls in self.classes]

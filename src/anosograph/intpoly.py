@@ -16,10 +16,7 @@ quotient that exists over Q is already integral.  Only evaluation at a
 rational point leaves the integers.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,18 +28,26 @@ def _trim(coeffs):
     return c
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """Dense integer polynomial, coefficients ascending."""
+    """Dense integer polynomial, coefficients ascending.  A value type:
+    equal coefficient tuples compare and hash equal."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = _trim(coeffs)
         ints = list(map(int, coeffs))
         if ints != coeffs:
             raise ValueError("coefficients must be integers")
-        object.__setattr__(self, "coeffs", tuple(ints))
+        self.coeffs = tuple(ints)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def degree(self):

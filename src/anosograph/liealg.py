@@ -21,9 +21,6 @@ are pushed into the quotient here, word by word along the standard
 factorization.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from operator import add, mul, sub
 
 from . import linalg
@@ -42,14 +39,16 @@ def combine(terms):
     return {i: c for i, c in out.items() if c}
 
 
-@dataclass
 class Reduction:
     """Relation row space inside one free degree component, as the rref
     basis {pivot word: row} of `linalg.rref`, rows sparse {free Lyndon
     word: coeff}; pivots are the lexicographically smallest words."""
 
-    words: list  # free Lyndon words of this degree, lex order
-    relations: dict = field(repr=False)
+    __slots__ = ("words", "relations")
+
+    def __init__(self, words, relations):
+        self.words = words  # free Lyndon words of this degree, lex order
+        self.relations = relations
 
 
 class GradedLieAlgebra:

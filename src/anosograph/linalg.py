@@ -15,8 +15,6 @@ one multidegree each, so they have a handful of nonzeros among thousands
 of columns and meet only the few stored rows whose pivots they hold.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

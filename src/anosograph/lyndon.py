@@ -26,9 +26,6 @@ lie below v; the calls [u1, t] and [s, u2] keep the total length, and both
 arguments of each lie below v, since u1 < u < v and u2 < v.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -128,13 +125,15 @@ def witt_number(n, m):
     return mobius_inversion(m)(lambda e: n ** e)  # prod_j (1 - t^j)^(d_j) = 1 - nt
 
 
-@dataclass(frozen=True)
 class LyndonBasis:
     """Per-degree Lyndon words of the free k-step algebra."""
 
-    n: int
-    k: int
-    words: dict  # degree -> ordered list of word tuples
+    __slots__ = ("n", "k", "words")
+
+    def __init__(self, n, k, words):
+        self.n = n
+        self.k = k
+        self.words = words  # degree -> ordered list of word tuples
 
     @property
     def dims(self):

@@ -36,12 +36,9 @@ modulus exactly 1 and returns a certificate.  The decision is exact:
 Compound matrices expose r-fold eigenvalue products to the same test.
 """
 
-from __future__ import annotations
-
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
@@ -216,13 +213,15 @@ def compound_matrix(a, r):
     return out
 
 
-@dataclass
 class UnitRootCertificate:
-    verdict: str  # "free" | "not-free"
-    method: str  # "gcd-trivial" | "cyclotomic-factor" | "isolated-interval"
-    polynomial: IntPolynomial
-    symmetric_factor: IntPolynomial | None = None
-    witness: dict | None = None
+    __slots__ = ("verdict", "method", "polynomial", "symmetric_factor", "witness")
+
+    def __init__(self, verdict, method, polynomial, symmetric_factor=None, witness=None):
+        self.verdict = verdict  # "free" | "not-free"
+        self.method = method  # "gcd-trivial" | "cyclotomic-factor" | "isolated-interval"
+        self.polynomial = polynomial  # IntPolynomial
+        self.symmetric_factor = symmetric_factor  # IntPolynomial or None
+        self.witness = witness  # dict or None
 
     @property
     def free(self):
@@ -466,12 +465,14 @@ def enclose_roots(cert):
                 hi = mid
             else:
                 lo = mid
-        return replace(cert, witness={
+        witness = {
             "trace_poly": h.to_json(),
             "trace_interval": [str(lo), str(hi)],
             "real_part_interval": [str(lo / 2), str(hi / 2)],
             "on_circle_pairs": count_real_roots(h, Fraction(-2), Fraction(2)),
-        })
+        }
+        return UnitRootCertificate(cert.verdict, cert.method, cert.polynomial,
+                                   cert.symmetric_factor, witness)
     hints = _root_hints(g0)
     bits = 64
     while bits <= _BUDGET_BITS:
@@ -493,18 +494,21 @@ def enclose_roots(cert):
                     "margin": str(margins[-1]),
                 })
             if len(enclosures) == len(disks):
-                return replace(cert, witness={"root_enclosures": enclosures,
-                                              "min_margin": str(min(margins))})
+                witness = {"root_enclosures": enclosures, "min_margin": str(min(margins))}
+                return UnitRootCertificate(cert.verdict, cert.method, cert.polynomial,
+                                           cert.symmetric_factor, witness)
         bits *= 2
     raise IndeterminateError(
         f"could not certify enclosures within {_BUDGET_BITS} bits")
 
 
-@dataclass
 class ProductsCertificate:
-    ok: bool
-    r_max: int
-    per_r: list  # (r, char poly of compound, UnitRootCertificate)
+    __slots__ = ("ok", "r_max", "per_r")
+
+    def __init__(self, ok, r_max, per_r):
+        self.ok = ok
+        self.r_max = r_max
+        self.per_r = per_r  # (r, char poly of compound, UnitRootCertificate)
 
     def to_json(self):
         return {

@@ -361,17 +361,27 @@ def test_nested_spec_coefficient_is_one_short_line(capsys, tmp_path):
     assert "(got a list)" in err and len(err) < 200
 
 
-@pytest.mark.parametrize("vector, quoted", [
-    ({"a." * 50000 + "b": 1}, "a." * 32),  # not a degree-3 basis word
-    ({"a.a." + "x" * 100000: 1}, repr("x" * 64)),  # unknown vertex
-    ({"a.a." + "b" * 100000: [1]}, "a.a." + "b" * 60),  # bad coefficient
-], ids=["word", "vertex", "coefficient"])
-def test_long_spec_text_is_cut_in_the_error_line(capsys, tmp_path, vector, quoted):
-    # a word or label from the spec is quoted by its first 64 characters only
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"step": 3, "vector": vector}))
-    err = _assert_one_error_line(capsys, ["derivations", str(GOLDEN / "step3.edges"),
-                                          "--quotient", str(spec)])
+def _spec_file(vector):
+    return "spec.json", json.dumps({"step": 3, "vector": vector})
+
+
+@pytest.mark.parametrize("name, text, quoted", [
+    (*_spec_file({"a." * 50000 + "b": 1}), "a." * 32),  # not a degree-3 basis word
+    (*_spec_file({"a.a." + "x" * 100000: 1}), repr("x" * 64)),  # unknown vertex
+    (*_spec_file({"a.a." + "b" * 100000: [1]}), "a.a." + "b" * 60),  # bad coefficient
+    ("g.edges", "a b c" + "x" * 99995 + "\n", repr("a b c" + "x" * 59)),  # not 'u v'
+    ("g.edges", "y" * 100000 + " " + "y" * 100000 + "\n", repr("y" * 64)),  # self-loop
+], ids=["word", "vertex", "coefficient", "edge-line", "self-loop"])
+def test_long_spec_text_is_cut_in_the_error_line(capsys, tmp_path, name, text, quoted):
+    # a line, word or label from an input file is quoted by its first 64
+    # characters only
+    path = tmp_path / name
+    path.write_text(text)
+    if name.endswith(".edges"):
+        argv = ["dims", str(path), "--k", "2"]
+    else:
+        argv = ["derivations", str(GOLDEN / "step3.edges"), "--quotient", str(path)]
+    err = _assert_one_error_line(capsys, argv)
     assert quoted in err and len(err) < 200
 
 

@@ -49,6 +49,15 @@ def test_graph_from_edges_names_unknown_endpoint():
         graph_from_edges(["a", "b"], [("a", "c")])
 
 
+def test_graph_equality_and_hash_ignore_index():
+    g = parse_graph("a b\nb c\n")
+    h = graph_from_edges("abc", ["ab", "bc"])
+    h.index["unrelated"] = 3
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert g != parse_graph("b a\nb c\n")  # same edges, other vertex order
+    assert g != parse_graph("a b\nb c\nc a\n")
+
+
 def test_first_appearance_order():
     g = parse_graph("d c\nb a")
     assert list(g.vertices) == ["d", "c", "b", "a"]

@@ -25,6 +25,13 @@ from anosograph.intpoly import (
 from oracles import prs_gcd
 
 
+def test_equal_coefficients_compare_and_hash_equal():
+    # a value type: trailing zeros are trimmed, so these are one polynomial
+    a, b = IntPolynomial([1, -3, 1]), IntPolynomial((1, -3, 1, 0))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != IntPolynomial([1, -3, 2]) and a != (1, -3, 1)
+
+
 def test_cyclotomic_small():
     assert cyclotomic(1).to_json() == [-1, 1]
     assert cyclotomic(2).to_json() == [1, 1]

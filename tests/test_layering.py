@@ -9,9 +9,11 @@ Only `spectra` touches floating point, through its double-precision root
 hints, and the package calls no `float(`: approximations are proposals
 that exact arithmetic then certifies.  The package runs on the standard
 library alone: no module imports mpmath, and importing the CLI does not
-load it (the tests still use mpmath as an independent oracle).  The CLI
-parses its arguments from its own table, so a `dims` call loads none of
-argparse, gettext or locale.  No module reads the environment.
+load it (the tests still use mpmath as an independent oracle).  The
+records are plain classes, so importing the CLI loads neither dataclasses
+nor inspect.  The CLI parses its arguments from its own table, so a
+`dims` call loads none of argparse, gettext or locale.  No module reads
+the environment.
 """
 
 import ast
@@ -57,12 +59,14 @@ def test_no_module_imports_mpmath():
 
 
 def test_cli_import_leaves_mpmath_unloaded():
+    # dataclasses would bring inspect, ast, dis and tokenize into every call
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, anosograph.cli; print('mpmath' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+    script = ("import sys, anosograph.cli\n"
+              "print(sorted({'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"
 
 
 def test_cli_call_leaves_argparse_unloaded(tmp_path):

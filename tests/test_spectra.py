@@ -269,6 +269,19 @@ def test_unit_root_free_decides_and_enclose_roots_witnesses():
         assert enclose_roots(done) is done
 
 
+def test_enclose_roots_returns_a_new_certificate():
+    # the witness goes on a copy: the decided certificate keeps none, for
+    # a free verdict (root disks) and a not-free one (trace interval)
+    lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    for p in (IntPolynomial([1, -3, 1]), lehmer):
+        cert = unit_root_free(p)
+        enclosed = enclose_roots(cert)
+        assert enclosed is not cert and cert.witness is None
+        assert enclosed.witness is not None
+        fields = ("verdict", "method", "polynomial", "symmetric_factor")
+        assert [getattr(enclosed, f) for f in fields] == [getattr(cert, f) for f in fields]
+
+
 def test_synthesize_encloses_only_the_recorded_certificate(monkeypatch):
     # K_{3,3} at k = 4: failing rungs are decided without any witness, and
     # the one free "isolated-interval" certificate recorded gets its disks
