@@ -9,8 +9,10 @@ it, the last of a repeated option wins, and a token after `--` is GRAPH.
 Help goes to stdout; a usage error prints the usage line to stderr.
 
 Exit codes: 0 verdict computed, 1 usage error, unreadable or malformed
-input, an unwritable --out, a closed stdout, or roots too close to enclose
-within the fixed 256-bit refinement precision, 2 synthesis refused because
+input, an unwritable --out, a closed stdout, roots too close to enclose
+within the fixed 256-bit refinement precision, or an input whose
+computation recurses past Python's recursion limit (`dims` of about 1,000
+independent vertices at a step k as large), 2 synthesis refused because
 the graph is not admissible, 3 certificate verification failed, 4 the one
 pass over the exponent ladder (exponents up to 64, at most 100,000 rungs)
 ran out.
@@ -386,6 +388,10 @@ def _run(argv):
         return COMMANDS[args.command][0](args)
     except (GraphParseError, SpecError, IndeterminateError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input too large: the computation exceeds the recursion limit",
+              file=sys.stderr)
         return 1
 
 

@@ -19,6 +19,10 @@ relation row spaces) stay inside this module: maps defined on free
 words, such as the extension of a degree-one map or a free derivation,
 are pushed into the quotient here, word by word along the standard
 factorization.
+
+The closed forms `graph_algebra_dims` and `block_char_polys` both read the
+Cartier-Foata identity prod_m det(1 - t^m g_m) = I_G(-t; g) and take its
+independence sum with one routine, `_independence_sum`.
 """
 
 from operator import add, mul, sub
@@ -267,27 +271,50 @@ def graph_algebra_dims(graph, k):
     Non-adjacent vertices commute, so the graph algebra is the free
     partially commutative Lie algebra truncated at step k, and its degree
     dimensions d_m satisfy prod_m (1 - t^m)^(d_m) = I(-t), with I the
-    independence polynomial of the graph (Cartier-Foata and PBW).  Only the
-    independent sets of size <= min(k, n) are counted, as I has degree at
-    most n; Mobius inversion of -log I(-t) then gives d_1..d_k.
+    independence polynomial of the graph (Cartier-Foata and PBW): the
+    `_independence_sum` of weight -t per vertex, up to t^min(k, n), as I
+    has degree at most n.  Mobius inversion of -log I(-t) gives d_1..d_k.
     """
-    memo = {}
-
-    def count(vs, room):
-        """Independent sets inside the vertex tuple vs, by size up to room."""
-        if (vs, room) not in memo:
-            out = [1] + [0] * room
-            if room:
-                for i, v in enumerate(vs):
-                    rest = tuple(u for u in vs[i + 1:] if not graph.adjacent(u, v))
-                    for size, c in enumerate(count(rest, room - 1), 1):
-                        out[size] += c
-            memo[vs, room] = out
-        return memo[vs, room]
-
-    coeffs = [(-1) ** s * c for s, c in enumerate(count(tuple(range(graph.n)), min(k, graph.n)))]
+    n = graph.n
+    coeffs = _independence_sum(_neighbour_masks(n, graph.edges), [[-1]] * n, min(k, n))
     b = _power_sums(coeffs, k)  # b[m] = m [t^m] -log I(-t)
     return [mobius_inversion(m)(b.__getitem__) for m in range(1, k + 1)]
+
+
+def _neighbour_masks(n, pairs):
+    """Per item 0..n-1, the bitmask of its neighbours in the 2-sets pairs."""
+    masks = [0] * n
+    for i, j in pairs:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+def _independence_sum(neighbours, weights, top, one=1, zero=0, mul=mul, add=add):
+    """[c_0, .., c_top], the sum of prod_{i in S} weights[i] over the
+    independent sets S, up to t^top: item i has neighbour bitmask
+    neighbours[i] and weight sum_a weights[i][a - 1] t^a, in the arithmetic
+    mul, add, one, zero (ints, or columns).  A set grows in increasing item
+    order; memoized on (items left, room left), it recurses top + 1 deep."""
+    memo = {}
+
+    def total(mask, room):
+        out = memo.get((mask, room))
+        if out is None:
+            out = [one] + [zero] * room
+            rest = mask if room else 0
+            while rest:
+                low = rest & -rest
+                rest ^= low  # the items after the one grown by
+                i = low.bit_length() - 1
+                sub = total(rest & ~neighbours[i], room - 1)
+                for a, w in enumerate(weights[i][:room], 1):
+                    for c, x in enumerate(sub[:room + 1 - a], a):
+                        out[c] = add(out[c], mul(w, x))
+            memo[mask, room] = out
+        return out
+
+    return total((1 << len(weights)) - 1, top)
 
 
 def _power_sums(f, n):
@@ -352,9 +379,9 @@ def block_char_polys(partition, class_polys, exponents, k):
     non-adjacent classes with a nonempty choice in each: any vertices of a
     class without internal edges, one vertex of any other.  Weighted by g,
     the choices in class i sum to det(1 - t B_i) - 1, or to -t tr(B_i) if
-    class i has internal edges, and a class set contributes the product of
-    its classes' terms.  With b_n(g) = n [t^n] of -log of that sum, and
-    g^s in place of g,
+    class i has internal edges, and `_independence_sum` takes the sum over
+    classes with these weights.  With b_n(g) = n [t^n] of -log of that
+    sum, and g^s in place of g,
 
         tr(g_m^r) = (1/m) sum_{e | m} mu(m/e) b_e(g^(rm/e)),
 
@@ -367,24 +394,7 @@ def block_char_polys(partition, class_polys, exponents, k):
     independent = [not edges for edges in partition.internal_edges]
     sizes = [len(cls) for cls in partition.classes]
     invert = [None] + [mobius_inversion(m) for m in range(1, k + 1)]
-
-    def unjoined(i, candidates):
-        return [j for j in candidates
-                if j > i and frozenset((i, j)) not in partition.pair_edges]
-
-    # the class sets of size <= k by size, each as (position of the set
-    # without its last class, or -1; its last class); sets[:ends[j]] are
-    # those of size <= j
-    sets, ends = [], [0]
-    level = [(-1, i, unjoined(i, range(len(sizes)))) for i in range(len(sizes))]
-    while level and len(ends) <= k:
-        grown = []
-        for parent, i, after in level:  # after: the classes the set can grow by
-            sets.append((parent, i))
-            grown += [(len(sets) - 1, j, unjoined(j, after)) for j in after]
-        ends.append(len(sets))
-        level = grown
-    ends += [len(sets)] * (k + 1 - len(ends))
+    masks = _neighbour_masks(len(sizes), partition.pair_edges)
 
     def log_coefficients(class_sums, ss, top):
         """{s: b} for the s in ss, b[n] = b_n(g^s) for 1 <= n <= top, where
@@ -395,23 +405,11 @@ def block_char_polys(partition, class_polys, exponents, k):
             if independent[i]:
                 room = min(top, sizes[i])
                 factors.append(_columns_from_power_sums(
-                    [None] + [[p[j * s] for s in ss] for j in range(1, room + 1)], room))
+                    [None] + [[p[j * s] for s in ss] for j in range(1, room + 1)], room)[1:])
             else:
-                factors.append([None, [-p[s] for s in ss]])
-        total = [[1] * len(ss)] + [[0] * len(ss) for _ in range(top)]
-        prods = []
-        for parent, i in sets[:ends[top]]:
-            base = prods[parent] if parent >= 0 else total[:1]
-            prod = [None] * (top + 1)
-            for a, x in enumerate(base):  # None: a zero column
-                if x is not None:
-                    for c, y in enumerate(factors[i][1:top + 1 - a], a + 1):
-                        term = list(map(mul, x, y))
-                        prod[c] = term if prod[c] is None else list(map(add, prod[c], term))
-            prods.append(prod)
-            for c, x in enumerate(prod):
-                if x is not None:
-                    total[c] = list(map(add, total[c], x))
+                factors.append([[-p[s] for s in ss]])
+        total = _independence_sum(masks, factors, top, [1] * len(ss), [0] * len(ss),
+                                  lambda x, y: [*map(mul, x, y)], lambda x, y: [*map(add, x, y)])
         b = _columns_power_sums(total, top)
         return {s: [0] + [b[n][w] for n in range(1, top + 1)] for w, s in enumerate(ss)}
 

@@ -165,6 +165,31 @@ def test_block_shape_of_a_large_k_is_quick(capsys, tmp_path):
     assert json.loads(out)["report"]["first_failure"] == "block-shape"
 
 
+@pytest.mark.parametrize("command", ["dims", "verify"])
+def test_recursion_past_the_limit_is_one_error_line(capsys, tmp_path, command):
+    # the independence sum of 1,100 isolated vertices at k = 1100 recurses
+    # 1,101 deep; verify reaches it through the block-shape check of a
+    # certificate that passes every earlier check
+    n = 1100
+    text = "".join(f"vertex: v{i}\n" for i in range(n))
+    graph = tmp_path / "isolated.edges"
+    graph.write_text(text)
+    g = parse_graph(text)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "schema": 1, "graph_digest": g.digest(), "k": n, "classes": [list(g.vertices)],
+        "components": [{"matrix": [[0] * n for _ in range(n)]}], "exponents": [1],
+        "degree_blocks": {str(m): [] for m in range(1, n + 1)},
+        "char_polys": {}, "unit_root_certs": {}, "determinants": {}}))
+    argv = {"dims": ["dims", str(graph), "--k", str(n)],
+            "verify": ["verify", str(graph), "--certificate", str(cert)]}[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_edgeless_pair_at_large_k(capsys, tmp_path):
     # degree 2 of the edgeless pair lies wholly in the ideal, so every later
     # degree does too; neither command lists or eliminates those degrees

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anosograph import liealg
 from anosograph.graphs import parse_graph
@@ -179,6 +182,62 @@ def test_dims_count_independent_sets_only_up_to_n(monkeypatch):
             factor[m * j] = (-1) ** j * math.comb(d, j)
         series = [sum(series[i] * factor[s - i] for i in range(s + 1)) for s in range(k + 1)]
     assert series == [1, -4, 2] + [0] * (k - 2)
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+                            min_size=n, max_size=n))
+    return n, edges, weights, draw(st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_graphs())
+def test_independence_sum_matches_subset_enumeration(case):
+    n, edges, weights, top = case
+    neighbours = [0] * n
+    for i, j in edges:
+        neighbours[i] |= 1 << j
+        neighbours[j] |= 1 << i
+    # every subset without an edge inside, its weights multiplied out as
+    # polynomials in t cut after t^top; a weight [w_1, ..] is w_1 t + ..
+    expected = [1] + [0] * top
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            if any({i, j} <= set(subset) for i, j in edges):
+                continue
+            product = [1] + [0] * top
+            for i in subset:
+                series = [0] + weights[i]
+                product = [sum(product[a] * series[c - a] for a in range(c + 1)
+                               if c - a < len(series)) for c in range(top + 1)]
+            expected = [x + y for x, y in zip(expected, product)]
+    assert liealg._independence_sum(neighbours, weights, top) == expected
+
+
+def test_dims_of_a_long_path_are_quick():
+    # a memo keyed on the vertices left keeps the 300-vertex path at k = 8
+    # to a few hundred thousand steps; I_n(-t) = I_(n-1)(-t) - t I_(n-2)(-t)
+    n, k = 300, 8
+    path = parse_graph("\n".join(f"v{i} v{i + 1}" for i in range(n - 1)))
+    start = time.perf_counter()
+    dims = graph_algebra_dims(path, k)
+    assert time.perf_counter() - start < 4
+    before, independence = [1] + [0] * k, [1, -1] + [0] * (k - 1)
+    for _ in range(n - 1):
+        before, independence = independence, [
+            x - (before[s - 1] if s else 0) for s, x in enumerate(independence)]
+    series = [1] + [0] * k  # prod_m (1 - t^m)^(d_m), up to t^k
+    for m, d in enumerate(dims, 1):
+        factor = [0] * (k + 1)
+        for j in range(k // m + 1):
+            factor[m * j] = (-1) ** j * math.comb(d, j)
+        series = [sum(series[i] * factor[s - i] for i in range(s + 1)) for s in range(k + 1)]
+    assert dims[0] == n
+    assert series == independence
 
 
 def test_antisymmetry_of_structure_constants():
