@@ -205,10 +205,10 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 def _exponent_ladder(num_classes, max_exponent):
     """Per-class prime-power exponent tuples in (sum, tuple) order, made one
-    at a time, never as the product of the per-class options.  Within a sum
-    each tuple follows from the last: raise the rightmost exponent that can
-    grow while the classes after it still reach the sum (`reach[i]` holds
-    the sums classes i, i+1, ... reach), and give those the smallest tuple."""
+    at a time, never as the product of the per-class options.  For each sum,
+    class i runs through its options in order and takes one only when the
+    classes after it can still make up the rest (`reach[i]` holds the sums
+    classes i, i+1, ... reach), so no branch is a dead end."""
     primes = (_PRIMES[c % len(_PRIMES)] for c in range(num_classes))
     options = [[p ** e for e in range(max_exponent.bit_length()) if p ** e <= max_exponent]
                for p in primes]
@@ -217,27 +217,16 @@ def _exponent_ladder(num_classes, max_exponent):
         reach.append({s + v for s in reach[-1] for v in opts})
     reach.reverse()
 
-    def fill(t, i, rest):
-        """t[i:] := the smallest tuple with sum rest."""
-        for j in range(i, num_classes):
-            t[j] = next(v for v in options[j] if rest - v in reach[j + 1])
-            rest -= t[j]
+    def rungs(i, rest, rung):
+        if i == num_classes:
+            yield rung
+            return
+        for v in options[i]:
+            if rest - v in reach[i + 1]:
+                yield from rungs(i + 1, rest - v, rung + (v,))
 
     for total in sorted(reach[0]):
-        t = [0] * num_classes
-        fill(t, 0, total)
-        while True:
-            yield tuple(t)
-            rest = 0
-            for i in reversed(range(num_classes)):
-                rest += t[i]
-                v = next((v for v in options[i] if v > t[i] and rest - v in reach[i + 1]), None)
-                if v is not None:
-                    t[i] = v
-                    fill(t, i + 1, rest - v)
-                    break
-            else:
-                break
+        yield from rungs(0, total, ())
 
 
 def _scatter_block_diagonal(n, classes, mats):

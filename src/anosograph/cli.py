@@ -11,8 +11,8 @@ Help goes to stdout; a usage error prints the usage line to stderr.
 Exit codes: 0 verdict computed, 1 usage error, unreadable or malformed
 input, an unwritable --out, a closed stdout, roots too close to enclose
 within the fixed 256-bit refinement precision, or an input whose
-computation recurses past Python's recursion limit (`dims` of about 1,000
-independent vertices at a step k as large), 2 synthesis refused because
+computation recurses past Python's recursion limit (`dims` of 1,100
+disjoint edges at a step k as large), 2 synthesis refused because
 the graph is not admissible, 3 certificate verification failed, 4 the one
 pass over the exponent ladder (exponents up to 64, at most 100,000 rungs)
 ran out.

@@ -124,7 +124,7 @@ def _coefficient(word, c):
         if isinstance(c, str):
             num, _, den = c.partition("/")
             return Fraction(int(num), int(den) if den else 1)
-        if isinstance(c, (int, float)):
+        if isinstance(c, (int, float)) and not isinstance(c, bool):
             return Fraction(c)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
@@ -452,6 +452,8 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
     """
     if entry_bound < 0:
         raise ValueError(f"entry bound must be >= 0, not {entry_bound}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, not {budget}")
     n = len(algebra.generators)
     limit = min(budget, (2 * entry_bound + 1) ** (n * n))
     rng = random.Random(seed)

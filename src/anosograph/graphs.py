@@ -58,9 +58,6 @@ class Graph:
     def adjacent(self, i, j):
         return frozenset((i, j)) in self.edges
 
-    def open_neighborhood(self, i):
-        return {j for j in range(self.n) if self.adjacent(i, j)}
-
     def edge_list(self):
         """Edges as sorted index pairs, sorted; the canonical enumeration."""
         return sorted(tuple(sorted(e)) for e in self.edges)

@@ -22,9 +22,12 @@ factorization.
 
 The closed forms `graph_algebra_dims` and `block_char_polys` both read the
 Cartier-Foata identity prod_m det(1 - t^m g_m) = I_G(-t; g) and take its
-independence sum with one routine, `_independence_sum`.
+independence sum with one routine, `_independence_sum`, over groups of
+vertices: the false-twin groups for the dimensions, the coherent classes
+for the block polynomials.
 """
 
+from math import comb
 from operator import add, mul, sub
 
 from . import linalg
@@ -88,13 +91,13 @@ class GradedLieAlgebra:
             for w in self.basis_words[m]:
                 self._degree.append(m)
                 self._word.append(w)
-        self._index = {w: i for i, w in enumerate(self._word)}
+        index = {w: i for i, w in enumerate(self._word)}
         # normal forms: a basis word is its unit vector, and a pivot word p
         # of relation row r is -(r - p), the rest of its row
         self._normal_form = {w: {i: 1} for i, w in enumerate(self._word)}
         for red in reductions.values():
             for p, row in red.relations.items():
-                self._normal_form[p] = {self._index[w]: -c for w, c in row.items() if w != p}
+                self._normal_form[p] = {index[w]: -c for w, c in row.items() if w != p}
         self.struct = {}
         self._build_structure(max(reductions))
 
@@ -105,9 +108,6 @@ class GradedLieAlgebra:
 
     def word_of(self, i):
         return self._word[i]
-
-    def index_of(self, word):
-        return self._index[word]
 
     def word_label(self, word):
         return ".".join(self.generators[i] for i in word)
@@ -191,22 +191,6 @@ class GradedLieAlgebra:
 
         return d
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        triples = []
-        for (i, j), entry in sorted(self.struct.items()):
-            for l in sorted(entry):  # ints and Fractions both have these
-                triples.append([i, j, l, entry[l].numerator, entry[l].denominator])
-        return {
-            "k": self.k,
-            "dims": list(self.dims),
-            "ideal_dims": list(self.ideal_dims),
-            "basis": [[self.word_label(w) for w in self.basis_words[m]]
-                      for m in range(1, self.k + 1)],
-            "structure": triples,
-        }
-
 
 def build_graded_quotient(graph, k, relation_gens):
     """Quotient of the free k-step algebra on the graph's vertices by the
@@ -271,12 +255,23 @@ def graph_algebra_dims(graph, k):
     Non-adjacent vertices commute, so the graph algebra is the free
     partially commutative Lie algebra truncated at step k, and its degree
     dimensions d_m satisfy prod_m (1 - t^m)^(d_m) = I(-t), with I the
-    independence polynomial of the graph (Cartier-Foata and PBW): the
-    `_independence_sum` of weight -t per vertex, up to t^min(k, n), as I
-    has degree at most n.  Mobius inversion of -log I(-t) gives d_1..d_k.
+    independence polynomial of the graph (Cartier-Foata and PBW), each
+    vertex weighted -t, needed up to t^min(k, n) as I has degree at most n.
+    False twins (equal neighbour sets) are never adjacent, so an independent
+    set meets a group of d of them in any subset: `_independence_sum` takes
+    the group as one item of weight (1 - t)^d - 1, and a thousand isolated
+    vertices are one item, not a thousand levels of its recursion.  Mobius
+    inversion of -log I(-t) gives d_1..d_k.
     """
-    n = graph.n
-    coeffs = _independence_sum(_neighbour_masks(n, graph.edges), [[-1]] * n, min(k, n))
+    n, top = graph.n, min(k, graph.n)
+    groups = {}
+    for v, mask in enumerate(_neighbour_masks(n, graph.edges)):
+        groups.setdefault(mask, []).append(v)
+    item = {v: i for i, members in enumerate(groups.values()) for v in members}
+    weights = [[(-1) ** a * comb(len(members), a) for a in range(1, min(len(members), top) + 1)]
+               for members in groups.values()]
+    masks = _neighbour_masks(len(groups), [(item[u], item[v]) for u, v in graph.edges])
+    coeffs = _independence_sum(masks, weights, top)
     b = _power_sums(coeffs, k)  # b[m] = m [t^m] -log I(-t)
     return [mobius_inversion(m)(b.__getitem__) for m in range(1, k + 1)]
 

@@ -135,10 +135,6 @@ class LyndonBasis:
         self.k = k
         self.words = words  # degree -> ordered list of word tuples
 
-    @property
-    def dims(self):
-        return [len(self.words[m]) for m in range(1, self.k + 1)]
-
 
 def lyndon_basis(n, k):
     """Lyndon basis of the free k-step nilpotent Lie algebra on n generators."""

@@ -187,12 +187,6 @@ def char_poly(a):
         raise ValueError("characteristic polynomial is not integral") from None
 
 
-def _colex_subsets(n, r):
-    subs = list(itertools.combinations(range(n), r))
-    subs.sort(key=lambda s: tuple(reversed(s)))
-    return subs
-
-
 def compound_matrix(a, r):
     """r-th compound: minors det A[I, J] over r-subsets in colex order.
 
@@ -202,7 +196,7 @@ def compound_matrix(a, r):
     n = len(a)
     if not 1 <= r <= n:
         raise ValueError(f"compound order r={r} outside 1..{n}")
-    subs = _colex_subsets(n, r)
+    subs = sorted(itertools.combinations(range(n), r), key=lambda s: s[::-1])
     out = []
     for rows in subs:
         line = []

@@ -341,6 +341,13 @@ def test_exponent_ladder_is_the_sorted_product(num_classes, max_exponent):
         num_classes, max_exponent)
 
 
+def test_exponent_ladder_where_max_rungs_binds():
+    # 13 classes have 129,024 tuples, past the 100,000 rungs (MAX_RUNGS)
+    # that synthesize tries
+    rungs = list(itertools.islice(_exponent_ladder(13, 64), 100000))
+    assert rungs == _sorted_ladder(13, 64)[:100000]
+
+
 def test_exponent_ladder_is_lazy():
     # the product of the 40 classes' options has about 4.3 * 10^15 tuples
     start = time.perf_counter()

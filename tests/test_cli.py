@@ -12,7 +12,7 @@ import anosograph
 from anosograph import anosov
 from anosograph.anosov import companion_matrix
 from anosograph.cli import COMMANDS, REQUIRED, main, parse_args
-from anosograph.graphs import parse_graph
+from anosograph.graphs import coherent_components, parse_graph
 from oracles import argparse_reference, mignotte_palindromic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -167,18 +167,20 @@ def test_block_shape_of_a_large_k_is_quick(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["dims", "verify"])
 def test_recursion_past_the_limit_is_one_error_line(capsys, tmp_path, command):
-    # the independence sum of 1,100 isolated vertices at k = 1100 recurses
-    # 1,101 deep; verify reaches it through the block-shape check of a
-    # certificate that passes every earlier check
+    # the independence sum of 1,100 disjoint edges at k = 1100 recurses
+    # 1,101 deep, as no two of the 2,200 vertices are false twins; verify
+    # reaches it through the block-shape check of a certificate that passes
+    # every earlier check, one class per edge
     n = 1100
-    text = "".join(f"vertex: v{i}\n" for i in range(n))
-    graph = tmp_path / "isolated.edges"
+    text = "".join(f"u{i} v{i}\n" for i in range(n))
+    graph = tmp_path / "matching.edges"
     graph.write_text(text)
     g = parse_graph(text)
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps({
-        "schema": 1, "graph_digest": g.digest(), "k": n, "classes": [list(g.vertices)],
-        "components": [{"matrix": [[0] * n for _ in range(n)]}], "exponents": [1],
+        "schema": 1, "graph_digest": g.digest(), "k": n,
+        "classes": coherent_components(g).class_labels(),
+        "components": [{"matrix": [[0, 0], [0, 0]]}] * n, "exponents": [1] * n,
         "degree_blocks": {str(m): [] for m in range(1, n + 1)},
         "char_polys": {}, "unit_root_certs": {}, "determinants": {}}))
     argv = {"dims": ["dims", str(graph), "--k", str(n)],
@@ -188,6 +190,17 @@ def test_recursion_past_the_limit_is_one_error_line(capsys, tmp_path, command):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_dims_of_1000_isolated_vertices_at_k_1000(capsys, tmp_path):
+    # the 1,000 vertices are false twins, one item of the independence sum
+    graph = tmp_path / "isolated.edges"
+    graph.write_text("".join(f"vertex: v{i}\n" for i in range(1000)))
+    start = time.perf_counter()
+    code, out = run(capsys, "dims", str(graph), "--k", "1000")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["dims"] == [1000] + [0] * 999
 
 
 def test_edgeless_pair_at_large_k(capsys, tmp_path):
@@ -386,6 +399,15 @@ def test_nested_spec_coefficient_is_one_short_line(capsys, tmp_path):
     assert "(got a list)" in err and len(err) < 200
 
 
+def test_bool_spec_coefficient_exit_1(capsys, tmp_path):
+    # Python takes true for 1; a spec coefficient is a number or a string
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"step": 3, "vector": {"a.a.b": True}}))
+    err = _assert_one_error_line(capsys, ["derivations", str(GOLDEN / "step3.edges"),
+                                          "--quotient", str(spec)])
+    assert "(got a bool)" in err
+
+
 def _spec_file(vector):
     return "spec.json", json.dumps({"step": 3, "vector": vector})
 
@@ -557,6 +579,11 @@ def test_search_stops_when_box_is_exhausted(tmp_path, text, flags):
 def test_search_negative_entry_bound_exit_1(capsys, c4_path):
     assert main(["search", c4_path, "--entry-bound", "-1"]) == 1
     assert capsys.readouterr().err == "error: entry bound must be >= 0, not -1\n"
+
+
+def test_search_negative_budget_exit_1(capsys, c4_path):
+    assert main(["search", c4_path, "--budget", "-1"]) == 1
+    assert capsys.readouterr().err == "error: budget must be >= 0, not -1\n"
 
 
 def test_bad_spec_exit_1(capsys, tmp_path):

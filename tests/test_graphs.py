@@ -41,7 +41,7 @@ def test_parse_empty_graph_rejected():
 def test_parse_isolated_vertex_and_comments():
     g = parse_graph("# header\na b   # trailing\nvertex: z\n")
     assert list(g.vertices) == ["a", "b", "z"]
-    assert g.open_neighborhood(g.index["z"]) == set()
+    assert all(g.index["z"] not in e for e in g.edges)
 
 
 def test_graph_from_edges_names_unknown_endpoint():
