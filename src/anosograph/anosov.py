@@ -350,15 +350,16 @@ def _first_non_int_block(blocks):
     return next((m for m, b in sorted(blocks.items()) if not _is_square_int_matrix(b)), None)
 
 
-def _check_polys(degrees, poly_of):
+def _check_polys(degrees, poly_of, decide):
     """The hyperbolicity gate on the characteristic polynomials
     poly_of(m) of the degree blocks, m in `degrees` ascending.
 
     Degree by degree, the first failure wins: poly_of(m) raises no
     ValueError (an integral characteristic polynomial), a determinant of
     +-1, then no unit-modulus root.  poly_of is called one degree at a
-    time.  The gate only decides, by `unit_root_free`: an "isolated-interval"
-    certificate lacks its witness until `_recorded` builds it.
+    time.  The gate only decides, by decide(p): `unit_root_free`, or a
+    search's memo of it.  An "isolated-interval" certificate lacks its
+    witness until `_recorded` builds it.
     Returns (True, (char_polys, certs, dets)) or (False, (kind, reason))
     with kind "unimodularity" / "unit-root-freeness".
     """
@@ -372,7 +373,7 @@ def _check_polys(degrees, poly_of):
         if det not in (1, -1):
             return False, ("unimodularity",
                            f"degree-{m} block determinant {det} is not a unit")
-        char_polys[m], certs[m], dets[m] = cp, unit_root_free(cp), det
+        char_polys[m], certs[m], dets[m] = cp, decide(cp), det
         if not certs[m].free:
             return False, ("unit-root-freeness",
                            f"degree-{m} block has a unit-modulus eigenvalue")
@@ -390,9 +391,9 @@ def _recorded(payload):
             "unit_root_certs": {m: enclose_roots(c).to_json() for m, c in certs.items()}}
 
 
-def _check_blocks(blocks):
+def _check_blocks(blocks, decide):
     """`_check_polys` on the Berkowitz polynomials of blocks {degree: matrix}."""
-    return _check_polys(sorted(blocks), lambda m: char_poly(blocks[m]))
+    return _check_polys(sorted(blocks), lambda m: char_poly(blocks[m]), decide)
 
 
 def synthesize(graph, k):
@@ -419,7 +420,7 @@ def synthesize(graph, k):
     ladder = _exponent_ladder(len(partition.classes), MAX_EXPONENT)
     for exponents in itertools.islice(ladder, MAX_RUNGS):
         polys = block_char_polys(partition, class_polys, exponents, k)
-        ok, payload = _check_polys(sorted(polys), polys.get)
+        ok, payload = _check_polys(sorted(polys), polys.get, unit_root_free)
         if not ok:
             last_failure = f"exponents {exponents}: {payload[1]}"
             continue
@@ -539,7 +540,7 @@ def verify_certificate(graph, cert):
     bad = _first_non_int_block(blocks)
     if bad is not None:
         return fail("unimodularity", f"degree-{bad} block is not integral")
-    ok, payload = _check_blocks(blocks)
+    ok, payload = _check_blocks(blocks, unit_root_free)
     if not ok:
         return fail(*payload)
     passed("unimodularity")

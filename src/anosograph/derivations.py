@@ -6,7 +6,9 @@ and the 3-step algebra modulo a nonzero central degree-3 vector.  Both
 families are predicted to admit no hyperbolic automorphism with integer
 characteristic polynomial and unit constant term; `hyperbolic_search`
 hunts for counterexamples over a bounded box and is expected to come back
-empty.
+empty.  It counts signed permutations toward its budget but never tests
+them, since they have finite order and so only root-of-unity eigenvalues,
+and within one call it decides each distinct polynomial once.
 
 Derivations of these algebras are computed from their degree-one
 restrictions: the algebras are generated in degree one, so a derivation is
@@ -419,18 +421,18 @@ _BLOCK_PHASE_RAW_LIMIT = 10 ** 6
 def _block_diagonal_candidates(graph, bound, cap):
     """Class-respecting block-diagonal candidates, the structured phase.
 
-    Skipped entirely when some class's raw coefficient box is too large to
-    sweep; the random phase still covers those graphs.
+    Classes of one size share one sweep of their unimodular box.  Skipped
+    entirely when some class's raw coefficient box is too large to sweep;
+    the random phase still covers those graphs.
     """
-    partition = coherent_components(graph)
-    per_class = []
-    for cls in partition.classes:
-        d = len(cls)
-        if (2 * bound + 1) ** (d * d) > _BLOCK_PHASE_RAW_LIMIT:
-            return
-        per_class.append(list(_box_unimodular(d, bound)))
-    for count, combo in enumerate(itertools.product(*per_class), 1):
-        yield _scatter_block_diagonal(graph.n, partition.classes, combo)
+    classes = coherent_components(graph).classes
+    sizes = dict.fromkeys(map(len, classes))
+    if any((2 * bound + 1) ** (d * d) > _BLOCK_PHASE_RAW_LIMIT for d in sizes):
+        return
+    boxes = {d: list(_box_unimodular(d, bound)) for d in sizes}
+    combos = itertools.product(*(boxes[len(cls)] for cls in classes))
+    for count, combo in enumerate(combos, 1):
+        yield _scatter_block_diagonal(graph.n, classes, combo)
         if count >= cap:
             return
 
@@ -446,9 +448,14 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
     Candidates come in a fixed order: signed permutations, block-diagonal
     maps respecting the coherent classes, then a seeded random stream, up
     to `budget` distinct candidates or the whole box, whichever is
-    smaller.  Every candidate that extends to the algebra and passes
-    `anosov._check_blocks` is returned in full; an empty list is expected
-    on the quotients, and the searched box is part of the report.
+    smaller.  A signed permutation P is counted but never tested: P^(2m)
+    is the identity for m the lcm of its cycle lengths, so every eigenvalue
+    of every block it induces is a root of unity.  Every other candidate
+    that extends to the algebra and passes `anosov._check_blocks` is
+    returned in full.  Within one call each distinct polynomial is decided
+    by `unit_root_free` once, and each distinct finding polynomial gets
+    one `enclose_roots` witness.  An empty list is expected on the
+    quotients, and the searched box is part of the report.
     """
     if entry_bound < 0:
         raise ValueError(f"entry bound must be >= 0, not {entry_bound}")
@@ -462,32 +469,42 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
         while True:
             yield [[rng.randint(-entry_bound, entry_bound) for _ in range(n)] for _ in range(n)]
 
-    streams = [_signed_permutations(n),
-               _block_diagonal_candidates(algebra.graph, entry_bound, budget),
-               random_stream()]
+    # (tested, candidate) pairs; the random phase never ends, so neither does the chain
+    candidates = itertools.chain(
+        zip(itertools.repeat(False), _signed_permutations(n)),
+        zip(itertools.repeat(True),
+            _block_diagonal_candidates(algebra.graph, entry_bound, budget)),
+        zip(itertools.repeat(True), random_stream()))
+    decisions, witnesses = {}, {}
+
+    def decide(p):
+        if p not in decisions:
+            decisions[p] = unit_root_free(p)
+        return decisions[p]
 
     findings = []
     seen = set()
-    for g in itertools.chain.from_iterable(streams):
-        if len(seen) >= limit:
-            break
+    while len(seen) < limit:
+        tested, g = next(candidates)
         key = tuple(tuple(row) for row in g)
         if key in seen or any(abs(x) > entry_bound for row in g for x in row):
             continue
         seen.add(key)
-        if linalg.det_bareiss(g) not in (1, -1):
+        if not tested or linalg.det_bareiss(g) not in (1, -1):
             continue
         try:
             blocks = extend_to_algebra(algebra, g)
         except ExtensionError:
             continue
-        ok, payload = _check_blocks(blocks)
+        ok, payload = _check_blocks(blocks, decide)
         if ok:
             p = math.prod(payload[0].values(), start=IntPolynomial([1]))
+            if p not in witnesses:
+                witnesses[p] = enclose_roots(decide(p))
             findings.append(SearchFinding(
                 matrix=[list(row) for row in g],
                 char_poly=p.to_json(),
-                certificate=enclose_roots(unit_root_free(p)).to_json(),
+                certificate=witnesses[p].to_json(),
                 degree_blocks={m: [[str(x) for x in row] for row in b]
                                for m, b in blocks.items()},
             ))

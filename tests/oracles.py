@@ -6,12 +6,14 @@ linear system for derivations, sympy resultants for eigenvalue products,
 512-bit numeric root isolation for unit-circle classification,
 mpmath's multiprecision Durand-Kerner for root enclosure centers, the
 primitive remainder sequence for the modular polynomial gcd, the
-standard library's argparse for the CLI's argument parser, and one test on
+standard library's argparse for the CLI's argument parser, one test on
 the product of all degree blocks' characteristic polynomials for the
-per-degree hyperbolicity gate.
+per-degree hyperbolicity gate, and a search loop that tests every
+candidate, with no skip and no memo, for the bounded search.
 """
 
 import argparse
+import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +21,9 @@ from itertools import combinations, permutations, product
 
 import mpmath
 
-from anosograph.graphs import graph_from_edges
+from anosograph.anosov import ExtensionError, extend_to_algebra
+from anosograph.derivations import _BLOCK_PHASE_RAW_LIMIT
+from anosograph.graphs import coherent_components, graph_from_edges
 from anosograph.intpoly import IntPolynomial
 from anosograph.spectra import char_poly, unit_root_free
 
@@ -325,6 +329,75 @@ def product_hyperbolic(blocks):
     except ValueError:
         return False
     return abs(p.constant()) == 1 and unit_root_free(p).free
+
+
+# -- the bounded search without skips or memos -------------------------------
+
+def _det_laplace(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det_laplace([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def search_reference(algebra, entry_bound, budget, seed=0):
+    """The finding matrices of `hyperbolic_search`, by a plain loop over
+    the same candidate order: signed permutations, class-respecting
+    block-diagonal maps (each class's unimodular box swept on its own,
+    at most `budget` of them), then a seeded random stream, up to `budget`
+    distinct candidates or the whole box.  Every distinct candidate is
+    extended and tested with `product_hyperbolic`: none is skipped, no
+    verdict is reused."""
+    n = len(algebra.generators)
+    box = range(-entry_bound, entry_bound + 1)
+    rng = random.Random(seed)
+
+    def signed_permutations():
+        for perm in permutations(range(n)):
+            for signs in product((1, -1), repeat=n):
+                yield [[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+
+    def block_diagonal():
+        classes = coherent_components(algebra.graph).classes
+        if any(len(box) ** (len(c) ** 2) > _BLOCK_PHASE_RAW_LIMIT for c in classes):
+            return
+        per_class = []
+        for cls in classes:
+            d = len(cls)
+            mats = ([list(e[i * d:(i + 1) * d]) for i in range(d)]
+                    for e in product(box, repeat=d * d))
+            per_class.append([a for a in mats if abs(_det_laplace(a)) == 1])
+        for count, combo in enumerate(product(*per_class), 1):
+            g = [[0] * n for _ in range(n)]
+            for cls, a in zip(classes, combo):
+                for r, vr in enumerate(cls):
+                    for c, vc in enumerate(cls):
+                        g[vr][vc] = a[r][c]
+            yield g
+            if count >= budget:
+                return
+
+    def random_stream():
+        while True:
+            yield [[rng.randint(-entry_bound, entry_bound) for _ in range(n)] for _ in range(n)]
+
+    limit = min(budget, len(box) ** (n * n))
+    found, seen = [], set()
+    for stream in (signed_permutations(), block_diagonal(), random_stream()):
+        for g in stream:
+            if len(seen) >= limit:
+                return found
+            key = tuple(map(tuple, g))
+            if key in seen or any(abs(x) > entry_bound for row in g for x in row):
+                continue
+            seen.add(key)
+            try:
+                blocks = extend_to_algebra(algebra, g)
+            except ExtensionError:
+                continue
+            if product_hyperbolic(blocks):
+                found.append(g)
+    return found
 
 
 # -- primitive PRS gcd, the reference for the modular poly_gcd ---------------

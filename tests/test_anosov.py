@@ -27,7 +27,7 @@ from anosograph.graphs import coherent_components, parse_graph
 from anosograph.intpoly import IntPolynomial
 from anosograph.liealg import block_char_polys, combine, quotient_algebra
 from anosograph.linalg import mat_mul
-from anosograph.spectra import products_off_circle
+from anosograph.spectra import products_off_circle, unit_root_free
 from oracles import (
     all_labeled_graphs,
     bipartite_graph,
@@ -273,7 +273,7 @@ def test_verify_rejects_rational_conjugate_of_a_certificate():
     g = _powered_degree_one(C4.n, partition.classes,
                             [c["matrix"] for c in cert.components], cert.exponents)
     cert.degree_blocks = extend_to_algebra(quotient_algebra(C4, 3), g)
-    assert _check_blocks(cert.degree_blocks)[0]
+    assert _check_blocks(cert.degree_blocks, unit_root_free)[0]
     ok, report = verify_certificate(C4, cert)
     assert not ok and report["first_failure"] == "unimodularity"
     assert report["checks"][-1]["detail"] == "degree-1 block is not integral"
@@ -360,10 +360,11 @@ def test_exponent_ladder_is_lazy():
 def test_check_blocks_determinant_from_char_poly():
     # det = (-1)^n cp(0): x^2 - x - 1 and x^3 - x + 1 both give det -1
     ok, (char_polys, _, dets) = _check_blocks({1: [[1, 1], [1, 0]],
-                                               2: [[0, 0, -1], [1, 0, 1], [0, 1, 0]]})
+                                               2: [[0, 0, -1], [1, 0, 1], [0, 1, 0]]},
+                                              unit_root_free)
     assert ok and dets == {1: -1, 2: -1}
     assert char_polys[2].coeffs == (1, -1, 0, 1)
-    assert _check_blocks({1: [[1, 1], [1, 0]], 2: [[2, 0], [0, 1]]}) == (
+    assert _check_blocks({1: [[1, 1], [1, 0]], 2: [[2, 0], [0, 1]]}, unit_root_free) == (
         False, ("unimodularity", "degree-2 block determinant 2 is not a unit"))
 
 

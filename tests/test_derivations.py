@@ -22,11 +22,22 @@ from oracles import (
     edgeless_graph,
     local_rank,
     product_hyperbolic,
+    search_reference,
 )
 
 S5_GRAPH = parse_graph("a b\nc d\na c\na d")
 S5_SPEC = QuotientSpec(step=2, vertices=("a", "b", "c", "d"))
 C4 = parse_graph("a b\nb c\nc d\nd a")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_graph(name):
+    return parse_graph((GOLDEN / f"{name}.edges").read_text())
+
+
+def golden_quotient(name):
+    return build_quotient(golden_graph(name), QuotientSpec.from_json(
+        json.loads((GOLDEN / f"{name}.json").read_text())))
 
 
 def s6_spec(graph):
@@ -294,30 +305,70 @@ def test_search_deterministic():
 
 def test_per_degree_gate_matches_product_predicate(monkeypatch):
     # every candidate of the golden searches that reaches a hyperbolicity
-    # decision (determinant +-1 and a descending extension; the rest are
-    # rejected before either predicate) is decided degree by degree exactly
-    # as on the product of its blocks' characteristic polynomials
+    # decision (not a signed permutation, determinant +-1 and a descending
+    # extension; the rest are rejected before either predicate) is decided
+    # degree by degree exactly as on the product of its blocks'
+    # characteristic polynomials
     from anosograph import derivations
 
-    golden = Path(__file__).resolve().parent / "golden"
     gate = derivations._check_blocks
     decided = []
 
-    def recording(blocks):
-        ok, payload = gate(blocks)
+    def recording(blocks, decide):
+        ok, payload = gate(blocks, decide)
         decided.append((blocks, ok))
         return ok, payload
 
     monkeypatch.setattr(derivations, "_check_blocks", recording)
-    c4 = parse_graph((golden / "c4.edges").read_text())
-    control = hyperbolic_search(quotient_algebra(c4, 2), entry_bound=2, budget=500)
+    control = hyperbolic_search(quotient_algebra(golden_graph("c4"), 2), entry_bound=2,
+                                budget=500)
     for name, bound, budget in (("step2", 2, 60), ("step3", 1, 24)):
-        graph = parse_graph((golden / f"{name}.edges").read_text())
-        spec = QuotientSpec.from_json(json.loads((golden / f"{name}.json").read_text()))
-        assert hyperbolic_search(build_quotient(graph, spec), bound, budget) == []
+        assert hyperbolic_search(golden_quotient(name), bound, budget) == []
     assert len(decided) > 36
     for blocks, ok in decided:
         assert ok == product_hyperbolic(blocks), blocks[1]
-    recorded = json.loads((golden / "search_control_c4.stdout").read_text())["findings"]
+    recorded = json.loads((GOLDEN / "search_control_c4.stdout").read_text())["findings"]
     assert len(recorded) == 36
     assert [f.matrix for f in control] == [f["matrix"] for f in recorded]
+
+
+def test_search_matches_reference_loop():
+    # the reference extends and tests every distinct candidate; S5 at
+    # budget 800 runs past the 384 signed permutations and the 128
+    # block-diagonal candidates into the random stream
+    cases = [(quotient_algebra(golden_graph("c4"), 2), 2, 500, 0, 36),
+             (golden_quotient("step2"), 2, 60, 0, 0),
+             (golden_quotient("step3"), 1, 24, 0, 0),
+             (build_quotient(S5_GRAPH, S5_SPEC), 1, 800, 3, 0)]
+    for algebra, bound, budget, seed, count in cases:
+        found = [f.matrix for f in hyperbolic_search(algebra, bound, budget, seed)]
+        assert found == search_reference(algebra, bound, budget, seed)
+        assert len(found) == count
+
+
+def _spy(monkeypatch, namespace, name, calls):
+    original = getattr(namespace, name)
+
+    def spy(*args):
+        calls.append((name, args))
+        return original(*args)
+
+    monkeypatch.setattr(namespace, name, spy)
+
+
+def test_search_work_is_bounded(monkeypatch):
+    from anosograph import derivations
+
+    calls = []
+    _spy(monkeypatch, derivations.linalg, "det_bareiss", calls)
+    for name in ("extend_to_algebra", "unit_root_free", "enclose_roots"):
+        _spy(monkeypatch, derivations, name, calls)
+    # 6! * 2^6 candidates, all signed permutations: counted, never tested
+    k33 = quotient_algebra(golden_graph("k33"), 2)
+    assert hyperbolic_search(k33, entry_bound=1, budget=46080) == []
+    assert calls == []
+    control = quotient_algebra(golden_graph("c4"), 2)
+    assert len(hyperbolic_search(control, entry_bound=2, budget=500)) == 36
+    decided = [args[0] for name, args in calls if name == "unit_root_free"]
+    assert decided and len(decided) == len(set(decided))
+    assert sum(name == "enclose_roots" for name, _ in calls) == 5
