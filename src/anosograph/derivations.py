@@ -19,6 +19,9 @@ degrees.  A derivation stays in that form, its generator images as a
 sparse map {(i, j): coeff} sending generator j to coeff * e_i, from the
 kernel solve through the span and lift reports; full matrices are built
 only when `DerivationAlgebra.basis` is read, or for a containment witness.
+The Leibniz image of a relation is taken for a whole family of maps at
+once, not map by map: one recursion of `GradedLieAlgebra.free_derivation`
+serves every unknown E_ij of a kernel solve, and every map of `basis`.
 """
 
 import itertools
@@ -174,20 +177,27 @@ def _derivations_in_span(algebra, conditions, pairs):
 
     A condition (rel, basis) asks that the free derivation of the relation
     rel = {free word: coeff} vanish modulo the row space of basis, an rref
-    basis {pivot: row} from `linalg.rref` ({} for none).  Each basis map
-    is returned as its generator images, a sparse map {(i, j): coeff}
+    basis {pivot: row} from `linalg.rref` ({} for none).  The pairs are one
+    family of free derivations, pair position col the member E_ij, so one
+    recursion gives every relation's image under every member, and a
+    member whose letter j the relation lacks gives no entry.  Each basis
+    map is returned as its generator images, a sparse map {(i, j): coeff}
     sending generator j to coeff * e_i.
     """
     if not pairs:
         return []
-    n = len(algebra.generators)
-    rows = {}  # condition coordinate -> {pair position: coeff}
+    images = [{} for _ in algebra.generators]
     for col, (i, j) in enumerate(pairs):
-        images = [{}] * n
-        images[j] = {i: 1}
-        d = algebra.free_derivation(images)
-        for ci, (rel, basis) in enumerate(conditions):
-            img = combine((c, d(w)) for w, c in rel.items())
+        images[j][col] = {i: 1}
+    d = algebra.free_derivation(images)
+    rows = {}  # condition coordinate -> {pair position: coeff}
+    for ci, (rel, basis) in enumerate(conditions):
+        terms = {}  # pair position -> the (coeff, image) terms of rel
+        for w, c in rel.items():
+            for col, x in d(w).items():
+                terms.setdefault(col, []).append((c, x))
+        for col, t in terms.items():
+            img = combine(t)
             if basis:
                 img = linalg.reduce_mod_rows(basis, img)
             for r, x in img.items():
@@ -225,16 +235,19 @@ class DerivationAlgebra:
     @property
     def basis(self):
         """The derivations as full dim x dim matrices, D[r][c] the e_r
-        coefficient of D(e_c)."""
+        coefficient of D(e_c), all extended in one recursion with the maps
+        as one family of free derivations."""
         a = self.algebra
-        out = []
-        for m in self.maps:
-            images = [{} for _ in a.generators]
+        images = [{} for _ in a.generators]
+        for member, m in enumerate(self.maps):
             for (i, j), x in m.items():
-                images[j][i] = x
-            d = a.free_derivation(images)
-            columns = [d(a.word_of(c)) for c in range(a.dim)]
-            out.append([[col.get(r, 0) for col in columns] for r in range(a.dim)])
+                images[j].setdefault(member, {})[i] = x
+        d = a.free_derivation(images)
+        columns = [d(a.word_of(c)) for c in range(a.dim)]
+        out = []
+        for member in range(len(self.maps)):
+            cols = [col.get(member, {}) for col in columns]
+            out.append([[col.get(r, 0) for col in cols] for r in range(a.dim)])
         return out
 
 

@@ -16,9 +16,9 @@ stores a new row's integral quotients as ints, so coefficients are ints
 unless the quotient's relations divide, which no graph algebra checked
 (up to 5 vertices) needs.  Free-algebra coordinates (Lyndon words, the
 relation row spaces) stay inside this module: maps defined on free
-words, such as the extension of a degree-one map or a free derivation,
-are pushed into the quotient here, word by word along the standard
-factorization.
+words, such as the extension of a degree-one map or a family of free
+derivations (every member in one recursion), are pushed into the quotient
+here, word by word along the standard factorization.
 
 The closed forms `graph_algebra_dims` and `block_char_polys` both read the
 Cartier-Foata identity prod_m det(1 - t^m g_m) = I_G(-t; g) and take its
@@ -172,21 +172,28 @@ class GradedLieAlgebra:
         return f
 
     def free_derivation(self, images):
-        """w -> D(w) for free Lyndon words w.
+        """w -> {c: D_c(w)} for free Lyndon words w.
 
-        D is the derivation of the free algebra with the given sparse
-        generator images, pushed to this algebra:
-        D[u, v] = [Du, pi v] + [pi u, Dv] along the standard factorization,
-        pi the projection, memoized per word.
+        The D_c are a family of derivations of the free algebra pushed to
+        this algebra: member c sends generator j to the nonzero sparse
+        element images[j][c], and kills j if c is not a key of images[j].  One
+        recursion D[u, v] = [Du, pi v] + [pi u, Dv] along the standard
+        factorization, pi the projection, serves the whole family, memoized
+        per word.  A member appears on w only if its image there is nonzero,
+        so one that kills every letter of w never does.
         """
-        pi = self.project
+        pi, bracket = self.project, self.bracket
         memo = {(j,): img for j, img in enumerate(images)}
 
         def d(w):
             if w not in memo:
                 u, v = standard_factorization(w)
-                memo[w] = combine(((1, self.bracket(d(u), pi(v))),
-                                   (1, self.bracket(pi(u), d(v)))))
+                pv, pu = pi(v), pi(u)
+                out = {c: bracket(x, pv) for c, x in d(u).items()}
+                for c, y in d(v).items():
+                    z = bracket(pu, y)
+                    out[c] = combine(((1, out[c]), (1, z))) if c in out else z
+                memo[w] = {c: z for c, z in out.items() if z}
             return memo[w]
 
         return d

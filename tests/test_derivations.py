@@ -17,6 +17,7 @@ from anosograph.graphs import parse_graph
 from anosograph.liealg import quotient_algebra
 from anosograph import linalg
 from oracles import (
+    all_graphs_up_to_iso,
     derivation_identity_holds,
     derivations_dense,
     edgeless_graph,
@@ -40,11 +41,12 @@ def golden_quotient(name):
         json.loads((GOLDEN / f"{name}.json").read_text())))
 
 
-def s6_spec(graph):
+def s6_spec(graph, coeffs=(Fraction(1),)):
+    """X = sum of coeffs[i] * w_i over the first degree-3 basis words w_i."""
     h3 = quotient_algebra(graph, 3)
-    word = h3.basis_words[3][0]
-    labels = tuple(graph.vertices[i] for i in word)
-    return QuotientSpec(step=3, vector=((labels, Fraction(1)),))
+    return QuotientSpec(step=3, vector=tuple(
+        (tuple(graph.vertices[i] for i in word), c)
+        for word, c in zip(h3.basis_words[3], coeffs)))
 
 
 def complete_labeled(n):
@@ -150,22 +152,41 @@ def test_heisenberg_two_constructions_agree():
     assert derivation_algebra(a).dimension == derivation_algebra(b).dimension == 6
 
 
+def _assert_matches_dense(algebra):
+    fast = derivation_algebra(algebra)
+    dense = derivations_dense(algebra)
+    assert fast.dimension == len(dense)
+    # the fast basis lies in the dense span: adding it keeps the rank
+    flat = [[x for row in m for x in row] for m in dense + fast.basis]
+    assert local_rank(flat) == len(dense)
+    _assert_identity_exact(algebra, fast)
+
+
+def _assert_identity_exact(algebra, der):
+    n = len(algebra.generators)
+    for mat, images in zip(der.basis, der.maps, strict=True):
+        assert derivation_identity_holds(algebra, mat)
+        # the matrix extends the stored generator images
+        assert {(i, j): mat[i][j] for i in range(algebra.dim) for j in range(n)
+                if mat[i][j]} == images
+
+
 def test_derivations_match_dense_oracle():
-    cases = [
-        quotient_algebra(parse_graph("a b"), 2),
-        quotient_algebra(parse_graph("a b\nb c"), 2),
-        quotient_algebra(C4, 2),
+    # every graph on at most four vertices up to isomorphism at step 2, then
+    # larger steps and quotients, the last by X = 1/2 w0 - 3/5 w1 over the
+    # first two degree-3 basis words, coefficients like those the
+    # benchmark's step-3 specs draw
+    graphs = [g for n in range(1, 5) for g in all_graphs_up_to_iso(n)]
+    assert len(graphs) == 18
+    cases = [quotient_algebra(g, 2) for g in graphs] + [
         quotient_algebra(complete_labeled(3), 3),
         build_quotient(S5_GRAPH, S5_SPEC),
         build_quotient(C4, s6_spec(C4)),
+        build_quotient(C4, s6_spec(C4, (Fraction(1, 2), Fraction(-3, 5)))),
     ]
+    assert cases[-1].dims == [4, 4, 11]
     for algebra in cases:
-        fast = derivation_algebra(algebra)
-        dense = derivations_dense(algebra)
-        assert fast.dimension == len(dense)
-        # the fast basis lies in the dense span: adding it keeps the rank
-        flat = [[x for row in m for x in row] for m in dense + fast.basis]
-        assert local_rank(flat) == len(dense)
+        _assert_matches_dense(algebra)
 
 
 def test_derivation_identity_exact():
@@ -173,13 +194,46 @@ def test_derivation_identity_exact():
                     quotient_algebra(C4, 2),
                     build_quotient(S5_GRAPH, S5_SPEC),
                     build_quotient(C4, s6_spec(C4))):
-        der = derivation_algebra(algebra)
-        n = len(algebra.generators)
-        for mat, images in zip(der.basis, der.maps, strict=True):
-            assert derivation_identity_holds(algebra, mat)
-            # the matrix extends the stored generator images
-            assert {(i, j): mat[i][j] for i in range(algebra.dim) for j in range(n)
-                    if mat[i][j]} == images
+        _assert_identity_exact(algebra, derivation_algebra(algebra))
+
+
+def test_one_free_derivation_per_family(monkeypatch, capsys):
+    # a kernel solve extends all its unknowns E_ij in one recursion: one
+    # free_derivation per degree shift, and on the golden step-2 run one per
+    # _derivations_in_span call with pairs, on the quotient or, for the
+    # lift check, on the unquotiented algebra
+    from anosograph import cli, derivations
+    from anosograph.liealg import GradedLieAlgebra
+
+    extended, solved = [], []
+    family = GradedLieAlgebra.free_derivation
+    solve = derivations._derivations_in_span
+
+    def spy_family(self, images):
+        extended.append(self)
+        return family(self, images)
+
+    def spy_solve(algebra, conditions, pairs):
+        if pairs:
+            solved.append((algebra, len(pairs)))
+        return solve(algebra, conditions, pairs)
+
+    monkeypatch.setattr(GradedLieAlgebra, "free_derivation", spy_family)
+    monkeypatch.setattr(derivations, "_derivations_in_span", spy_solve)
+    algebra = quotient_algebra(C4, 3)
+    derivation_algebra(algebra)
+    assert extended == [algebra] * 3
+
+    extended.clear()
+    solved.clear()
+    code = cli.main(["derivations", str(GOLDEN / "step2.edges"),
+                     "--quotient", str(GOLDEN / "step2.json")])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "derivations_step2.stdout").read_text(
+        encoding="utf-8")
+    assert extended == [a for a, _ in solved]
+    assert len({id(a) for a in extended}) == 2
+    assert sum(size for _, size in solved) > len(solved)
 
 
 def test_inner_derivations_contained():
