@@ -11,7 +11,7 @@ from .graphs import (
 )
 from .intpoly import IntPolynomial, cyclotomic
 from .liealg import GradedLieAlgebra, build_graded_quotient, quotient_algebra
-from .lyndon import LyndonBasis, lyndon_basis, witt_number
+from .lyndon import lyndon_basis, witt_number
 from .spectra import (
     IndeterminateError,
     UnitRootCertificate,
@@ -56,7 +56,6 @@ __all__ = [
     "IndeterminateError",
     "IntPolynomial",
     "LadderExhaustedError",
-    "LyndonBasis",
     "NotAdmissibleError",
     "QuotientSpec",
     "SpecError",

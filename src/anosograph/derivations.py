@@ -6,9 +6,10 @@ and the 3-step algebra modulo a nonzero central degree-3 vector.  Both
 families are predicted to admit no hyperbolic automorphism with integer
 characteristic polynomial and unit constant term; `hyperbolic_search`
 hunts for counterexamples over a bounded box and is expected to come back
-empty.  It counts signed permutations toward its budget but never tests
-them, since they have finite order and so only root-of-unity eigenvalues,
-and within one call it decides each distinct polynomial once.
+empty.  It counts the n! * 2^n signed permutations toward its budget
+arithmetically, without building or testing them, since they have finite
+order and so only root-of-unity eigenvalues, and within one call it
+decides each distinct polynomial once.
 
 Derivations of these algebras are computed from their degree-one
 restrictions: the algebras are generated in degree one, so a derivation is
@@ -341,8 +342,9 @@ def _span_report(algebra, indices, computed):
         "type_iii": [(e, z) for e in outside for z in sprime],
         "type_iv": [(a, b), (c, d), (b, a), (d, c)],
     }.items():
-        put(name, [m for pair in pairs
-                   for m in _derivations_in_span(algebra, conditions, [pair])])
+        # E_ij alone is a derivation iff its column of condition rows is zero,
+        # iff its unit vector is a kernel vector (row operations keep it zero)
+        put(name, [m for m in _derivations_in_span(algebra, conditions, pairs) if len(m) == 1])
 
     fam_basis = linalg.rref(members)
     comp_basis = linalg.rref(computed)
@@ -412,13 +414,15 @@ class SearchFinding:
         }
 
 
-def _signed_permutations(n):
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            m = [[0] * n for _ in range(n)]
-            for j in range(n):
-                m[perm[j]][j] = signs[j]
-            yield m
+def _is_signed_permutation(g):
+    """Whether g has one nonzero entry, +-1, in each row and each column."""
+    cols = []
+    for row in g:
+        nonzero = [j for j, x in enumerate(row) if x]
+        if len(nonzero) != 1 or abs(row[nonzero[0]]) != 1:
+            return False
+        cols.append(nonzero[0])
+    return len(set(cols)) == len(g)
 
 
 def _box_unimodular(d, bound):
@@ -431,7 +435,7 @@ def _box_unimodular(d, bound):
 _BLOCK_PHASE_RAW_LIMIT = 10 ** 6
 
 
-def _block_diagonal_candidates(graph, bound, cap):
+def _block_diagonal_candidates(graph, bound):
     """Class-respecting block-diagonal candidates, the structured phase.
 
     Classes of one size share one sweep of their unimodular box.  Skipped
@@ -443,11 +447,8 @@ def _block_diagonal_candidates(graph, bound, cap):
     if any((2 * bound + 1) ** (d * d) > _BLOCK_PHASE_RAW_LIMIT for d in sizes):
         return
     boxes = {d: list(_box_unimodular(d, bound)) for d in sizes}
-    combos = itertools.product(*(boxes[len(cls)] for cls in classes))
-    for count, combo in enumerate(combos, 1):
+    for combo in itertools.product(*(boxes[len(cls)] for cls in classes)):
         yield _scatter_block_diagonal(graph.n, classes, combo)
-        if count >= cap:
-            return
 
 
 def hyperbolic_search(algebra, entry_bound, budget, seed=0):
@@ -461,9 +462,11 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
     Candidates come in a fixed order: signed permutations, block-diagonal
     maps respecting the coherent classes, then a seeded random stream, up
     to `budget` distinct candidates or the whole box, whichever is
-    smaller.  A signed permutation P is counted but never tested: P^(2m)
-    is the identity for m the lcm of its cycle lengths, so every eigenvalue
-    of every block it induces is a root of unity.  Every other candidate
+    smaller.  The n! * 2^n signed permutations (none at entry bound 0) are
+    counted, not built, and a later candidate that is one is skipped as a
+    duplicate.  None needs a test: P^(2m) is the identity for m the lcm of
+    its cycle lengths, so every eigenvalue of every block a signed
+    permutation P induces is a root of unity.  Every other candidate
     that extends to the algebra and passes `anosov._check_blocks` is
     returned in full.  Within one call each distinct polynomial is decided
     by `unit_root_free` once, and each distinct finding polynomial gets
@@ -476,18 +479,17 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
         raise ValueError(f"budget must be >= 0, not {budget}")
     n = len(algebra.generators)
     limit = min(budget, (2 * entry_bound + 1) ** (n * n))
+    # the n! * 2^n signed permutations lie in the box once it holds +-1
+    counted = math.factorial(n) << n if entry_bound >= 1 else 0
     rng = random.Random(seed)
 
     def random_stream():
         while True:
             yield [[rng.randint(-entry_bound, entry_bound) for _ in range(n)] for _ in range(n)]
 
-    # (tested, candidate) pairs; the random phase never ends, so neither does the chain
-    candidates = itertools.chain(
-        zip(itertools.repeat(False), _signed_permutations(n)),
-        zip(itertools.repeat(True),
-            _block_diagonal_candidates(algebra.graph, entry_bound, budget)),
-        zip(itertools.repeat(True), random_stream()))
+    # both streams stay in the box; the random one never ends, so neither does the chain
+    candidates = itertools.chain(_block_diagonal_candidates(algebra.graph, entry_bound),
+                                 random_stream())
     decisions, witnesses = {}, {}
 
     def decide(p):
@@ -497,13 +499,13 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
 
     findings = []
     seen = set()
-    while len(seen) < limit:
-        tested, g = next(candidates)
+    while counted + len(seen) < limit:
+        g = next(candidates)
         key = tuple(tuple(row) for row in g)
-        if key in seen or any(abs(x) > entry_bound for row in g for x in row):
+        if key in seen or _is_signed_permutation(g):  # a signed permutation is already counted
             continue
         seen.add(key)
-        if not tested or linalg.det_bareiss(g) not in (1, -1):
+        if linalg.det_bareiss(g) not in (1, -1):
             continue
         try:
             blocks = extend_to_algebra(algebra, g)

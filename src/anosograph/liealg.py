@@ -213,11 +213,11 @@ def build_graded_quotient(graph, k, relation_gens):
         if deg < 2 or deg > k:
             raise ValueError(f"relation generator degree {deg} outside 2..{k}")
     n = graph.n
-    free_words = lyndon_basis(n, min(k, 2)).words
+    free_words = lyndon_basis(n, min(k, 2))
     reductions = {1: Reduction(words=list(free_words[1]), relations={})}
     for m in range(2, k + 1):
         if m not in free_words:
-            free_words = lyndon_basis(n, min(k, 2 * m)).words
+            free_words = lyndon_basis(n, min(k, 2 * m))
         words = free_words[m]
         # bracket every degree-(m-1) relation row with every generator
         rows = [combine((c, free_bracket_words((v,), w)) for w, c in row.items())

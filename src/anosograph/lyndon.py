@@ -125,19 +125,9 @@ def witt_number(n, m):
     return mobius_inversion(m)(lambda e: n ** e)  # prod_j (1 - t^j)^(d_j) = 1 - nt
 
 
-class LyndonBasis:
-    """Per-degree Lyndon words of the free k-step algebra."""
-
-    __slots__ = ("n", "k", "words")
-
-    def __init__(self, n, k, words):
-        self.n = n
-        self.k = k
-        self.words = words  # degree -> ordered list of word tuples
-
-
 def lyndon_basis(n, k):
-    """Lyndon basis of the free k-step nilpotent Lie algebra on n generators."""
+    """Lyndon basis of the free k-step nilpotent Lie algebra on n generators,
+    as {degree: sorted list of word tuples} for degrees 1..k."""
     if k < 1:
         raise ValueError("step k must be >= 1")
     if n < 1:
@@ -149,4 +139,4 @@ def lyndon_basis(n, k):
             raise ArithmeticError(
                 f"degree {m}: {len(words[m])} Lyndon words, Witt number {expected}"
             )
-    return LyndonBasis(n=n, k=k, words=words)
+    return words

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,7 +235,8 @@ def test_one_free_derivation_per_family(monkeypatch, capsys):
         encoding="utf-8")
     assert extended == [a for a, _ in solved]
     assert len({id(a) for a in extended}) == 2
-    assert sum(size for _, size in solved) > len(solved)
+    # each span-report family is one solve, none of them a single pair
+    assert solved and all(size > 1 for _, size in solved)
 
 
 def test_inner_derivations_contained():
@@ -389,15 +392,37 @@ def test_per_degree_gate_matches_product_predicate(monkeypatch):
 def test_search_matches_reference_loop():
     # the reference extends and tests every distinct candidate; S5 at
     # budget 800 runs past the 384 signed permutations and the 128
-    # block-diagonal candidates into the random stream
-    cases = [(quotient_algebra(golden_graph("c4"), 2), 2, 500, 0, 36),
+    # block-diagonal candidates into the random stream.  C4 at 384 ends
+    # with the 4! * 2^4 counted signed permutations and at 385 tests one
+    # block-diagonal candidate; at entry bound 0 the box holds no signed
+    # permutation, only the zero matrix
+    c4 = quotient_algebra(golden_graph("c4"), 2)
+    cases = [(c4, 2, 500, 0, 36),
+             (c4, 2, 384, 0, 0),
+             (c4, 2, 385, 0, 0),
              (golden_quotient("step2"), 2, 60, 0, 0),
              (golden_quotient("step3"), 1, 24, 0, 0),
-             (build_quotient(S5_GRAPH, S5_SPEC), 1, 800, 3, 0)]
+             (build_quotient(S5_GRAPH, S5_SPEC), 1, 800, 3, 0),
+             (build_quotient(S5_GRAPH, S5_SPEC), 0, 5, 0, 0)]
     for algebra, bound, budget, seed, count in cases:
         found = [f.matrix for f in hyperbolic_search(algebra, bound, budget, seed)]
         assert found == search_reference(algebra, bound, budget, seed)
         assert len(found) == count
+
+
+def test_is_signed_permutation_over_the_unit_box():
+    from anosograph.derivations import _is_signed_permutation
+
+    assert not _is_signed_permutation([[1, 1], [0, 0]])
+    for n in range(1, 4):
+        signed = {tuple(tuple(signs[j] if perm[j] == i else 0 for j in range(n))
+                        for i in range(n))
+                  for perm in itertools.permutations(range(n))
+                  for signs in itertools.product((1, -1), repeat=n)}
+        assert len(signed) == math.factorial(n) << n
+        for entries in itertools.product((-1, 0, 1), repeat=n * n):
+            g = [list(entries[i * n:(i + 1) * n]) for i in range(n)]
+            assert _is_signed_permutation(g) == (tuple(map(tuple, g)) in signed), g
 
 
 def _spy(monkeypatch, namespace, name, calls):
@@ -417,9 +442,12 @@ def test_search_work_is_bounded(monkeypatch):
     _spy(monkeypatch, derivations.linalg, "det_bareiss", calls)
     for name in ("extend_to_algebra", "unit_root_free", "enclose_roots"):
         _spy(monkeypatch, derivations, name, calls)
-    # 6! * 2^6 candidates, all signed permutations: counted, never tested
+    # 6! * 2^6 and 7! * 2^7 candidates, all signed permutations: counted,
+    # never built or tested
     k33 = quotient_algebra(golden_graph("k33"), 2)
     assert hyperbolic_search(k33, entry_bound=1, budget=46080) == []
+    c7 = quotient_algebra(parse_graph("".join(f"v{i} v{(i + 1) % 7}\n" for i in range(7))), 2)
+    assert hyperbolic_search(c7, entry_bound=1, budget=645120) == []
     assert calls == []
     control = quotient_algebra(golden_graph("c4"), 2)
     assert len(hyperbolic_search(control, entry_bound=2, budget=500)) == 36

@@ -25,7 +25,7 @@ def test_witt_examples():
 
 def test_lyndon_basis_dims():
     def dims(n, k):
-        return [len(lyndon_basis(n, k).words[m]) for m in range(1, k + 1)]
+        return [len(lyndon_basis(n, k)[m]) for m in range(1, k + 1)]
 
     assert dims(2, 3) == [2, 1, 2]
     assert dims(4, 3) == [4, 6, 20]
