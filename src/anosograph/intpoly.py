@@ -1,10 +1,10 @@
 """Integer polynomials with exact-arithmetic utilities.
 
 Coefficients are arbitrary-precision ints, ascending degree.  Includes the
-pieces the spectral certificates are built from: a modular gcd,
-cyclotomic polynomials, Sturm counts, and the trace substitution
-y = x + 1/x that turns a palindromic polynomial's unit-circle roots into
-real roots of half the degree in [-2, 2].
+pieces the spectral certificates are built from: Newton's identities, a
+modular gcd, cyclotomic polynomials, Sturm counts, and the trace
+substitution y = x + 1/x that turns a palindromic polynomial's
+unit-circle roots into real roots of half the degree in [-2, 2].
 
 All of it runs on ints.  `poly_gcd` is Brown's modular gcd: monic gcds
 modulo 61-bit primes, joined by the Chinese remainder theorem, and
@@ -19,6 +19,7 @@ rational point leaves the integers.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 
 def _trim(coeffs):
@@ -443,3 +444,28 @@ def trace_polynomial(p):
     for j in range(1, m + 1):
         h = h + p.coeffs[m + j] * pj[j]
     return h
+
+
+def power_sums(f, n):
+    """[p_0, p_1, .., p_n] with p_m = m [t^m] -log f for m >= 1 and p_0 =
+    deg f, from the coefficients f[0] = 1, f[1], .., f[d] of f (Newton's
+    identities, p_m = -m f_m - sum_{0<j<m} f_j p_(m-j), f_j = 0 for j > d).
+    For f = det(1 - tA) these are the power sums tr(A^m)."""
+    d = len(f) - 1
+    p = [d]
+    for m in range(1, min(n, d) + 1):
+        p.append(-m * f[m] - sum(map(mul, f[1:m], p[m - 1:0:-1])))
+    tail = f[:0:-1]  # f_d, .., f_1 against p_(m-d), .., p_(m-1)
+    for m in range(d + 1, n + 1):
+        p.append(-sum(map(mul, tail, p[m - d:m])))
+    return p
+
+
+def from_power_sums(p, n):
+    """The coefficients f[0] = 1, f[1], .., f[n] of the series whose power
+    sums (`power_sums`) are p[1..n]: j f_j = -sum_{0<i<=j} p_i f_(j-i)."""
+    f = [1] + [0] * n
+    for j in range(1, n + 1):
+        f[j], r = divmod(-sum(map(mul, p[1:j + 1], f[j - 1::-1])), j)
+        assert r == 0, f"a coefficient is not divisible by {j}"
+    return f

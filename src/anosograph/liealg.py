@@ -31,7 +31,7 @@ from math import comb
 from operator import add, mul, sub
 
 from . import linalg
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, from_power_sums, power_sums
 from .lyndon import (free_bracket_words, lyndon_basis, mobius_inversion, standard_factorization,
                      witt_number)
 
@@ -85,12 +85,7 @@ class GradedLieAlgebra:
             self.offsets[m] = off
             off += self.dims[m - 1]
         self.dim = off
-        self._degree = []
-        self._word = []
-        for m in range(1, k + 1):
-            for w in self.basis_words[m]:
-                self._degree.append(m)
-                self._word.append(w)
+        self._word = [w for m in range(1, k + 1) for w in self.basis_words[m]]
         index = {w: i for i, w in enumerate(self._word)}
         # normal forms: a basis word is its unit vector, and a pivot word p
         # of relation row r is -(r - p), the rest of its row
@@ -104,7 +99,7 @@ class GradedLieAlgebra:
     # -- basis bookkeeping -------------------------------------------------
 
     def degree_of(self, i):
-        return self._degree[i]
+        return len(self._word[i])
 
     def word_of(self, i):
         return self._word[i]
@@ -124,7 +119,7 @@ class GradedLieAlgebra:
         # deg i + deg j <= top end where degree top - deg i + 1 begins;
         # brackets past the last built degree `top` are 0
         for i in range(self.dim):
-            for j in range(i + 1, self.offsets[top - self._degree[i] + 1]):
+            for j in range(i + 1, self.offsets[top - len(self._word[i]) + 1]):
                 expansion = free_bracket_words(self._word[i], self._word[j])
                 entry = combine((c, self._normal_form[w]) for w, c in expansion.items())
                 if entry:
@@ -279,7 +274,7 @@ def graph_algebra_dims(graph, k):
                for members in groups.values()]
     masks = _neighbour_masks(len(groups), [(item[u], item[v]) for u, v in graph.edges])
     coeffs = _independence_sum(masks, weights, top)
-    b = _power_sums(coeffs, k)  # b[m] = m [t^m] -log I(-t)
+    b = power_sums(coeffs, k)  # b[m] = m [t^m] -log I(-t)
     return [mobius_inversion(m)(b.__getitem__) for m in range(1, k + 1)]
 
 
@@ -319,33 +314,8 @@ def _independence_sum(neighbours, weights, top, one=1, zero=0, mul=mul, add=add)
     return total((1 << len(weights)) - 1, top)
 
 
-def _power_sums(f, n):
-    """[p_0, p_1, .., p_n] with p_m = m [t^m] -log f for m >= 1 and p_0 =
-    deg f, from the coefficients f[0] = 1, f[1], .., f[d] of f (Newton's
-    identities, p_m = -m f_m - sum_{0<j<m} f_j p_(m-j), f_j = 0 for j > d).
-    For f = det(1 - tA) these are the power sums tr(A^m)."""
-    d = len(f) - 1
-    p = [d]
-    for m in range(1, min(n, d) + 1):
-        p.append(-m * f[m] - sum(map(mul, f[1:m], p[m - 1:0:-1])))
-    tail = f[:0:-1]  # f_d, .., f_1 against p_(m-d), .., p_(m-1)
-    for m in range(d + 1, n + 1):
-        p.append(-sum(map(mul, tail, p[m - d:m])))
-    return p
-
-
-def _from_power_sums(p, n):
-    """The coefficients f[0] = 1, f[1], .., f[n] of the series whose power
-    sums (`_power_sums`) are p[1..n]: j f_j = -sum_{0<i<=j} p_i f_(j-i)."""
-    f = [1] + [0] * n
-    for j in range(1, n + 1):
-        f[j], r = divmod(-sum(map(mul, p[1:j + 1], f[j - 1::-1])), j)
-        assert r == 0, f"a coefficient is not divisible by {j}"
-    return f
-
-
 def _columns_power_sums(f, n):
-    """`_power_sums` of several series at once, [None, p_1, .., p_n]: f[j]
+    """`power_sums` of several series at once, [None, p_1, .., p_n]: f[j]
     and p[m] are columns, one entry per series."""
     p = [None]
     for m in range(1, n + 1):
@@ -357,7 +327,7 @@ def _columns_power_sums(f, n):
 
 
 def _columns_from_power_sums(p, n):
-    """`_from_power_sums` of several series at once, [f_0, .., f_n]: p[i]
+    """`from_power_sums` of several series at once, [f_0, .., f_n]: p[i]
     and f[j] are columns, one entry per series."""
     f = [[1] * len(p[1])]
     for j in range(1, n + 1):
@@ -434,14 +404,13 @@ def block_char_polys(partition, class_polys, exponents, k):
                      for e, ss in groups.items()), default=0)
         f = list(reversed(poly.coeffs))  # det(1 - tA)
         if exponent != 1:  # det(1 - tA^e) from tr(A^(je)), j <= d
-            p = _power_sums(f, d * exponent)
-            f = _from_power_sums([p[j * exponent] for j in range(d + 1)], d)
-        class_sums.append(_power_sums(f, reach))
+            f = from_power_sums(power_sums(f, d * exponent)[::exponent], d)
+        class_sums.append(power_sums(f, reach))
     b = {}
     for e, ss in groups.items():
         b.update(log_coefficients(class_sums, ss, e))
     polys = {}
     for m, dim in enumerate(dims, 1):
         traces = [dim] + [invert[m](lambda e: b[r * m // e][e]) for r in range(1, dim + 1)]
-        polys[m] = IntPolynomial(_from_power_sums(traces, dim)[::-1])
+        polys[m] = IntPolynomial(from_power_sums(traces, dim)[::-1])
     return polys

@@ -33,7 +33,8 @@ modulus exactly 1 and returns a certificate.  The decision is exact:
      The precision goes 64 -> 128 -> 256 bits; roots still not separated
      at 256 bits raise IndeterminateError.
 
-Compound matrices expose r-fold eigenvalue products to the same test.
+The r-fold eigenvalue products of A face the same test, on a polynomial
+that Newton's identities read from A's.
 """
 
 import cmath
@@ -49,8 +50,10 @@ from .intpoly import (
     cyclotomic,
     cyclotomic_indices_up_to_degree,
     divides,
+    from_power_sums,
     isolate_one_real_root,
     poly_gcd,
+    power_sums,
     squarefree_part,
     trace_polynomial,
 )
@@ -191,7 +194,7 @@ def compound_matrix(a, r):
     """r-th compound: minors det A[I, J] over r-subsets in colex order.
 
     Its eigenvalue multiset is exactly the r-fold products of A's
-    eigenvalues over index subsets.
+    eigenvalues over index subsets.  Only the tests build it, as a reference.
     """
     n = len(a)
     if not 1 <= r <= n:
@@ -517,17 +520,21 @@ class ProductsCertificate:
 
 def products_off_circle(a, r_max):
     """True iff every r-fold eigenvalue product of A avoids the unit circle,
-    for 1 <= r <= r_max, certified via compound-matrix characteristic
-    polynomials.  Zero products (singular compounds) are off-circle and are
-    factored out before certification."""
+    for 1 <= r <= r_max, certified on the r-th compound's polynomial, which
+    Newton's identities read from det(1 - tA): its s-th power sum is
+    e_r(lambda^s) = (-1)^r [t^r] det(1 - tA^s).  Zero products are
+    off-circle and are factored out before certification."""
     n = len(a)
     if not 1 <= r_max <= n:
         raise ValueError(f"r_max={r_max} outside 1..{n}")
+    f = char_poly(a).coeffs[::-1]  # det(1 - tA)
     per_r = []
     ok = True
     for r in range(1, r_max + 1):
-        comp = compound_matrix(a, r)
-        cp = char_poly(comp)
+        dim = math.comb(n, r)
+        p = power_sums(f, r * dim)
+        traces = [dim] + [(-1) ** r * from_power_sums(p[::s], r)[r] for s in range(1, dim + 1)]
+        cp = IntPolynomial(from_power_sums(traces, dim)[::-1])
         reduced = cp.shift_right(cp.trailing_zero_order())
         cert = enclose_roots(unit_root_free(reduced))
         per_r.append((r, cp, cert))

@@ -175,13 +175,13 @@ def test_dims_count_independent_sets_only_up_to_n(monkeypatch):
     # I(-t) has degree at most n, so Newton's recurrence gets at most n + 1
     # coefficients however large k is
     lengths = []
-    power_sums = liealg._power_sums
+    power_sums = liealg.power_sums
 
     def spy(f, n):
         lengths.append(len(f))
         return power_sums(f, n)
 
-    monkeypatch.setattr(liealg, "_power_sums", spy)
+    monkeypatch.setattr(liealg, "power_sums", spy)
     k = 50
     dims = graph_algebra_dims(C4, k)
     assert lengths and max(lengths) <= C4.n + 1

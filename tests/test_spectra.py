@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from anosograph import spectra
-from anosograph.anosov import synthesize
+from anosograph.anosov import synthesize, verify_certificate
 from anosograph.graphs import parse_graph
 from anosograph.intpoly import IntPolynomial, cyclotomic, divides, poly_gcd, squarefree_part
 from anosograph.linalg import det_bareiss, mat_mul
@@ -202,12 +202,50 @@ def test_compound_multiplicativity():
 
 
 def test_compound_eigenvalue_products_small():
+    # products_off_circle stops at the first r with a product on the circle,
+    # so its polynomials cover a prefix of 1..4
     rng = random.Random(5)
     for _ in range(8):
         a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
         for r in (1, 2, 3, 4):
             assert char_poly(compound_matrix(a, r)).to_json()[::-1] == \
                 product_poly_subsets(a, r)
+        for r, cp, _ in products_off_circle(a, 4).per_r:
+            assert cp.to_json()[::-1] == product_poly_subsets(a, r)
+
+
+def test_products_off_circle_polynomials_are_the_compounds():
+    # the polynomials read by Newton's identities against Berkowitz on the
+    # compound matrix itself, singular matrices included
+    rng = random.Random(30)
+    covered = set()
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        bound = rng.randint(1, 3)
+        a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0 and n > 1:
+            a[-1] = [x + y for x, y in zip(a[0], a[n // 2 - 1])]
+            assert det_bareiss(a) == 0
+        for r_max in range(1, n + 1):
+            per_r = products_off_circle(a, r_max).per_r
+            assert [r for r, _, _ in per_r] == list(range(1, len(per_r) + 1))
+            for r, cp, _ in per_r:
+                assert cp == char_poly(compound_matrix(a, r))
+                covered.add((n, r))
+    assert {(6, r) for r in range(1, 7)} <= covered
+
+
+def test_component_products_never_build_a_compound(monkeypatch):
+    # K6 at k = 3 and 12 isolated vertices at k = 4 (one class of 12, so
+    # compounds up to C(12, 4) = 495 rows) synthesize and verify without it
+    def refuse(*args):
+        raise AssertionError("compound_matrix called")
+
+    monkeypatch.setattr(spectra, "compound_matrix", refuse)
+    isolated = parse_graph("".join(f"vertex: v{i}\n" for i in range(12)))
+    for graph, k in ((complete_graph(6), 3), (isolated, 4)):
+        ok, report = verify_certificate(graph, synthesize(graph, k))
+        assert ok, report
 
 
 def test_unit_root_free_golden():
