@@ -13,11 +13,9 @@ from .intpoly import IntPolynomial, cyclotomic
 from .liealg import GradedLieAlgebra, build_graded_quotient, quotient_algebra
 from .lyndon import lyndon_basis, witt_number
 from .spectra import (
-    IndeterminateError,
     UnitRootCertificate,
     char_poly,
     compound_matrix,
-    enclose_roots,
     products_off_circle,
     unit_root_free,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "GradedLieAlgebra",
     "Graph",
     "GraphParseError",
-    "IndeterminateError",
     "IntPolynomial",
     "LadderExhaustedError",
     "NotAdmissibleError",
@@ -68,7 +65,6 @@ __all__ = [
     "cyclotomic",
     "decide_anosov",
     "derivation_algebra",
-    "enclose_roots",
     "extend_to_algebra",
     "find_component_matrix",
     "graph_from_edges",

@@ -18,7 +18,13 @@ in closed form, and extends only the rung that passes, to record its
 blocks.  `verify_certificate` and `derivations.hyperbolic_search` build
 the blocks and take their polynomials by Berkowitz, so the checker shares
 no spectral code with the producer.  All three decide hyperbolicity with
-the one polynomial gate `_check_polys`.  Extension and verification use
+the one polynomial gate `_check_polys`.  A certificate records the
+`unit_root_free` certificate of each degree; a "free" one settled by the
+Sturm count carries the trace polynomial of its symmetric factor
+(schema 2), which `verify_certificate` checks again by exact polynomial
+arithmetic and a Descartes count.  Schema-1 certificates carry root
+disks in its place, which it re-derives exactly from their recorded
+centers.  Extension and verification use
 only the quotient's basis and structure constants; the free-algebra
 coordinates stay inside `liealg`.
 """
@@ -31,7 +37,8 @@ from . import linalg
 from .graphs import coherent_components
 from .intpoly import IntPolynomial
 from .liealg import block_char_polys, combine, graph_algebra_dims, quotient_algebra
-from .spectra import char_poly, enclose_roots, products_off_circle, unit_root_free
+from .spectra import (char_poly, enclosures_hold, products_off_circle, trace_witness_holds,
+                      unit_root_free)
 
 
 class NotAdmissibleError(RuntimeError):
@@ -127,7 +134,7 @@ class ComponentMatrix:
             "matrix": self.matrix,
             "char_poly": self.poly.to_json(),
             "r_max": self.r_max,
-            # schema 1 records the index of x^d - x^(d-1) - ... - 1 in the
+            # the certificate records the index of x^d - x^(d-1) - ... - 1 in the
             # coefficient enumeration that once searched for a component,
             # after x^d - 1 and x^d + 1 (roots on the unit circle)
             "candidate_index": 2,
@@ -247,10 +254,10 @@ def _powered_degree_one(n, classes, matrices, exponents):
 
 class AutomorphismCertificate:
     __slots__ = ("graph_digest", "k", "classes", "components", "exponents", "degree_blocks",
-                 "char_polys", "unit_root_certs", "determinants")
+                 "char_polys", "unit_root_certs", "determinants", "schema")
 
     def __init__(self, graph_digest, k, classes, components, exponents, degree_blocks,
-                 char_polys, unit_root_certs, determinants):
+                 char_polys, unit_root_certs, determinants, schema=2):
         self.graph_digest = graph_digest
         self.k = k
         self.classes = classes  # per class, list of vertex labels
@@ -260,10 +267,12 @@ class AutomorphismCertificate:
         self.char_polys = char_polys  # degree -> ascending coefficients
         self.unit_root_certs = unit_root_certs  # degree -> certificate json
         self.determinants = determinants  # degree -> +-1
+        # 2 records trace-polynomial witnesses; 1, root disks in their place
+        self.schema = schema
 
     def to_json(self):
         return {
-            "schema": 1,
+            "schema": self.schema,
             "graph_digest": self.graph_digest,
             "k": self.k,
             "classes": self.classes,
@@ -278,8 +287,8 @@ class AutomorphismCertificate:
     @classmethod
     def from_json(cls, data):
         """Parse a certificate: KeyError for a missing field, ValueError for
-        an unknown key, a schema other than the int 1, a degree keyed other
-        than as str(m), or a field of the wrong type or shape."""
+        an unknown key, a schema other than the int 1 or 2, a degree keyed
+        other than as str(m), or a field of the wrong type or shape."""
 
         def require(ok, field):
             if not ok:
@@ -290,7 +299,7 @@ class AutomorphismCertificate:
         # the error stays one short line
         for key in data:
             require(key in _CERTIFICATE_KEYS, key[:64])
-        require(type(data["schema"]) is int and data["schema"] == 1, "schema")
+        require(type(data["schema"]) is int and data["schema"] in (1, 2), "schema")
         classes, components, exponents = data["classes"], data["components"], data["exponents"]
         require(isinstance(data["graph_digest"], str), "graph_digest")
         require(type(data["k"]) is int and data["k"] >= 2, "k")
@@ -314,7 +323,7 @@ class AutomorphismCertificate:
             require(list(map(str, maps[name])) == list(values), name)
         require(all(map(_is_square_int_matrix, maps["degree_blocks"].values())), "degree_blocks")
         return cls(graph_digest=data["graph_digest"], k=data["k"], classes=classes,
-                   components=components, exponents=exponents, **maps)
+                   components=components, exponents=exponents, schema=data["schema"], **maps)
 
 
 # the keys AutomorphismCertificate.to_json and ComponentMatrix.to_json
@@ -358,8 +367,7 @@ def _check_polys(degrees, poly_of, decide):
     ValueError (an integral characteristic polynomial), a determinant of
     +-1, then no unit-modulus root.  poly_of is called one degree at a
     time.  The gate only decides, by decide(p): `unit_root_free`, or a
-    search's memo of it.  An "isolated-interval" certificate lacks its
-    witness until `_recorded` builds it.
+    search's memo of it.
     Returns (True, (char_polys, certs, dets)) or (False, (kind, reason))
     with kind "unimodularity" / "unit-root-freeness".
     """
@@ -382,13 +390,11 @@ def _check_polys(degrees, poly_of, decide):
 
 def _recorded(payload):
     """The char_polys, determinants and unit_root_certs fields of a
-    certificate, from the payload of a passing `_check_polys`; the witness
-    of each "isolated-interval" unit-root certificate, its root enclosures,
-    is built here by `enclose_roots`."""
+    certificate, from the payload of a passing `_check_polys`."""
     char_polys, certs, dets = payload
     return {"char_polys": {m: p.to_json() for m, p in char_polys.items()},
             "determinants": dets,
-            "unit_root_certs": {m: enclose_roots(c).to_json() for m, c in certs.items()}}
+            "unit_root_certs": {m: c.to_json() for m, c in certs.items()}}
 
 
 def _check_blocks(blocks, decide):
@@ -461,7 +467,11 @@ def verify_certificate(graph, cert):
     binding, the block-diagonal shape of degree one, exact bracket
     compatibility F[e_i, e_j] = [F e_i, F e_j] for generators e_i, int
     matrix blocks, `_check_blocks`, that the recorded char_polys,
-    determinants and unit_root_certs are the re-derived ones, and that each
+    determinants and unit_root_certs are the re-derived ones (a schema-1
+    certificate's root disks, re-derived from their centers by
+    `enclosures_hold`, in place of the trace polynomial), that each trace
+    polynomial passes `trace_witness_holds`, whose Descartes count shares
+    no code with the Sturm count of `unit_root_free`, and that each
     component records what `_component` writes for its matrix.  Returns
     (ok, report); the report names the first failing check.  Generators
     suffice, as by Jacobi the x with F[x, y] = [Fx, Fy] for all y form a
@@ -546,10 +556,24 @@ def verify_certificate(graph, cert):
     passed("unimodularity")
     passed("unit-root-freeness")
     derived = _recorded(payload)
+    certs = payload[1]
+    if cert.schema == 1:
+        # schema 1 records root disks in place of the trace polynomial;
+        # disks that `enclosures_hold` re-derives stand for it
+        for m, c in derived["unit_root_certs"].items():
+            recorded = cert.unit_root_certs.get(m)
+            if (certs[m].method == "isolated-interval" and isinstance(recorded, dict)
+                    and enclosures_hold(certs[m].symmetric_factor, recorded.get("witness"))):
+                c["witness"] = recorded["witness"]
     for field, values in derived.items():
         if getattr(cert, field) != values:
             return fail(f"recorded-{field.replace('_', '-')}",
                         f"recorded {field} differ from the re-derived ones")
+    for m, c in sorted(certs.items()):
+        if c.method == "isolated-interval" and not trace_witness_holds(
+                c.symmetric_factor, IntPolynomial(c.witness["trace_poly"])):
+            return fail("unit-root-witnesses",
+                        f"degree-{m} trace polynomial does not witness unit-root-freeness")
     # compared as JSON text, as Python equality takes true and 1.0 for 1
     seen = set()
     for i, comp in enumerate(cert.components):

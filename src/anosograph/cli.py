@@ -9,8 +9,7 @@ it, the last of a repeated option wins, and a token after `--` is GRAPH.
 Help goes to stdout; a usage error prints the usage line to stderr.
 
 Exit codes: 0 verdict computed, 1 usage error, unreadable or malformed
-input, an unwritable --out, a closed stdout, roots too close to enclose
-within the fixed 256-bit refinement precision, or an input whose
+input, an unwritable --out, a closed stdout, or an input whose
 computation recurses past Python's recursion limit (`dims` of 1,100
 disjoint edges at a step k as large), 2 synthesis refused because
 the graph is not admissible, 3 certificate verification failed, 4 the one
@@ -46,7 +45,6 @@ from .derivations import (
 from .graphs import GraphParseError, coherent_components, parse_graph
 from .liealg import graph_algebra_dims, quotient_algebra
 from .lyndon import witt_number
-from .spectra import IndeterminateError
 
 SCHEMA = 1
 
@@ -386,7 +384,7 @@ def _run(argv):
         return e.code
     try:
         return COMMANDS[args.command][0](args)
-    except (GraphParseError, SpecError, IndeterminateError, ValueError) as e:
+    except (GraphParseError, SpecError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -34,7 +34,7 @@ from . import linalg
 from .graphs import _echo, coherent_components
 from .intpoly import IntPolynomial
 from .liealg import build_graded_quotient, combine, non_edge_relations, quotient_algebra
-from .spectra import enclose_roots, unit_root_free
+from .spectra import unit_root_free
 from .anosov import ExtensionError, _check_blocks, _scatter_block_diagonal, extend_to_algebra
 
 
@@ -468,10 +468,10 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
     its cycle lengths, so every eigenvalue of every block a signed
     permutation P induces is a root of unity.  Every other candidate
     that extends to the algebra and passes `anosov._check_blocks` is
-    returned in full.  Within one call each distinct polynomial is decided
-    by `unit_root_free` once, and each distinct finding polynomial gets
-    one `enclose_roots` witness.  An empty list is expected on the
-    quotients, and the searched box is part of the report.
+    returned in full, with the `unit_root_free` certificate of its
+    polynomial.  Within one call each distinct polynomial is decided by
+    `unit_root_free` once.  An empty list is expected on the quotients,
+    and the searched box is part of the report.
     """
     if entry_bound < 0:
         raise ValueError(f"entry bound must be >= 0, not {entry_bound}")
@@ -490,7 +490,7 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
     # both streams stay in the box; the random one never ends, so neither does the chain
     candidates = itertools.chain(_block_diagonal_candidates(algebra.graph, entry_bound),
                                  random_stream())
-    decisions, witnesses = {}, {}
+    decisions = {}
 
     def decide(p):
         if p not in decisions:
@@ -514,12 +514,10 @@ def hyperbolic_search(algebra, entry_bound, budget, seed=0):
         ok, payload = _check_blocks(blocks, decide)
         if ok:
             p = math.prod(payload[0].values(), start=IntPolynomial([1]))
-            if p not in witnesses:
-                witnesses[p] = enclose_roots(decide(p))
             findings.append(SearchFinding(
                 matrix=[list(row) for row in g],
                 char_poly=p.to_json(),
-                certificate=witnesses[p].to_json(),
+                certificate=decide(p).to_json(),
                 degree_blocks={m: [[str(x) for x in row] for row in b]
                                for m, b in blocks.items()},
             ))

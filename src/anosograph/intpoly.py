@@ -4,7 +4,10 @@ Coefficients are arbitrary-precision ints, ascending degree.  Includes the
 pieces the spectral certificates are built from: Newton's identities, a
 modular gcd, cyclotomic polynomials, Sturm counts, and the trace
 substitution y = x + 1/x that turns a palindromic polynomial's
-unit-circle roots into real roots of half the degree in [-2, 2].
+unit-circle roots into real roots of half the degree in [-2, 2].  A
+second real-root counter, Vincent-Collins-Akritas bisection under
+Descartes' rule of signs, shares no code with the Sturm chains, so the
+checker of a certificate does not rely on the count that produced it.
 
 All of it runs on ints.  `poly_gcd` is Brown's modular gcd: monic gcds
 modulo 61-bit primes, joined by the Chinese remainder theorem, and
@@ -19,7 +22,7 @@ rational point leaves the integers.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, ne
 
 
 def _trim(coeffs):
@@ -281,7 +284,10 @@ def poly_gcd(a, b):
     a.  Otherwise the images c * gcd_q, all of the least degree seen so far
     (primes of larger degree are dropped, a smaller one restarts), are
     joined by CRT with a symmetric lift.  Its primitive part h has
-    degree >= deg g, so once h divides both a and b it is g.
+    degree >= deg g, so once h divides both a and b it is g.  A trial
+    division is a full long division, so it waits until a new prime leaves
+    the symmetric lift unchanged: a lift that still changes is almost
+    never the gcd.
     """
     a, b = a.primitive(), b.primitive()
     if a.is_zero():
@@ -291,7 +297,7 @@ def poly_gcd(a, b):
     if a.degree < b.degree:
         a, b = b, a
     c = math.gcd(a.leading(), b.leading())
-    lift, modulus = None, 1
+    lift, modulus, previous = None, 1, None
     for q in _primes():
         if c % q == 0:
             continue
@@ -310,28 +316,16 @@ def poly_gcd(a, b):
             lift = [x + modulus * ((y - x) * u % q) for x, y in zip(lift, image)]
             modulus *= q
         half = modulus // 2
-        h = IntPolynomial([x - modulus if x > half else x for x in lift]).primitive()
-        if divides(h, a) and divides(h, b):
-            return h
+        symmetric = [x - modulus if x > half else x for x in lift]
+        if symmetric == previous:
+            h = IntPolynomial(symmetric).primitive()
+            if divides(h, a) and divides(h, b):
+                return h
+        previous = symmetric
 
 
 def squarefree_part(p):
     return poly_divmod_exact(p, poly_gcd(p, p.derivative())).primitive()
-
-
-def euler_phi(n):
-    result = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 @lru_cache(maxsize=None)
@@ -346,8 +340,16 @@ def cyclotomic(d):
 
 @lru_cache(maxsize=None)
 def cyclotomic_indices_up_to_degree(maxdeg):
-    """All d with euler_phi(d) <= maxdeg (phi(d) >= sqrt(d/2) bounds the sweep)."""
-    return tuple(d for d in range(1, 2 * maxdeg * maxdeg + 3) if euler_phi(d) <= maxdeg)
+    """All d with phi(d) <= maxdeg, ascending.  phi(d) >= sqrt(d/2) bounds
+    the sweep by 2 maxdeg^2 + 2, and a sieve gives Euler's phi up to it:
+    each prime q multiplies phi(m) by 1 - 1/q for its multiples m."""
+    n = 2 * maxdeg * maxdeg + 2
+    phi = list(range(n + 1))
+    for q in range(2, n + 1):
+        if phi[q] == q:  # untouched by a smaller prime, so q is prime
+            for m in range(q, n + 1, q):
+                phi[m] -= phi[m] // q
+    return tuple(d for d in range(1, n + 1) if phi[d] <= maxdeg)
 
 
 def sturm_sequence(p):
@@ -383,51 +385,75 @@ def count_real_roots(p, a, b):
     endpoints, by the sign changes of the integer Sturm chain.
 
     Endpoints must not be roots; p need not be squarefree (the chain ends
-    in gcd(p, p'), whose roots cancel from the count).
+    in gcd(p, p'), whose roots cancel from the count).  Integer endpoints,
+    such as the trace interval's -2 and 2, are evaluated in ints.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = (x.numerator if x.denominator == 1 else x for x in (Fraction(a), Fraction(b)))
     if p(a) == 0 or p(b) == 0:
         raise ValueError("interval endpoints must not be roots")
     seq = sturm_sequence(p)
     return _sign_changes(seq, a) - _sign_changes(seq, b)
 
 
-def isolate_one_real_root(p, a, b):
-    """An interval [a', b'] with a <= a' < b' <= b and p(a')p(b') < 0.
+def _taylor_shift(c):
+    """Ascending coefficients of c(x + 1), by repeated synthetic division."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return c
 
-    Requires at least one root in (a, b); p must be squarefree there.
-    Bisection by Sturm count, then endpoint cleanup.  The endpoints may be
-    a and b themselves: y - 1 on (-2, 2) gives (-2, 2).
+
+def _descartes_bound(c):
+    """Sign changes of the ascending coefficients c, zeros skipped: by
+    Descartes' rule, the number of positive roots counted with
+    multiplicity, up to an even excess."""
+    signs = [x > 0 for x in c if x]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def real_root_intervals(p, a, b):
+    """Isolating intervals of the distinct real roots of p in the open
+    interval (a, b), rational endpoints, by Vincent-Collins-Akritas
+    bisection (Collins and Akritas, 1976); no Sturm chain.
+
+    The squarefree part of p, scaled to P(x) = p(a + (b - a) x) with
+    integer coefficients, is bisected over (0, 1).  The Mobius map
+    x = 1/(t + 1) takes (0, 1) onto t in (0, inf), and Descartes' rule on
+    (t + 1)^n P(1/(t + 1)) bounds the roots in the piece: a bound of 0
+    drops it, 1 isolates a root, more bisects it, and a bisection point
+    that is a root is recorded as it is.  Returns sorted pairs (lo, hi)
+    of Fractions, one per root: lo == hi for a root at a bisection point,
+    else exactly one root in the open interval (lo, hi), whose endpoints
+    are roots only if they are listed as such a point.  a and b must not
+    be roots.
     """
     a, b = Fraction(a), Fraction(b)
-    seq = sturm_sequence(p)
-
-    def count(lo, hi):
-        return _sign_changes(seq, lo) - _sign_changes(seq, hi)
-
-    assert count(a, b) >= 1
-    while count(a, b) > 1:
-        mid = (a + b) / 2
-        if p(mid) == 0:
-            mid += (b - a) / 4
-        if count(a, mid) >= 1:
-            b = mid
-        else:
-            a = mid
-    # narrow to a sign change
-    while p(a) * p(b) >= 0:
-        mid = (a + b) / 2
-        if p(mid) == 0:
-            # rational root hit exactly; nudge the bracket around it
-            eps = (b - a) / 8
-            if p(mid - eps) * p(mid + eps) < 0:
-                return mid - eps, mid + eps
-            mid += eps
-        if count(a, mid) >= 1:
-            b = mid
-        else:
-            a = mid
-    return a, b
+    if p(a) == 0 or p(b) == 0:
+        raise ValueError("interval endpoints must not be roots")
+    p = squarefree_part(p)
+    d = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    lo, width = int(a * d), int((b - a) * d)
+    q = [p.leading()]  # Horner's rule for d^n p((lo + width x) / d)
+    for k, c in enumerate(reversed(p.coeffs[:-1]), 1):
+        q = [lo * x + width * y for x, y in zip(q + [0], [0] + q)]
+        q[0] += c * d ** k
+    found = []  # in x: an isolating piece (i, i + 1) / 2^shift, or a root (mid, mid)
+    todo = [(q, 0, 0)]
+    while todo:
+        q, i, shift = todo.pop()
+        bound = _descartes_bound(_taylor_shift(q[::-1]))
+        if bound == 1:
+            found.append((Fraction(i, 1 << shift), Fraction(i + 1, 1 << shift)))
+        elif bound > 1:
+            n = len(q) - 1
+            left = [x << (n - j) for j, x in enumerate(q)]  # 2^n q(x / 2)
+            right = _taylor_shift(left)  # 2^n q((x + 1) / 2)
+            if right[0] == 0:
+                mid = Fraction(2 * i + 1, 2 << shift)
+                found.append((mid, mid))
+            todo += [(left, 2 * i, shift + 1), (right, 2 * i + 1, shift + 1)]
+    return sorted((a + (b - a) * s, a + (b - a) * t) for s, t in found)
 
 
 def trace_polynomial(p):

@@ -13,31 +13,28 @@ modulus exactly 1 and returns a certificate.  The decision is exact:
   1. every unit-modulus root of a real polynomial p also divides
      rev(p) = x^deg p(1/x), so it lies in g = gcd(p, rev p); a constant g
      settles the question outright;
-  2. otherwise g is screened for cyclotomic factors;
-  3. otherwise the squarefree part of g is palindromic of even degree with
-     no root at +-1, and under y = x + 1/x its unit-circle roots
-     correspond exactly to real roots of the half-degree trace polynomial
-     in (-2, 2), which a Sturm count settles;
-  4. `unit_root_free` stops at the verdict; `enclose_roots` builds the
-     witness of a verdict settled in step 3, for a certificate that is
-     recorded.  For "not-free" it isolates a root of the trace polynomial
-     in (-2, 2).  For "free" it encloses every root of g in a certified
-     disk, giving per-root modulus intervals with positive margin from 1.
-     Approximations only propose centers: Durand-Kerner sweeps in
-     Gaussian-integer fixed point, with bits + 32 fractional bits, refine
-     double-precision hints (or a cold start when the hints overflow or
-     do not settle).  The centers are rounded to dyadics a/2^bits, the
-     containment radius n*|g/g'| is evaluated over the Gaussian integers,
-     and every comparison is exact.  The disks come sorted by the exact
-     center, key (|im|, re, im), so the order never depends on rounding.
-     The precision goes 64 -> 128 -> 256 bits; roots still not separated
-     at 256 bits raise IndeterminateError.
+  2. otherwise, when the squarefree part g0 of g has no root at +-1, it
+     is palindromic of even degree, and under y = x + 1/x its unit-circle
+     roots correspond exactly to the real roots of the half-degree trace
+     polynomial h in [-2, 2], with x^(deg g0 / 2) h(x + 1/x) = g0.  A
+     Sturm count of h on (-2, 2) of 0 settles "free", and h is the
+     witness;
+  3. otherwise g is screened for cyclotomic factors, and without one the
+     Sturm count settles "not-free".
+
+A "free" verdict of step 2 can be checked without any approximation:
+`trace_witness_holds` expands x^(deg h) h(x + 1/x) and compares it with
+g0, and counts the roots of h in (-2, 2) by Descartes' rule and
+Vincent-Collins-Akritas bisection, which share no code with the Sturm
+chain.  Schema-1 certificates record root disks in place of h;
+`enclosures_hold` re-derives each disk exactly from its recorded dyadic
+center, with no refinement: the containment radius deg*|g0/g0'| over the
+Gaussian integers, pairwise disjointness, and the modulus interval.
 
 The r-fold eigenvalue products of A face the same test, on a polynomial
 that Newton's identities read from A's.
 """
 
-import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -51,18 +48,12 @@ from .intpoly import (
     cyclotomic_indices_up_to_degree,
     divides,
     from_power_sums,
-    isolate_one_real_root,
     poly_gcd,
     power_sums,
+    real_root_intervals,
     squarefree_part,
     trace_polynomial,
 )
-
-_BUDGET_BITS = 256  # the last enclosure precision, after 64 and 128
-
-
-class IndeterminateError(RuntimeError):
-    """Refinement budget exhausted before every enclosure became decisive."""
 
 
 def _strong_components(rows):
@@ -250,47 +241,6 @@ def _abs2(re, im):
     return re * re + im * im
 
 
-_HINT_STEPS = 200
-_HINT_TOL = 2.0 ** -40
-
-
-def _cold_start(degree):
-    return [(0.4 + 0.9j) ** k for k in range(degree)]
-
-
-def _root_hints(g):
-    """Double-precision Durand-Kerner approximations to the roots of g.
-
-    Returns None when a coefficient or an iterate leaves the double range,
-    or when some correction is still above _HINT_TOL relative after
-    _HINT_STEPS sweeps.  The hints only warm-start `_refine_roots`.
-    """
-    try:
-        lead = g.leading()
-        a = [c / lead for c in reversed(g.coeffs)]
-        z = _cold_start(g.degree)
-        for _ in range(_HINT_STEPS):
-            worst = 0.0
-            for i, zi in enumerate(z):
-                num = 0j
-                for c in a:
-                    num = num * zi + c
-                den = 1 + 0j
-                for j, zj in enumerate(z):
-                    if j != i:
-                        den *= zi - zj
-                delta = num / den
-                z[i] = zi = zi - delta
-                if not cmath.isfinite(zi):
-                    return None
-                worst = max(worst, abs(delta) / abs(zi))
-            if worst <= _HINT_TOL:
-                return z
-    except (OverflowError, ZeroDivisionError):
-        pass
-    return None
-
-
 def _gauss_horner(coeffs, re, im, shift):
     """2^(shift*deg) * q((re + im*i) / 2^shift) for q with ascending integer
     coefficients, by Horner's rule over the Gaussian integers."""
@@ -300,93 +250,81 @@ def _gauss_horner(coeffs, re, im, shift):
     return ar, ai
 
 
-_REFINE_SWEEPS = 200
-_GUARD_BITS = 32
+def unit_root_free(p):
+    """Decide whether p has a complex root of modulus exactly 1.
 
-
-def _fixed(x, shift):
-    """floor(x * 2^shift) for a finite double x, exactly."""
-    n, d = x.as_integer_ratio()
-    return (n << shift) // d
-
-
-def _round_half_even(x, shift):
-    """x / 2^shift rounded to the nearest integer, ties to even."""
-    q, r = divmod(x, 1 << shift)
-    half = 1 << (shift - 1)
-    return q + (r > half or (r == half and q & 1))
-
-
-def _grid_point(x, bits):
-    """The center coordinate a for a fixed-point coordinate x / 2^(bits +
-    _GUARD_BITS): x rounded to bits + _GUARD_BITS significant bits, then to
-    the 2^-bits grid, both ties to even, as a multiprecision root at that
-    precision would be.  The first rounding is coarser than the grid, and
-    so sets the center, only for coordinates of modulus >= 2^_GUARD_BITS."""
-    excess = abs(x).bit_length() - bits - _GUARD_BITS
-    if excess > 0:
-        x = _round_half_even(x, excess) << excess
-    return _round_half_even(x, _GUARD_BITS)
-
-
-def _refine_roots(g, bits, start):
-    """Centers (a, b), meaning (a + b*i)/2^bits, near every root of g.
-
-    Durand-Kerner sweeps, each iterate updated in place, run on Gaussian
-    integers z * 2^P with P = bits + _GUARD_BITS: the correction
-    g(z_i) / (lead * prod_{j != i} (z_i - z_j)) is a quotient of
-    `_gauss_horner` and an integer product, floored to a multiple of
-    2^-P.  `start` is a list of complex start points (the double-precision
-    hints), or None for the cold start (0.4 + 0.9i)^k, k < deg g.  Stops
-    once every correction of a sweep is below 2^(16 - P); returns None
-    after _REFINE_SWEEPS sweeps without that, or when two iterates
-    coincide.
+    Requires p nonzero with p(0) != 0.  Returns a UnitRootCertificate; the
+    verdict is decided exactly and is never guessed.  A "free" verdict
+    settled by the Sturm count gets an "isolated-interval" certificate
+    with the trace polynomial as its witness.  The cyclotomic screen runs
+    only when the Sturm count does not settle "free", and scans in the
+    same order as when it ran first, so it finds the same factor.
     """
-    shift = bits + _GUARD_BITS
-    coeffs = g.coeffs
-    lead = coeffs[-1]
-    if start is None:
-        start = _cold_start(g.degree)
-    z = [(_fixed(w.real, shift), _fixed(w.imag, shift)) for w in start]
-    for _ in range(_REFINE_SWEEPS):
-        worst = 0
-        for i, (zr, zi) in enumerate(z):
-            nr, ni = _gauss_horner(coeffs, zr, zi, shift)
-            dr, di = lead, 0
-            for j, (wr, wi) in enumerate(z):
-                if j != i:
-                    er, ei = zr - wr, zi - wi
-                    dr, di = dr * er - di * ei, dr * ei + di * er
-            den = _abs2(dr, di)
-            if den == 0:
-                return None
-            cr = (nr * dr + ni * di) // den
-            ci = (ni * dr - nr * di) // den
-            z[i] = (zr - cr, zi - ci)
-            worst = max(worst, _abs2(cr, ci))
-        if worst < 1 << 32:  # every correction below 2^16 units of 2^-P
-            return [(_grid_point(a, bits), _grid_point(b, bits)) for a, b in z]
-    return None
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    if p.constant() == 0:
+        raise ValueError("p(0) = 0: zero eigenvalue; caller must handle it separately")
+    p = p.primitive()
+    g = poly_gcd(p, p.reversed_poly())
+    if g.degree == 0:
+        return UnitRootCertificate("free", "gcd-trivial", p)
+    g0 = squarefree_part(g)
+    # a root at +-1 is cyclotomic; without one, g0 is palindromic of even degree
+    if g0(1) and g0(-1):
+        if not g0.is_palindromic() or g0.degree % 2:
+            raise AssertionError("symmetric factor failed palindromic normalization")
+        h = trace_polynomial(g0)
+        if not count_real_roots(h, -2, 2):
+            return UnitRootCertificate("free", "isolated-interval", p, symmetric_factor=g,
+                                       witness={"trace_poly": h.to_json()})
+    for d in cyclotomic_indices_up_to_degree(g.degree):
+        phi = cyclotomic(d)
+        if phi.degree <= g.degree and divides(phi, g):
+            return UnitRootCertificate(
+                "not-free", "cyclotomic-factor", p, symmetric_factor=g,
+                witness={"cyclotomic_index": d, "factor": phi.to_json()},
+            )
+    return UnitRootCertificate("not-free", "isolated-interval", p, symmetric_factor=g)
 
 
-def _certified_enclosures(g, bits, hints=None):
-    """Per-root disks for a squarefree integer polynomial.
+def trace_witness_holds(symmetric_factor, h):
+    """Whether h proves that the symmetric factor g has no root on the unit
+    circle: x^(deg h) h(x + 1/x), expanded by Horner's rule in x^2 + 1, is
+    the squarefree part g0 of g, h(+-2) != 0, and `real_root_intervals`
+    finds no root of h in (-2, 2).  A root x of g0 with |x| = 1 would give
+    the real root x + 1/x of h in [-2, 2]."""
+    if h.is_zero():
+        return False
+    expanded = IntPolynomial([h.leading()])
+    for j, c in enumerate(reversed(h.coeffs[:-1]), 1):
+        expanded = expanded * IntPolynomial([1, 0, 1]) + IntPolynomial([0] * j + [c])
+    return (expanded == squarefree_part(symmetric_factor) and h(2) != 0 and h(-2) != 0
+            and not real_root_intervals(h, -2, 2))
 
-    Roots are approximated by `_refine_roots` (warm-started from `hints`
-    when given), then each disk of radius deg*|g(w)/g'(w)| around an
-    approximation provably contains a root; if the disks are pairwise
-    disjoint they isolate all roots.  Centers are dyadic a/2^bits, so
-    g and g' are evaluated exactly over the Gaussian integers.  Returns a
-    list of ((re, im), radius_sq_bound) sorted by (|im|, re, im), or None
-    if the working precision did not separate the roots.
-    """
+
+def _dyadic(text, bits):
+    """x * 2^bits for the text "n" or "n/d" of a rational x whose
+    denominator divides 2^bits; ValueError otherwise."""
+    num, _, den = text.partition("/")
+    x = Fraction(int(num), int(den or 1))
+    if (1 << bits) % x.denominator:
+        raise ValueError("not a dyadic rational at this precision")
+    return x.numerator * ((1 << bits) // x.denominator)
+
+
+def _disk_witness(g, centers, bits):
+    """The "free" witness that a schema-1 certificate recorded for the
+    squarefree polynomial g, re-derived from its disk centers (a, b),
+    meaning (a + b*i)/2^bits: around each, a disk of radius
+    deg*|g(w)/g'(w)| holds a root, so deg g pairwise disjoint disks
+    isolate every root, and a modulus interval that excludes 1 puts each
+    off the unit circle.  g and g' are evaluated over the Gaussian
+    integers and every comparison is exact.  None when the disks are not
+    deg g, disjoint and off the circle."""
     d = g.degree
-    dg = g.derivative()
-    centers = _refine_roots(g, bits, hints)
-    if centers is None:
+    if len(centers) != d:
         return None
-    centers.sort(key=lambda c: (abs(c[1]), c[0], c[1]))
-    unit = 1 << bits
+    dg = g.derivative()
     radii = []
     for a, b in centers:
         # |g(w)|^2 / |g'(w)|^2 with both scaled to integers: g by
@@ -404,99 +342,38 @@ def _certified_enclosures(g, bits, hints=None):
             # |w_i - w_j|^2 <= (r_i + r_j)^2 <= 2(r_i^2 + r_j^2), times 2^(2 bits) m_i m_j
             if _abs2(ai - aj, bi - bj) * mi * mj <= scale * (ni * mj + nj * mi):
                 return None
-    return [((Fraction(a, unit), Fraction(b, unit)), r2) for (a, b), r2 in zip(centers, radii)]
+    enclosures, margins = [], []
+    for (a, b), r2 in zip(centers, radii):
+        re, im = Fraction(a, 1 << bits), Fraction(b, 1 << bits)
+        mod_lo, mod_hi = _sqrt_bounds(_abs2(re, im), bits)
+        r_hi = _sqrt_bounds(r2, bits)[1]
+        lo, hi = mod_lo - r_hi, mod_hi + r_hi
+        if not (hi < 1 or lo > 1):
+            return None
+        margins.append(lo - 1 if lo > 1 else 1 - hi)
+        enclosures.append({
+            "center": [str(re), str(im)],
+            "radius_upper": str(r_hi),
+            "modulus_interval": [str(lo), str(hi)],
+            "margin": str(margins[-1]),
+        })
+    return {"root_enclosures": enclosures, "min_margin": str(min(margins))}
 
 
-def unit_root_free(p):
-    """Decide whether p has a complex root of modulus exactly 1.
-
-    Requires p nonzero with p(0) != 0.  Returns a UnitRootCertificate; the
-    verdict is decided exactly and is never guessed.  A verdict settled by
-    the Sturm count gets an "isolated-interval" certificate without its
-    witness, which `enclose_roots` builds.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.constant() == 0:
-        raise ValueError("p(0) = 0: zero eigenvalue; caller must handle it separately")
-    p = p.primitive()
-    g = poly_gcd(p, p.reversed_poly())
-    if g.degree == 0:
-        return UnitRootCertificate("free", "gcd-trivial", p)
-    for d in cyclotomic_indices_up_to_degree(g.degree):
-        phi = cyclotomic(d)
-        if phi.degree <= g.degree and divides(phi, g):
-            return UnitRootCertificate(
-                "not-free", "cyclotomic-factor", p, symmetric_factor=g,
-                witness={"cyclotomic_index": d, "factor": phi.to_json()},
-            )
-    g0 = squarefree_part(g)
-    # no root at +-1 (those are cyclotomic), so g0 is palindromic of even degree
-    if g0(1) == 0 or g0(-1) == 0 or not g0.is_palindromic() or g0.degree % 2:
-        raise AssertionError("symmetric factor failed palindromic normalization")
-    on_circle = count_real_roots(trace_polynomial(g0), Fraction(-2), Fraction(2))
-    return UnitRootCertificate("not-free" if on_circle else "free", "isolated-interval", p,
-                               symmetric_factor=g)
-
-
-def enclose_roots(cert):
-    """The certificate with its "isolated-interval" witness, built from the
-    squarefree part g0 of the symmetric factor.  For "not-free", an
-    interval of the trace polynomial that isolates a root in (-2, 2); for
-    "free", per-root modulus enclosures of g0 (IndeterminateError if they
-    stay undecided at _BUDGET_BITS bits).  A certificate of another
-    method is returned as it is."""
-    if cert.method != "isolated-interval":
-        return cert
-    g0 = squarefree_part(cert.symmetric_factor)
-    if not cert.free:
-        h = trace_polynomial(g0)
-        lo, hi = isolate_one_real_root(h, Fraction(-2), Fraction(2))
-        # the bracket may end at -2 or 2 themselves (y - 1 gives (-2, 2));
-        # narrow it until the witness lies strictly inside (-2, 2)
-        while lo <= -2 or hi >= 2:
-            mid = (lo + hi) / 2
-            if h(mid) == 0:
-                mid = lo + (hi - lo) * Fraction(3, 7)
-            if h(lo) * h(mid) < 0:
-                hi = mid
-            else:
-                lo = mid
-        witness = {
-            "trace_poly": h.to_json(),
-            "trace_interval": [str(lo), str(hi)],
-            "real_part_interval": [str(lo / 2), str(hi / 2)],
-            "on_circle_pairs": count_real_roots(h, Fraction(-2), Fraction(2)),
-        }
-        return UnitRootCertificate(cert.verdict, cert.method, cert.polynomial,
-                                   cert.symmetric_factor, witness)
-    hints = _root_hints(g0)
-    bits = 64
-    while bits <= _BUDGET_BITS:
-        disks = _certified_enclosures(g0, bits, hints)
-        if disks is not None:
-            enclosures = []
-            margins = []
-            for (re, im), r2 in disks:
-                mod_lo, mod_hi = _sqrt_bounds(_abs2(re, im), bits)
-                r_hi = _sqrt_bounds(r2, bits)[1]
-                lo, hi = mod_lo - r_hi, mod_hi + r_hi
-                if not (hi < 1 or lo > 1):
-                    break
-                margins.append(lo - 1 if lo > 1 else 1 - hi)
-                enclosures.append({
-                    "center": [str(re), str(im)],
-                    "radius_upper": str(r_hi),
-                    "modulus_interval": [str(lo), str(hi)],
-                    "margin": str(margins[-1]),
-                })
-            if len(enclosures) == len(disks):
-                witness = {"root_enclosures": enclosures, "min_margin": str(min(margins))}
-                return UnitRootCertificate(cert.verdict, cert.method, cert.polynomial,
-                                           cert.symmetric_factor, witness)
-        bits *= 2
-    raise IndeterminateError(
-        f"could not certify enclosures within {_BUDGET_BITS} bits")
+def enclosures_hold(symmetric_factor, witness):
+    """Whether a schema-1 "free" witness, root disks of the squarefree part
+    g0 of the symmetric factor at 64, 128 or 256 bits, is exactly what
+    `_disk_witness` re-derives from its recorded centers at one of them."""
+    g0 = squarefree_part(symmetric_factor)
+    for bits in (64, 128, 256):
+        try:
+            centers = [tuple(_dyadic(x, bits) for x in e["center"])
+                       for e in witness["root_enclosures"]]
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
+            continue
+        if all(len(c) == 2 for c in centers) and _disk_witness(g0, centers, bits) == witness:
+            return True
+    return False
 
 
 class ProductsCertificate:
@@ -536,7 +413,7 @@ def products_off_circle(a, r_max):
         traces = [dim] + [(-1) ** r * from_power_sums(p[::s], r)[r] for s in range(1, dim + 1)]
         cp = IntPolynomial(from_power_sums(traces, dim)[::-1])
         reduced = cp.shift_right(cp.trailing_zero_order())
-        cert = enclose_roots(unit_root_free(reduced))
+        cert = unit_root_free(reduced)
         per_r.append((r, cp, cert))
         if not cert.free:
             ok = False

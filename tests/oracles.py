@@ -3,9 +3,10 @@
 Everything here recomputes expected values through a different route than
 the library: plain tensor coordinates instead of Lyndon bases, a dense
 linear system for derivations, sympy resultants for eigenvalue products,
-512-bit numeric root isolation for unit-circle classification,
-mpmath's multiprecision Durand-Kerner for root enclosure centers, the
-primitive remainder sequence for the modular polynomial gcd, the
+512-bit numeric root isolation for unit-circle classification and for
+the roots of trace polynomials in [-2, 2], mpmath's roots rounded to
+dyadic centers for schema-1 root disks, trial division for Euler's phi,
+the primitive remainder sequence for the modular polynomial gcd, the
 standard library's argparse for the CLI's argument parser, one test on
 the product of all degree blocks' characteristic polynomials for the
 per-degree hyperbolicity gate, and a search loop that tests every
@@ -428,13 +429,29 @@ def prs_gcd(a, b):
     return a.primitive()
 
 
-# -- a polynomial no enclosure budget separates -------------------------------
+def euler_phi(n):
+    """Euler's phi by trial division."""
+    result = n
+    d = 2
+    m = n
+    while d * d <= m:
+        if m % d == 0:
+            while m % d == 0:
+                m //= d
+            result -= result // d
+        d += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+# -- a polynomial whose roots no 256-bit disks separate -----------------------
 
 def mignotte_palindromic():
     """Mignotte's construction: p(x) = x^3 h(x + 1/x) with
     h(y) = (y - 3)^3 - 2(2^200 (y - 3) - 1)^2 is monic, palindromic and
     unimodular with no root on the unit circle, but two of its roots are
-    too close to separate within the refinement budget."""
+    about 2^-200 apart, too close for root disks at 256 bits."""
     y3 = IntPolynomial([-3, 1])
     z = 2 ** 200 * y3 - IntPolynomial([1])
     h = y3 * y3 * y3 - 2 * z * z
@@ -464,10 +481,24 @@ def classify_unit_roots_512(coeffs):
     return "free"
 
 
+def mpmath_trace_roots(coeffs):
+    """The number of roots that `mpmath.polyroots` at 512 bits puts in
+    [-2, 2] for the polynomial with ascending integer coefficients: real
+    part within 2^-100 of the interval, imaginary part below 2^-100."""
+    if len(coeffs) < 2:
+        return 0
+    with mpmath.workprec(512):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)],
+                                 maxsteps=400, extraprec=512)
+        tol = mpmath.mpf(2) ** -100
+        return sum(1 for z in roots
+                   if abs(mpmath.im(z)) < tol and -2 - tol <= mpmath.re(z) <= 2 + tol)
+
+
 def mpmath_centers(coeffs, bits):
-    """Enclosure centers (a, b), meaning (a + b*i)/2^bits, for the roots of
-    the polynomial with ascending integer coefficients: `mpmath.polyroots`
-    from its cold start at bits + 32 bits (plus `bits` extra inside), each
+    """Disk centers (a, b), meaning (a + b*i)/2^bits, for schema-1 root
+    disks of the polynomial with ascending integer coefficients:
+    `mpmath.polyroots` at bits + 32 bits (plus `bits` extra inside), each
     coordinate rounded to the nearest multiple of 2^-bits.  Sorted by
     (|b|, a, b); None when polyroots does not converge in 200 sweeps."""
     with mpmath.workprec(bits + 32):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,11 @@ from anosograph import anosov
 from anosograph.anosov import companion_matrix
 from anosograph.cli import COMMANDS, REQUIRED, main, parse_args
 from anosograph.graphs import coherent_components, parse_graph
+from anosograph.intpoly import trace_polynomial
 from oracles import argparse_reference, mignotte_palindromic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CERT = "synthesize_c4_k3.cert.json"
 C4_TEXT = "a b\nb c\nc d\nd a\n"
 K3_TEXT = "a b\nb c\nc a\n"
 
@@ -240,35 +243,35 @@ def test_exponent_bounded_before_powering(capsys, tmp_path, exponent, detail):
     assert report["checks"][-1]["detail"].startswith(detail)
 
 
-def test_indeterminate_enclosure_exit_1(tmp_path):
+def test_close_roots_get_a_trace_witness_exit_0(capsys, tmp_path):
+    # one class of 6 isolated vertices whose degree-one block is the
+    # companion of a polynomial with roots about 2^-200 apart: root disks
+    # at 256 bits could not separate them (exit 1), the trace polynomial
+    # needs no separation
     a = companion_matrix(mignotte_palindromic())
     text = "".join(f"vertex: v{i}\n" for i in range(6))
     graph_path = tmp_path / "six.edges"
     graph_path.write_text(text)
+    ok, payload = anosov._check_blocks({1: a, 2: []}, anosov.unit_root_free)
+    assert ok
+    recorded = {field: {str(m): v for m, v in values.items()}
+                for field, values in anosov._recorded(payload).items()}
+    assert recorded["unit_root_certs"]["1"]["witness"] == {
+        "trace_poly": trace_polynomial(mignotte_palindromic()).to_json()}
     doc = {
-        "schema": 1,
+        "schema": 2,
         "graph_digest": parse_graph(text).digest(),
         "k": 2,
         "classes": [[f"v{i}" for i in range(6)]],
-        "components": [{"matrix": a}],
+        "components": [anosov._component(a, anosov.char_poly(a), 2).to_json()],
         "exponents": [1],
         "degree_blocks": {"1": a, "2": []},
-        "char_polys": {},
-        "unit_root_certs": {},
-        "determinants": {},
+        **recorded,
     }
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(Path(anosograph.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "anosograph.cli", "verify", str(graph_path),
-         "--certificate", str(cert_path)],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
-    assert "could not certify enclosures" in proc.stderr
+    code, out = run(capsys, "verify", str(graph_path), "--certificate", str(cert_path))
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_synthesize_has_no_component_search_options(capsys, c4_path):
@@ -380,8 +383,28 @@ def test_unknown_certificate_key_exit_1(capsys, tmp_path, tamper, field):
     lambda doc: doc.update(schema=_nested_list(900)),
     lambda doc: doc.pop("schema"),
 ], ids=["99", "null", "true", "deep-list", "missing"])
-def test_certificate_schema_must_be_1(capsys, tmp_path, tamper):
+def test_certificate_schema_must_be_1_or_2(capsys, tmp_path, tamper):
     doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    tamper(doc)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    err = _assert_one_error_line(capsys, ["verify", str(GOLDEN / "c4.edges"),
+                                          "--certificate", str(cert_path)])
+    reason = "malformed certificate field 'schema'" if "schema" in doc else "'schema'"
+    assert err == f"error: cannot load certificate: {reason}\n"
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc.update(schema=99),
+    lambda doc: doc.update(schema=None),
+    lambda doc: doc.update(schema=True),
+    lambda doc: doc.update(schema=_nested_list(900)),
+    lambda doc: doc.pop("schema"),
+], ids=["99", "null", "true", "deep-list", "missing"])
+def test_certificate_schema_must_be_1(capsys, tmp_path, tamper):
+    # a certificate with root disks is refused at load the same way when
+    # its schema field is malformed
+    doc = json.loads((GOLDEN / "synthesize_c4_k3.schema1.cert.json").read_text())
     tamper(doc)
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(doc))
@@ -743,8 +766,10 @@ def _widen_margin(doc):
 ])
 def test_verify_compares_recorded_spectral_fields(capsys, tmp_path, tamper, check):
     # the blocks are untouched, so every re-derivation passes and only the
-    # recorded field can be wrong
-    doc = json.loads((GOLDEN / "synthesize_c4_k3.cert.json").read_text())
+    # recorded field can be wrong; root disks, and their margins, are in
+    # the schema-1 certificate only
+    name = "synthesize_c4_k3.schema1.cert.json" if tamper is _widen_margin else CERT
+    doc = json.loads((GOLDEN / name).read_text())
     tamper(doc)
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(doc))
@@ -756,6 +781,46 @@ def test_verify_compares_recorded_spectral_fields(capsys, tmp_path, tamper, chec
         "unimodularity", "unit-root-freeness"]
     field = check.removeprefix("recorded-").replace("-", "_")
     assert report["checks"][-1]["detail"] == f"recorded {field} differ from the re-derived ones"
+
+
+def _bump_trace_poly(doc):
+    doc["unit_root_certs"]["2"]["witness"]["trace_poly"][0] += 1
+
+
+def _drop_trace_poly(doc):
+    del doc["unit_root_certs"]["3"]["witness"]["trace_poly"]
+
+
+def _drop_witness(doc):
+    del doc["unit_root_certs"]["2"]["witness"]
+
+
+def _disks_as_schema_2(doc):
+    # a schema-1 certificate relabelled: root disks where a trace polynomial belongs
+    doc["schema"] = 2
+
+
+def _move_center(doc):
+    center = doc["unit_root_certs"]["3"]["witness"]["root_enclosures"][0]["center"]
+    center[0] = str(Fraction(center[0]) + Fraction(1, 2 ** 64))
+
+
+@pytest.mark.parametrize("name, tamper", [
+    (CERT, _bump_trace_poly),
+    (CERT, _drop_trace_poly),
+    (CERT, _drop_witness),
+    ("synthesize_c4_k3.schema1.cert.json", _disks_as_schema_2),
+    ("synthesize_c4_k3.schema1.cert.json", _move_center),
+], ids=["changed-trace-poly", "removed-trace-poly", "removed-witness", "disks-as-schema-2",
+        "moved-center"])
+def test_verify_refuses_a_tampered_unit_root_witness(capsys, tmp_path, name, tamper):
+    doc = json.loads((GOLDEN / name).read_text())
+    tamper(doc)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(GOLDEN / "c4.edges"), "--certificate", str(cert_path))
+    assert code == 3
+    assert json.loads(out)["report"]["first_failure"] == "recorded-unit-root-certs"
 
 
 def _misrecord_component(doc):

@@ -4,7 +4,8 @@ Each case runs `anosograph.cli.main` on inputs under `tests/golden/` and
 compares stdout with `tests/golden/<case>.stdout` and the exit code with
 the table below.  The C4 synthesize case also compares the certificate
 it writes with `--out`; the verify cases read that certificate, the tampered
-one after adding 1 to the first entry of the top-degree block.
+one after adding 1 to the first entry of the top-degree block, and the
+schema-1 certificate `synthesize_c4_k3.schema1.cert.json`.
 
 To re-record after an intended output change:
     PYTHONPATH=src python tests/test_golden.py
@@ -32,6 +33,11 @@ CASES = [
     ("verify_c4_k3", ["verify", "{golden}/c4.edges", "--certificate", "{tmp}/cert.json"], 0),
     ("verify_c4_k3_tampered",
      ["verify", "{golden}/c4.edges", "--certificate", "{tmp}/tampered.json"], 3),
+    # the same certificate as an earlier schema wrote it, root disks in
+    # place of trace polynomials
+    ("verify_c4_k3_schema1",
+     ["verify", "{golden}/c4.edges", "--certificate",
+      "{golden}/synthesize_c4_k3.schema1.cert.json"], 0),
     ("synthesize_k3_refused", ["synthesize", "{golden}/k3.edges", "--k", "3"], 2),
     ("synthesize_k33_k3", ["synthesize", "{golden}/k33.edges", "--k", "3"], 0),
     ("derivations_c4_k3", ["derivations", "{golden}/c4.edges", "--k", "3"], 0),

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from anosograph import intpoly
 from anosograph.intpoly import (
@@ -15,14 +15,13 @@ from anosograph.intpoly import (
     cyclotomic,
     cyclotomic_indices_up_to_degree,
     divides,
-    euler_phi,
-    isolate_one_real_root,
     poly_divmod_exact,
     poly_gcd,
+    real_root_intervals,
     squarefree_part,
     trace_polynomial,
 )
-from oracles import prs_gcd
+from oracles import euler_phi, prs_gcd
 
 
 def test_equal_coefficients_compare_and_hash_equal():
@@ -59,6 +58,14 @@ def test_cyclotomic_index_sweep_complete():
     ds = cyclotomic_indices_up_to_degree(4)
     assert set(ds) >= {1, 2, 3, 4, 5, 6, 8, 10, 12}
     assert all(euler_phi(d) <= 4 for d in ds)
+
+
+def test_cyclotomic_index_sieve_matches_trial_division():
+    # the phi sieve against the trial-division sweep it replaced
+    phi = [0] + [euler_phi(d) for d in range(1, 2 * 80 * 80 + 3)]
+    for maxdeg in range(81):
+        sweep = tuple(d for d in range(1, 2 * maxdeg * maxdeg + 3) if phi[d] <= maxdeg)
+        assert cyclotomic_indices_up_to_degree(maxdeg) == sweep, maxdeg
 
 
 def test_divides():
@@ -109,9 +116,14 @@ def test_sturm_endpoint_guard():
 
 def test_isolate_real_root():
     p = IntPolynomial([1, -3, 1])
-    lo, hi = isolate_one_real_root(p, Fraction(0), Fraction(1))
+    [(lo, hi)] = real_root_intervals(p, Fraction(0), Fraction(1))
     assert Fraction(0) <= lo < hi <= Fraction(1)
     assert p(lo) * p(hi) < 0
+    # (x - 1/2)(x^2 - 3x + 1): a root at the first bisection point is kept as it is
+    p = p * IntPolynomial([-1, 2])
+    assert real_root_intervals(p, 0, 1) == [(0, Fraction(1, 2)), (Fraction(1, 2),) * 2]
+    with pytest.raises(ValueError):
+        real_root_intervals(IntPolynomial([-1, 1]), 1, 2)
 
 
 def test_trace_polynomial_golden_reciprocal():
@@ -133,6 +145,65 @@ def test_trace_polynomial_matches_substitution():
 def test_trace_polynomial_rejects_non_palindromic():
     with pytest.raises(ValueError):
         trace_polynomial(IntPolynomial([-1, -1, 1]))
+
+
+def palindromic_of(h):
+    """x^m h(x + 1/x) for h of degree m: a palindromic polynomial of degree 2m."""
+    p = IntPolynomial([])
+    for j, c in enumerate(h.coeffs):
+        term = IntPolynomial([0] * (h.degree - j) + [c])
+        for _ in range(j):
+            term = term * IntPolynomial([1, 0, 1])
+        p = p + term
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-6, 6), max_size=5), st.integers(1, 3), st.booleans(),
+       st.lists(st.tuples(st.integers(1, 2 ** 40), st.sampled_from([-2, 2]),
+                          st.sampled_from([-1, 1]), st.integers(1, 2)), max_size=3))
+@example([], 1, False, [(2 ** 40, 2, -1, 1), (2 ** 40, 2, 1, 1)])  # roots 2^-40 either side of 2
+@example([-3], 1, True, [(7, -2, 1, 2)])  # (y - 3)^2 (7y + 13)^2
+def test_descartes_and_sturm_counts_agree_on_palindromic(low, lead, square, near):
+    """On the trace polynomial h of a palindromic polynomial, Descartes
+    bisection and the Sturm count find the same roots in (-2, 2); the
+    factors n y - (e n + s) put roots 1/n from e = +-2, inside or outside,
+    and squared factors repeat roots."""
+    h = IntPolynomial(low + [lead])
+    if square:
+        h = h * h
+    for n, e, sign, mult in near:
+        for _ in range(mult):
+            h = h * IntPolynomial([-(e * n + sign), n])
+    p = palindromic_of(h)
+    assume(p(1) != 0 and p(-1) != 0)  # h(+-2) != 0
+    assert trace_polynomial(p) == h
+    assert len(real_root_intervals(h, -2, 2)) == count_real_roots(h, -2, 2)
+
+
+def test_gcd_divides_only_once_the_lift_is_stable():
+    # a planted 8th-degree factor with 150-bit coefficients needs several
+    # primes; the trial divisions wait for a prime that leaves the lift
+    # unchanged, and the gcd is the one the primitive PRS finds
+    rng = random.Random(31)
+    divisions = []
+
+    def count(b, a):
+        divisions.append(1)
+        return divides(b, a)
+
+    def poly(degree, bits):
+        return IntPolynomial([rng.getrandbits(bits) - 2 ** (bits - 1) for _ in range(degree)]
+                             + [1 + rng.getrandbits(bits)])
+
+    for _ in range(4):
+        f, u, v = poly(8, 150), poly(12, 30), poly(12, 30)
+        a, b = f * u, f * v
+        divisions.clear()
+        with mock.patch.object(intpoly, "divides", count), primes_used() as used:
+            g = poly_gcd(a, b)
+        assert g == prs_gcd(a, b) and divides(f.primitive(), g)
+        assert len(used) > 3 and len(divisions) == 2
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,11 +270,14 @@ def test_sturm_count_and_isolation_match_sympy():
             n = count_real_roots(p, a, b)
             assert n == sp.count_roots(a, b)
             assert n == count_real_roots(sf, a, b)
-            if n:
-                lo, hi = isolate_one_real_root(sf, a, b)
-                assert a <= lo < hi <= b
-                assert sf(lo) * sf(hi) < 0
-                assert sp.count_roots(lo, hi) == 1
+            # Descartes bisection: one interval per root, the open interval
+            # holding it alone (sympy counts roots in the closed one)
+            intervals = real_root_intervals(p, a, b)
+            assert len(intervals) == n
+            for lo, hi in intervals:
+                assert a <= lo <= hi <= b
+                roots_at_ends = sum(sf(x) == 0 for x in {lo, hi})
+                assert sp.count_roots(lo, hi) == 1 + roots_at_ends - (lo == hi)
 
 
 def test_exact_division_matches_sympy():

@@ -5,11 +5,10 @@ words are pushed into a quotient by `liealg` alone (its `image_map` and
 `free_derivation`), so no other module needs the standard factorization
 or the per-degree relation row spaces.
 
-Only `spectra` touches floating point, through its double-precision root
-hints, and the package calls no `float(`: approximations are proposals
-that exact arithmetic then certifies.  The package runs on the standard
-library alone: no module imports mpmath, and importing the CLI does not
-load it (the tests still use mpmath as an independent oracle).  The
+No module touches floating point: the package calls no `float(` and
+imports neither cmath nor mpmath, and importing the CLI does not load
+mpmath (the tests still use it as an independent oracle).  The package
+runs on the standard library alone.  The
 records are plain classes, so importing the CLI loads neither dataclasses
 nor inspect.  The CLI parses its arguments from its own table, so a
 `dims` call loads none of argparse, gettext or locale.  No module reads
@@ -43,7 +42,8 @@ def _trees():
     return {name: ast.parse(text) for name, text in sources().items()}
 
 
-def test_no_module_imports_mpmath():
+def _importers(top):
+    """The modules that import `top` or a submodule of it."""
     users = set()
     for name, tree in _trees().items():
         for node in ast.walk(tree):
@@ -53,9 +53,18 @@ def test_no_module_imports_mpmath():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "mpmath" for m in modules):
+            if any(m.split(".")[0] == top for m in modules):
                 users.add(name)
-    assert users == set()
+    return users
+
+
+def test_no_module_imports_mpmath():
+    assert _importers("mpmath") == set()
+
+
+def test_no_module_imports_cmath():
+    # unit-root witnesses are exact trace polynomials, not refined roots
+    assert _importers("cmath") == set()
 
 
 def test_cli_import_leaves_mpmath_unloaded():

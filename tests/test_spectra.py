@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 from fractions import Fraction
@@ -10,18 +9,26 @@ from hypothesis import example, given, settings, strategies as st
 from anosograph import spectra
 from anosograph.anosov import synthesize, verify_certificate
 from anosograph.graphs import parse_graph
-from anosograph.intpoly import IntPolynomial, cyclotomic, divides, poly_gcd, squarefree_part
+from anosograph.intpoly import (
+    IntPolynomial,
+    count_real_roots,
+    cyclotomic,
+    cyclotomic_indices_up_to_degree,
+    divides,
+    poly_gcd,
+    real_root_intervals,
+    squarefree_part,
+    trace_polynomial,
+)
 from anosograph.linalg import det_bareiss, mat_mul
 from anosograph.spectra import (
-    IndeterminateError,
-    _certified_enclosures,
-    _refine_roots,
-    _root_hints,
+    _disk_witness,
     _strong_components,
     char_poly,
     compound_matrix,
-    enclose_roots,
+    enclosures_hold,
     products_off_circle,
+    trace_witness_holds,
     unit_root_free,
 )
 from oracles import (
@@ -29,6 +36,7 @@ from oracles import (
     complete_graph,
     mignotte_palindromic,
     mpmath_centers,
+    mpmath_trace_roots,
     product_poly_subsets,
 )
 
@@ -261,77 +269,85 @@ def test_unit_root_free_cyclotomic():
 
 
 def test_unit_root_free_reciprocal_pisot():
-    # x^2 - 3x + 1: both roots real, moduli ~2.618 and ~0.382
-    cert = enclose_roots(unit_root_free(IntPolynomial([1, -3, 1])))
+    # x^2 - 3x + 1: both roots real, moduli ~2.618 and ~0.382; its trace
+    # polynomial y - 3 has its root outside [-2, 2]
+    cert = unit_root_free(IntPolynomial([1, -3, 1]))
     assert cert.free and cert.method == "isolated-interval"
-    enclosures = cert.witness["root_enclosures"]
-    assert len(enclosures) == 2
-    for e in enclosures:
-        lo, hi = (Fraction(*map(int, s.split("/"))) if "/" in s else Fraction(int(s))
-                  for s in e["modulus_interval"])
-        assert hi < 1 or lo > 1
+    assert cert.witness == {"trace_poly": [-3, 1]}
+    assert trace_witness_holds(cert.symmetric_factor, IntPolynomial([-3, 1]))
+
+
+LEHMER = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
 
 def test_unit_root_free_salem():
     # Lehmer's polynomial: self-reciprocal, no cyclotomic factor, 8 roots
-    # exactly on the circle
-    lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    # exactly on the circle, so 4 roots of its trace polynomial in (-2, 2)
     for d in range(1, 40):
-        assert not divides(cyclotomic(d), lehmer) or cyclotomic(d).degree > lehmer.degree
-    cert = enclose_roots(unit_root_free(lehmer))
+        assert not divides(cyclotomic(d), LEHMER) or cyclotomic(d).degree > LEHMER.degree
+    cert = unit_root_free(LEHMER)
     assert not cert.free and cert.method == "isolated-interval"
-    lo, hi = (Fraction(*map(int, s.split("/"))) if "/" in s else Fraction(int(s))
-              for s in cert.witness["trace_interval"])
-    assert Fraction(-2) < lo < hi < Fraction(2)
-    assert cert.witness["on_circle_pairs"] == 4
+    h = trace_polynomial(LEHMER)
+    assert count_real_roots(h, -2, 2) == len(real_root_intervals(h, -2, 2)) == 4
+    assert not trace_witness_holds(LEHMER, h)
 
 
-def test_unit_root_free_decides_and_enclose_roots_witnesses():
-    # Lehmer's polynomial: the verdict comes without a witness, and
-    # enclose_roots builds its trace interval
-    lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
-    cert = unit_root_free(lehmer)
-    assert (cert.verdict, cert.method, cert.witness) == ("not-free", "isolated-interval", None)
-    assert enclose_roots(cert).to_json() == {
-        "verdict": "not-free",
+def test_unit_root_free_attaches_the_trace_witness():
+    # only a "free" verdict of the Sturm count carries the trace polynomial;
+    # "not-free" there has no witness, and the other methods keep theirs
+    assert unit_root_free(IntPolynomial([1, -3, 1])).to_json() == {
+        "verdict": "free",
         "method": "isolated-interval",
-        "polynomial": lehmer.to_json(),
-        "symmetric_factor": lehmer.to_json(),
-        "witness": {"trace_poly": [3, 4, -5, -5, 1, 1],
-                    "trace_interval": ["-31/16", "-15/8"],
-                    "real_part_interval": ["-31/32", "-15/16"],
-                    "on_circle_pairs": 4},
+        "polynomial": [1, -3, 1],
+        "symmetric_factor": [1, -3, 1],
+        "witness": {"trace_poly": [-3, 1]},
     }
-    # a certificate of another method is returned as it is
-    for done in (unit_root_free(GOLDEN), unit_root_free(cyclotomic(5))):
-        assert enclose_roots(done) is done
+    cert = unit_root_free(LEHMER)
+    assert (cert.verdict, cert.method, cert.witness) == ("not-free", "isolated-interval", None)
+    assert unit_root_free(GOLDEN).witness is None
+    assert unit_root_free(cyclotomic(5)).witness == {"cyclotomic_index": 5,
+                                                     "factor": [1, 1, 1, 1, 1]}
 
 
-def test_enclose_roots_returns_a_new_certificate():
-    # the witness goes on a copy: the decided certificate keeps none, for
-    # a free verdict (root disks) and a not-free one (trace interval)
-    lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
-    for p in (IntPolynomial([1, -3, 1]), lehmer):
-        cert = unit_root_free(p)
-        enclosed = enclose_roots(cert)
-        assert enclosed is not cert and cert.witness is None
-        assert enclosed.witness is not None
-        fields = ("verdict", "method", "polynomial", "symmetric_factor")
-        assert [getattr(enclosed, f) for f in fields] == [getattr(cert, f) for f in fields]
+def test_trace_witness_rejects_a_wrong_trace_polynomial():
+    g = IntPolynomial([1, -3, 1])
+    assert trace_witness_holds(g, IntPolynomial([-3, 1]))
+    assert trace_witness_holds(g * g, IntPolynomial([-3, 1]))  # g0 is squarefree
+    for h in ([-4, 1], [3, -1], [-6, 2], [0, -3, 1], []):
+        assert not trace_witness_holds(g, IntPolynomial(h)), h
+    # x^2 - x + 1 = Phi_6: y - 1 has its root inside (-2, 2)
+    assert not trace_witness_holds(cyclotomic(6), IntPolynomial([-1, 1]))
+    # x^2 + 2x + 1 = (x + 1)^2: y + 2 vanishes at -2
+    assert not trace_witness_holds(IntPolynomial([1, 2, 1]), IntPolynomial([2, 1]))
 
 
-def test_synthesize_encloses_only_the_recorded_certificate(monkeypatch):
-    # K_{3,3} at k = 4: failing rungs are decided without any witness, and
-    # the one free "isolated-interval" certificate recorded gets its disks
-    calls = {"isolate_one_real_root": 0, "_refine_roots": 0}
-    for name in calls:
-        def spy(*args, _name=name, _fn=getattr(spectra, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(spectra, name, spy)
-    synthesize(parse_graph((Path(__file__).resolve().parent / "golden" / "k33.edges")
-                           .read_text()), 4)
-    assert calls == {"isolate_one_real_root": 0, "_refine_roots": 1}
+def test_only_verify_runs_the_descartes_check(monkeypatch):
+    # K_{3,3} at k = 4: `synthesize` records the trace polynomials that its
+    # Sturm counts settled, and only `verify` counts their roots again
+    calls = []
+
+    def spy(*args, _fn=spectra.real_root_intervals):
+        calls.append(args[0])
+        return _fn(*args)
+
+    monkeypatch.setattr(spectra, "real_root_intervals", spy)
+    graph = parse_graph((Path(__file__).resolve().parent / "golden" / "k33.edges").read_text())
+    cert = synthesize(graph, 4)
+    assert calls == []
+    ok, report = verify_certificate(graph, cert)
+    assert ok, report
+    witnesses = [c["witness"]["trace_poly"] for c in cert.unit_root_certs.values()
+                 if c["method"] == "isolated-interval"]
+    assert witnesses and [h.to_json() for h in calls] == witnesses
+
+
+def test_overflowing_coefficients_get_a_trace_witness():
+    # x^2 - 10^400 x + 1: no double holds its coefficients, and the trace
+    # polynomial y - 10^400 needs none
+    p = IntPolynomial([1, -10 ** 400, 1])
+    cert = unit_root_free(p)
+    assert cert.free and cert.witness == {"trace_poly": [-10 ** 400, 1]}
+    assert trace_witness_holds(cert.symmetric_factor, IntPolynomial([-10 ** 400, 1]))
 
 
 def test_gcd_step_soundness():
@@ -357,13 +373,53 @@ def test_unit_root_free_rejects_zero_constant():
         unit_root_free(IntPolynomial([0, 1]))
 
 
-def test_unit_root_free_budget_exhaustion_is_loud():
-    # no root on the unit circle, but two roots too close to separate
-    # within the 256-bit refinement budget; the verdict needs no enclosure
-    cert = unit_root_free(mignotte_palindromic())
-    assert cert.free and cert.witness is None
-    with pytest.raises(IndeterminateError, match="within 256 bits"):
-        enclose_roots(cert)
+def test_mignotte_polynomial_gets_an_accepted_trace_witness():
+    # no root on the unit circle, but two roots about 2^-200 apart, which
+    # root disks at 256 bits could not separate; the trace polynomial
+    # needs no separation, and the Descartes check accepts it
+    p = mignotte_palindromic()
+    cert = unit_root_free(p)
+    assert cert.free and cert.method == "isolated-interval"
+    h = IntPolynomial(cert.witness["trace_poly"])
+    assert h == trace_polynomial(p)
+    assert trace_witness_holds(cert.symmetric_factor, h)
+
+
+def unit_root_verdict_screen_first(p):
+    """(verdict, method, cyclotomic index) of p with the cyclotomic screen
+    before the Sturm count, the order `unit_root_free` once ran them in."""
+    p = p.primitive()
+    g = poly_gcd(p, p.reversed_poly())
+    if g.degree == 0:
+        return "free", "gcd-trivial", None
+    for d in cyclotomic_indices_up_to_degree(g.degree):
+        if cyclotomic(d).degree <= g.degree and divides(cyclotomic(d), g):
+            return "not-free", "cyclotomic-factor", d
+    on_circle = count_real_roots(trace_polynomial(squarefree_part(g)), -2, 2)
+    return "not-free" if on_circle else "free", "isolated-interval", None
+
+
+def _random_palindromic(rng):
+    half = [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))]
+    p = IntPolynomial([rng.choice((-2, -1, 1, 2))] + half + [rng.randint(-9, 9)]
+                      + half[::-1] + [0])
+    return IntPolynomial(p.coeffs[:-1] + p.coeffs[:1])
+
+
+def test_sturm_before_the_screen_matches_the_screen_first_order():
+    rng = random.Random(2006)
+    pisot = IntPolynomial([1, -3, 1])
+    polys = [cyclotomic(d1) * cyclotomic(d2) for d1 in range(1, 13) for d2 in range(d1, 13)]
+    polys += [LEHMER, LEHMER * LEHMER, pisot * cyclotomic(8), pisot * GOLDEN]
+    polys += [_random_palindromic(rng) for _ in range(300)]
+    polys += [_random_palindromic(rng) * _random_palindromic(rng) for _ in range(100)]
+    polys += [p * cyclotomic(rng.randint(1, 30)) for p in polys[-50:]]
+    for p in polys:
+        if p.constant() == 0:
+            continue
+        cert = unit_root_free(p)
+        index = cert.witness["cyclotomic_index"] if cert.method == "cyclotomic-factor" else None
+        assert (cert.verdict, cert.method, index) == unit_root_verdict_screen_first(p), p
 
 
 def test_verdicts_match_numeric_oracle_small():
@@ -398,12 +454,13 @@ def test_products_certificate_serializes():
 
 
 def test_certificate_serialization_round_trip_fields():
-    cert = enclose_roots(unit_root_free(IntPolynomial([1, -3, 1])))
-    doc = cert.to_json()
+    cert = unit_root_free(IntPolynomial([1, -3, 1]))
+    doc = json.loads(json.dumps(cert.to_json()))
     assert doc["verdict"] == "free"
     assert doc["method"] == "isolated-interval"
-    assert "root_enclosures" in doc["witness"]
-    assert "min_margin" in doc["witness"]
+    assert doc["witness"] == {"trace_poly": [-3, 1]}
+    assert trace_witness_holds(IntPolynomial(doc["symmetric_factor"]),
+                               IntPolynomial(doc["witness"]["trace_poly"]))
 
 
 def test_verdict_invariant_under_reversal():
@@ -430,7 +487,35 @@ def test_repeated_factors_free_and_not_free():
     assert not cert.free and cert.method == "isolated-interval"
 
 
-# -- root enclosures ------------------------------------------------------------
+# -- trace witnesses against mpmath ----------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=4), st.integers(-9, 9),
+       st.lists(st.integers(-3, 3), max_size=3))
+@example([], -3, [])  # x^2 - 3x + 1
+@example([1, 0, -1, -1], -1, [])  # Lehmer's polynomial
+@example([2, 5, -448, 856, 2840, 5600, -14048, -45374], -85492, [])  # K33_FACTOR
+@example([], -3, [0, 1])  # (x^2 - 3x + 1)(x^4 + x^2 + 1), on the circle
+def test_trace_witness_matches_mpmath_polyroots(half, middle, other):
+    """On palindromic polynomials, every trace polynomial `unit_root_free`
+    records has no root in [-2, 2] by `mpmath.polyroots` at 512 bits and
+    passes the Descartes check, and a "not-free" Sturm verdict has such a
+    root."""
+    p = IntPolynomial([1, *half, middle, *half[::-1], 1])
+    if other:
+        p = p * IntPolynomial([1, *other, *other[-2::-1], 1])
+    cert = unit_root_free(p)
+    if cert.method != "isolated-interval":
+        return
+    h = trace_polynomial(squarefree_part(cert.symmetric_factor))
+    assert (cert.witness is None) == (mpmath_trace_roots(h.coeffs) > 0)
+    if cert.free:
+        assert cert.witness == {"trace_poly": h.to_json()}
+        assert trace_witness_holds(cert.symmetric_factor, h)
+
+
+# -- schema-1 root disks ----------------------------------------------------------
 
 # the degree-18 symmetric factor of a K_{3,3} certificate at k = 3: two real
 # roots and eight conjugate pairs
@@ -440,62 +525,50 @@ C4_FACTORS = [IntPolynomial([1, -4, -19, -4, 1]),
               IntPolynomial([1, 0, -126, 0, 371, 0, -126, 0, 1])]
 
 
+def test_centers_match_mpmath_polyroots():
+    """The disk centers of the schema-1 fixture are the roots of each
+    squarefree symmetric factor by `mpmath.polyroots`, rounded to the
+    2^-64 grid, and the re-derived disks are accepted."""
+    path = Path(__file__).resolve().parent / "golden" / "synthesize_c4_k3.schema1.cert.json"
+    doc = json.loads(path.read_text())
+    witnessed = [c for c in doc["unit_root_certs"].values() if c.get("witness")]
+    assert witnessed
+    for cert in witnessed:
+        g = squarefree_part(IntPolynomial(cert["symmetric_factor"]))
+        disks = cert["witness"]["root_enclosures"]
+        centers = [tuple(int(Fraction(x) * 2 ** 64) for x in d["center"]) for d in disks]
+        assert all(Fraction(x) * 2 ** 64 == int(Fraction(x) * 2 ** 64)
+                   for d in disks for x in d["center"])
+        assert sorted(centers) == sorted(mpmath_centers(g.coeffs, 64))
+        assert enclosures_hold(g, cert["witness"])
+
+
 @pytest.mark.parametrize("g", [K33_FACTOR, *C4_FACTORS], ids=["K33", "C4-deg2", "C4-deg3"])
-def test_enclosures_do_not_depend_on_hints(g):
-    hints = _root_hints(g)
-    assert hints is not None
+def test_schema1_disks_rederive_from_their_centers(g):
+    # disks around mpmath's roots rounded to the grid isolate every root
+    # off the circle, and only the exact re-derived witness is accepted
     for bits in (64, 128):
-        disks = _certified_enclosures(g, bits, hints)
-        assert disks is not None and len(disks) == g.degree
-        assert disks == _certified_enclosures(g, bits, None)
-        centers = [center for center, _ in disks]
-        assert centers == sorted(centers, key=lambda c: (abs(c[1]), c[0], c[1]))
+        witness = _disk_witness(g, mpmath_centers(g.coeffs, bits), bits)
+        assert witness is not None and len(witness["root_enclosures"]) == g.degree
+        assert enclosures_hold(g, witness)
+        assert enclosures_hold(g * g, witness)  # the squarefree part is checked
+        tampered = json.loads(json.dumps(witness))
+        tampered["min_margin"] = "1"
+        assert not enclosures_hold(g, tampered)
+        tampered = json.loads(json.dumps(witness))
+        tampered["root_enclosures"].pop()
+        assert not enclosures_hold(g, tampered)
+        # two disks around one root are not disjoint
+        centers = mpmath_centers(g.coeffs, bits)
+        assert _disk_witness(g, [centers[0]] + centers[:-1], bits) is None
+    assert not enclosures_hold(g, {"root_enclosures": [{"center": ["1/3", "0"]}]})
+    assert not enclosures_hold(g, None)
 
 
-def test_overflowing_hints_fall_back_to_a_cold_start(monkeypatch):
-    p = IntPolynomial([1, -10 ** 400, 1])
-    assert _root_hints(p) is None
-    starts = []
-
-    def spy(g, bits, start):
-        starts.append(start)
-        return _refine_roots(g, bits, start)
-
-    monkeypatch.setattr(spectra, "_refine_roots", spy)
-    cert = enclose_roots(unit_root_free(p))
-    assert starts == [None]
-    witness = cert.witness
-    assert [e["center"][1] for e in witness["root_enclosures"]] == ["0", "0"]
-    assert witness["root_enclosures"][0]["center"][0] == "0"
-    assert witness["min_margin"] == "4611686018427387903/4611686018427387904"
-    # the whole certificate, as the cold-start-only enclosures produced it
-    doc = json.dumps(cert.to_json(), sort_keys=True).encode()
-    assert hashlib.sha256(doc).hexdigest() == \
-        "d99d7fdffac33be49f5be1e58a89021d54671955da177de38f89942d5f97ed37"
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-2 ** 48, 2 ** 48), min_size=1, max_size=8),
-       st.integers(1, 2 ** 48), st.sampled_from([64, 128]))
-@example([7, -2 ** 48 + 5], 3, 64)  # a real root near 2^46.4
-@example([1, -2 ** 48], 1, 128)  # roots near 2^48 and 2^-48
-@example([-2, 0, 0, 0, 0, 0, 0], 1, 64)  # 2^(1/7) times the 7th roots of unity
-def test_centers_match_mpmath_polyroots(lower, lead, bits):
-    """The fixed-point Durand-Kerner proposes exactly the centers that
-    `mpmath.polyroots` rounded to the grid, warm or cold, including roots
-    beyond 2^32, where the center is the root rounded to bits + 32
-    significant bits."""
-    g = squarefree_part(IntPolynomial([*lower, lead]))
-    if g.degree < 1:
-        return
-    expected = mpmath_centers(g.coeffs, bits)
-    if expected is None:  # mpmath proposes nothing to compare with
-        return
-    for start in (_root_hints(g), None):
-        assert sorted(_refine_roots(g, bits, start)) == sorted(expected)
-        disks = _certified_enclosures(g, bits, start)
-        if disks is not None:
-            assert [(re * 2 ** bits, im * 2 ** bits) for (re, im), _ in disks] == expected
+def test_schema1_disks_refuse_a_circle_root():
+    # x^2 + 1 has roots +-i: exact centers, radius 0, modulus exactly 1
+    g = IntPolynomial([1, 0, 1])
+    assert _disk_witness(g, [(0, 1 << 64), (0, -(1 << 64))], 64) is None
 
 
 def _rect_in_disk(rect, disk):
@@ -514,10 +587,11 @@ def _rect_meets_disk(rect, disk):
        st.integers(1, 3))
 @example([2], 1, 3)  # 3x^2 + 2x + 1: one conjugate pair
 @example([-4, -19, -4], 1, 1)  # a C4 factor: four real roots
-@example([0], 1, 1)  # x^2 + 1: roots at the dyadic centers +-i, radius 0
+@example([0], 1, 2)  # 2x^2 + 1: roots +-i/sqrt(2)
 def test_enclosures_against_exact_root_rectangles(middle, constant, lead):
-    """Every root lies in exactly one certified disk and every disk holds
-    exactly one root, against sympy's exact root isolation."""
+    """Every root lies in exactly one disk of an accepted schema-1 witness
+    and every disk holds exactly one root, against sympy's exact root
+    isolation; the centers are mpmath's roots on the 2^-bits grid."""
     import sympy
 
     x = sympy.Symbol("x")
@@ -525,8 +599,13 @@ def test_enclosures_against_exact_root_rectangles(middle, constant, lead):
     if sq.degree() < 1:
         return
     g = IntPolynomial(reversed([int(c) for c in sq.all_coeffs()]))
-    hints = _root_hints(g)
-    disks = next(filter(None, (_certified_enclosures(g, bits, hints) for bits in (64, 128, 256))))
+    witness = next(filter(None, (_disk_witness(g, mpmath_centers(g.coeffs, bits), bits)
+                                 for bits in (64, 128, 256))), None)
+    if witness is None:  # a root on the unit circle, or roots too close
+        return
+    assert enclosures_hold(g, witness)
+    disks = [((Fraction(e["center"][0]), Fraction(e["center"][1])),
+              Fraction(e["radius_upper"]) ** 2) for e in witness["root_enclosures"]]
     assert len(disks) == g.degree
     eps = sympy.Rational(1, 2 ** 80)
     rects = []
@@ -538,15 +617,7 @@ def test_enclosures_against_exact_root_rectangles(middle, constant, lead):
         else:
             tol = Fraction(0)  # a rational root, exact
         re, im = (Fraction(int(v.p), int(v.q)) for v in root.as_real_imag())
-        rect = (re - tol, re + tol, im - tol, im + tol)
-        for (cr, ci), r2 in disks:
-            if r2 == 0 and _rect_meets_disk(rect, ((cr, ci), r2)):
-                # g vanishes at this dyadic center: confirm it, the root is the center
-                z = sympy.Rational(cr.numerator, cr.denominator) \
-                    + sympy.I * sympy.Rational(ci.numerator, ci.denominator)
-                assert sympy.expand(sq.as_expr().subs(x, z)) == 0
-                rect = (cr, cr, ci, ci)
-        rects.append(rect)
+        rects.append((re - tol, re + tol, im - tol, im + tol))
     for rect in rects:
         assert sum(_rect_in_disk(rect, disk) for disk in disks) == 1
         assert sum(_rect_meets_disk(rect, disk) for disk in disks) == 1
