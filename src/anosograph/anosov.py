@@ -1,12 +1,20 @@
 """Deciding and constructing hyperbolic lattice-preserving automorphisms.
 
-`decide_anosov` admits a graph's k-step nilmanifold when every coherent
-class has at least two vertices and no class of size 2..k is internally
-complete.  That rule is stated as an iff, but it is not one for k >= 4:
-at k = 4 it admits the 4-cycle, where every rung of the ladder leaves a
-block with a unit-modulus eigenvalue.  When the rule holds, the
-constructive route is followed: one unimodular integer matrix per class
-whose r-fold eigenvalue products avoid the unit circle for
+`decide_anosov` refuses a graph's k-step nilmanifold iff some union S
+of coherent classes has at most k vertices and induces a connected
+subgraph.  A word that uses each vertex of S once survives in the
+algebra exactly when G[S] is connected, and then every
+class-block-diagonal automorphism has the eigenvalue +-prod det(A_i) =
++-1 in degree |S| (the class-union argument follows Dani-Mainkar,
+Trans. AMS 2005).  A class of two or more vertices is a clique (true
+twins) or independent (false twins), and two classes joined by one edge
+are joined by all, so the rule reduces to single classes and adjacent
+class pairs: refuse iff a class is a singleton, or a clique of at most
+k vertices, or two adjacent independent classes have at most k vertices
+together.  The 4-cycle, two classes of two, is admitted at k <= 3 and
+refused from k = 4.  When the rule admits, the constructive route is
+followed: one unimodular integer matrix per class whose r-fold
+eigenvalue products avoid the unit circle for
 r <= min(k, class size d - 1), the companion of the Pisot polynomial
 x^d - x^(d-1) - ... - 1, per-class exponents escalated over a
 deterministic ladder, and the resulting degree-one map extended through
@@ -60,7 +68,8 @@ class Violation:
 
     def __init__(self, class_index, reason, offending_edge=None):
         self.class_index = class_index
-        self.reason = reason  # "singleton-class" | "internal-edge-in-small-class"
+        # "singleton-class" | "internal-edge-in-small-class" | "small-adjacent-class-pair"
+        self.reason = reason
         self.offending_edge = offending_edge  # (label, label) or None
 
     def to_json(self):
@@ -87,20 +96,33 @@ class AnosovVerdict:
 
 
 def decide_anosov(partition, k):
-    """Evaluate the admissibility criterion on a coherent partition."""
+    """Evaluate the admissibility criterion on a coherent partition: one
+    violation per singleton class, per clique class of at most k vertices,
+    and per adjacent pair of independent classes, neither a singleton, with
+    at most k vertices together (in sorted pair order)."""
     if k < 2:
         raise ValueError("step k must be >= 2")
     g = partition.graph
+    classes, internal = partition.classes, partition.internal_edges
     violations = []
-    for ci, cls in enumerate(partition.classes):
+    for ci, cls in enumerate(classes):
         if len(cls) < 2:
             violations.append(Violation(ci, "singleton-class"))
             continue
-        if 2 <= len(cls) <= k and partition.internal_edges[ci]:
-            u, v = partition.internal_edges[ci][0]
+        if 2 <= len(cls) <= k and internal[ci]:
+            u, v = internal[ci][0]
             violations.append(Violation(
                 ci, "internal-edge-in-small-class",
                 offending_edge=(g.vertices[u], g.vertices[v]),
+            ))
+    for ci, cj in sorted(sorted(pair) for pair in partition.pair_edges):
+        a, b = classes[ci], classes[cj]
+        if (not internal[ci] and not internal[cj] and len(a) >= 2 and len(b) >= 2
+                and len(a) + len(b) <= k):
+            # cross-class adjacency is uniform, so the first members are adjacent
+            violations.append(Violation(
+                ci, "small-adjacent-class-pair",
+                offending_edge=(g.vertices[a[0]], g.vertices[b[0]]),
             ))
     return AnosovVerdict(k=k, admits=not violations, violations=tuple(violations))
 

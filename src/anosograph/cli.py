@@ -10,8 +10,8 @@ Help goes to stdout; a usage error prints the usage line to stderr.
 
 Exit codes: 0 verdict computed, 1 usage error, unreadable or malformed
 input, an unwritable --out, a closed stdout, or an input whose
-computation recurses past Python's recursion limit (`dims` of 1,100
-disjoint edges at a step k as large), 2 synthesis refused because
+computation recurses past Python's recursion limit (`dims` of a
+2,200-vertex path at k = 1,100), 2 synthesis refused because
 the graph is not admissible, 3 certificate verification failed, 4 the one
 pass over the exponent ladder (exponents up to 64, at most 100,000 rungs)
 ran out.
@@ -94,20 +94,19 @@ def _emit_text(doc, prefix=""):
         print(f"{prefix}{doc}")
 
 
+def _doc(args, **fields):
+    """The JSON document of a run, schema and command first.  Each `_cmd_*`
+    handler returns (exit code, document or None) and `_run` emits the
+    document; None means the handler printed its own output, if any."""
+    return {"schema": SCHEMA, "command": args.command, **fields}
+
+
 def _cmd_analyze(args):
     g = _load_graph(args.graph)
     partition = coherent_components(g)
     verdict = decide_anosov(partition, args.k)
-    _emit({
-        "schema": SCHEMA,
-        "command": "analyze",
-        "graph": g.to_json(),
-        "digest": g.digest(),
-        "k": args.k,
-        "partition": partition.to_json(),
-        "verdict": verdict.to_json(),
-    }, args.format)
-    return 0
+    return 0, _doc(args, graph=g.to_json(), digest=g.digest(), k=args.k,
+                   partition=partition.to_json(), verdict=verdict.to_json())
 
 
 def _cmd_dims(args):
@@ -115,15 +114,8 @@ def _cmd_dims(args):
     if args.k < 2:
         raise ValueError("step k must be >= 2")
     dims = graph_algebra_dims(g, args.k)
-    _emit({
-        "schema": SCHEMA,
-        "command": "dims",
-        "k": args.k,
-        "dims": dims,
-        "total": sum(dims),
-        "ideal_dims": [witt_number(g.n, m) - d for m, d in enumerate(dims, 1)],
-    }, args.format)
-    return 0
+    return 0, _doc(args, k=args.k, dims=dims, total=sum(dims),
+                   ideal_dims=[witt_number(g.n, m) - d for m, d in enumerate(dims, 1)])
 
 
 def _cmd_synthesize(args):
@@ -131,21 +123,10 @@ def _cmd_synthesize(args):
     try:
         cert = synthesize(g, args.k)
     except NotAdmissibleError as e:
-        _emit({
-            "schema": SCHEMA,
-            "command": "synthesize",
-            "admits": False,
-            "violations": [v.to_json() for v in e.verdict.violations],
-        }, args.format)
-        return 2
+        return 2, _doc(args, admits=False,
+                       violations=[v.to_json() for v in e.verdict.violations])
     except LadderExhaustedError as e:
-        _emit({
-            "schema": SCHEMA,
-            "command": "synthesize",
-            "admits": True,
-            "error": str(e),
-        }, args.format)
-        return 4
+        return 4, _doc(args, admits=True, error=str(e))
     doc = cert.to_json()
     # encoded once, for the file and for json stdout
     text = json.dumps(doc, indent=2) if args.out or args.format == "json" else None
@@ -155,12 +136,12 @@ def _cmd_synthesize(args):
                 fh.write(text + "\n")
         except OSError as e:
             print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 1
+            return 1, None
     if args.format == "json":
         print(text)
     else:
         _emit_text(doc)
-    return 0
+    return 0, None
 
 
 def _cmd_verify(args):
@@ -170,20 +151,14 @@ def _cmd_verify(args):
             cert = AutomorphismCertificate.from_json(json.load(fh))
     except (OSError, KeyError, ValueError, RecursionError) as e:
         print(f"error: cannot load certificate: {e}", file=sys.stderr)
-        return 1
+        return 1, None
     ok, report = verify_certificate(g, cert)
-    _emit({
-        "schema": SCHEMA,
-        "command": "verify",
-        "ok": ok,
-        "report": report,
-    }, args.format)
-    return 0 if ok else 3
+    return (0 if ok else 3), _doc(args, ok=ok, report=report)
 
 
 def _cmd_derivations(args):
     g = _load_graph(args.graph)
-    doc = {"schema": SCHEMA, "command": "derivations", "k": args.k}
+    doc = _doc(args, k=args.k)
     if args.quotient:
         spec = _load_spec(args.quotient)
         algebra = build_quotient(g, spec)
@@ -201,8 +176,7 @@ def _cmd_derivations(args):
         indices = spec.validate(g)
         doc["span_report"] = _span_report(algebra, indices, v_stable).to_json()
         doc["lift_check"] = _lift_check(algebra, indices, v_stable)
-    _emit(doc, args.format)
-    return 0
+    return 0, doc
 
 
 def _cmd_search(args):
@@ -213,18 +187,9 @@ def _cmd_search(args):
     else:
         algebra = quotient_algebra(g, args.k)
     findings = hyperbolic_search(algebra, args.entry_bound, args.budget, seed=args.seed)
-    _emit({
-        "schema": SCHEMA,
-        "command": "search",
-        "dims": list(algebra.dims),
-        "searched": {
-            "entry_bound": args.entry_bound,
-            "budget": args.budget,
-            "seed": args.seed,
-        },
-        "findings": [f.to_json() for f in findings],
-    }, args.format)
-    return 0
+    searched = {"entry_bound": args.entry_bound, "budget": args.budget, "seed": args.seed}
+    return 0, _doc(args, dims=list(algebra.dims), searched=searched,
+                   findings=[f.to_json() for f in findings])
 
 
 REQUIRED = ...  # the default of an option that must be given
@@ -383,7 +348,10 @@ def _run(argv):
     except SystemExit as e:
         return e.code
     try:
-        return COMMANDS[args.command][0](args)
+        code, doc = COMMANDS[args.command][0](args)
+        if doc is not None:
+            _emit(doc, args.format)
+        return code
     except (GraphParseError, SpecError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -140,12 +140,11 @@ class CoherentPartition:
     adjacency is uniform, so `pair_edges` is a set of class-index pairs.
     """
 
-    __slots__ = ("graph", "classes", "class_of", "internal_edges", "pair_edges")
+    __slots__ = ("graph", "classes", "internal_edges", "pair_edges")
 
-    def __init__(self, graph, classes, class_of, internal_edges, pair_edges):
+    def __init__(self, graph, classes, internal_edges, pair_edges):
         self.graph = graph
         self.classes = classes  # tuple of tuples of vertex indices
-        self.class_of = class_of  # tuple: vertex index -> class index
         self.internal_edges = internal_edges  # per class, tuple of (u, v) index pairs
         self.pair_edges = pair_edges  # frozenset of frozenset class-index pairs
 
@@ -204,7 +203,6 @@ def coherent_components(g):
     return CoherentPartition(
         graph=g,
         classes=tuple(classes),
-        class_of=tuple(class_of),
         internal_edges=tuple(internal),
         pair_edges=frozenset(pairs),
     )

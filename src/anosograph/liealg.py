@@ -24,9 +24,11 @@ The closed forms `graph_algebra_dims` and `block_char_polys` both read the
 Cartier-Foata identity prod_m det(1 - t^m g_m) = I_G(-t; g) and take its
 independence sum with one routine, `_independence_sum`, over groups of
 vertices: the false-twin groups for the dimensions, the coherent classes
-for the block polynomials.
+for the block polynomials.  The sum takes each connected component of
+the groups separately and multiplies the components' series.
 """
 
+from itertools import repeat
 from math import comb
 from operator import add, mul, sub
 
@@ -262,8 +264,9 @@ def graph_algebra_dims(graph, k):
     False twins (equal neighbour sets) are never adjacent, so an independent
     set meets a group of d of them in any subset: `_independence_sum` takes
     the group as one item of weight (1 - t)^d - 1, and a thousand isolated
-    vertices are one item, not a thousand levels of its recursion.  Mobius
-    inversion of -log I(-t) gives d_1..d_k.
+    vertices are one item, not a thousand levels of its recursion; each
+    connected component is summed apart, so a perfect matching is a
+    product of quadratics.  Mobius inversion of -log I(-t) gives d_1..d_k.
     """
     n, top = graph.n, min(k, graph.n)
     groups = {}
@@ -287,12 +290,38 @@ def _neighbour_masks(n, pairs):
     return masks
 
 
+def _components(neighbours, weights, top):
+    """The connected components of the items under the neighbour bitmasks,
+    as (bitmask, degree): an independent set of a component has weight of
+    degree at most the total length of its items' weights, and top."""
+    out = []
+    left = (1 << len(neighbours)) - 1
+    while left:
+        part = frontier = left & -left
+        degree = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            degree += len(weights[i])
+            grown = neighbours[i] & ~part
+            part |= grown
+            frontier |= grown
+        left &= ~part
+        out.append((part, min(top, degree)))
+    return out
+
+
 def _independence_sum(neighbours, weights, top, one=1, zero=0, mul=mul, add=add):
     """[c_0, .., c_top], the sum of prod_{i in S} weights[i] over the
     independent sets S, up to t^top: item i has neighbour bitmask
     neighbours[i] and weight sum_a weights[i][a - 1] t^a, in the arithmetic
     mul, add, one, zero (ints, or columns).  A set grows in increasing item
-    order; memoized on (items left, room left), it recurses top + 1 deep."""
+    order; memoized on (items left, room left), it recurses one deeper than
+    the degree summed.  An independent set is a union of one independent
+    set per connected component, so the components are summed apart, each
+    to its own degree, and their series multiplied: a perfect matching is
+    a product of quadratics, not a recursion as deep as top."""
     memo = {}
 
     def total(mask, room):
@@ -311,7 +340,19 @@ def _independence_sum(neighbours, weights, top, one=1, zero=0, mul=mul, add=add)
             memo[mask, room] = out
         return out
 
-    return total((1 << len(weights)) - 1, top)
+    parts = _components(neighbours, weights, top)
+    if len(parts) <= 1:
+        return total((1 << len(weights)) - 1, top)
+    (first, reach), *rest = parts
+    out = total(first, reach) + [zero] * (top - reach)
+    for part, degree in rest:
+        series = total(part, degree)
+        product = [zero] * (top + 1)
+        for b, x in enumerate(series):
+            width = min(reach, top - b) + 1
+            product[b:b + width] = map(add, product[b:b + width], map(mul, out[:width], repeat(x)))
+        out, reach = product, min(top, reach + degree)
+    return out
 
 
 def _columns_power_sums(f, n):

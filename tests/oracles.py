@@ -249,13 +249,28 @@ def coherent_classes_brute(graph):
     return classes
 
 
+def induces_connected(graph, vertices):
+    """Whether the vertex indices induce a connected subgraph, by
+    breadth-first search on the adjacency."""
+    left = set(vertices)
+    frontier = [left.pop()]
+    while frontier:
+        u = frontier.pop()
+        reached = {v for v in left if graph.adjacent(u, v)}
+        left -= reached
+        frontier += reached
+    return not left
+
+
 def decide_anosov_brute(graph, k):
-    """Conditions (i)-(ii) evaluated from scratch on the adjacency matrix."""
-    for cls in coherent_classes_brute(graph):
-        if len(cls) < 2:
-            return False
-        if 2 <= len(cls) <= k:
-            if any(graph.adjacent(u, v) for u in cls for v in cls if u < v):
+    """Admits iff no union S of coherent classes with |S| <= k induces a
+    connected subgraph: every union of the brute-force classes is tried,
+    with no reduction to single classes or pairs."""
+    classes = coherent_classes_brute(graph)
+    for r in range(1, len(classes) + 1):
+        for union in combinations(classes, r):
+            vertices = [v for cls in union for v in cls]
+            if len(vertices) <= k and induces_connected(graph, vertices):
                 return False
     return True
 

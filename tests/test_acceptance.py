@@ -82,14 +82,15 @@ def test_criterion_3_verdict_table():
         partition = coherent_components(complete_graph(n))
         for k in range(2, 7):
             ok = ok and decide_anosov(partition, k).admits == (n > k)
+    # two independent classes of two, adjacent: refused once k reaches 4
     partition = coherent_components(C4)
     for k in range(2, 7):
-        ok = ok and decide_anosov(partition, k).admits
+        ok = ok and decide_anosov(partition, k).admits == (k <= 3)
     for core in (2, 3, 4):
         partition = coherent_components(magnet_graph(core, 2))
         for k in range(2, 7):
             ok = ok and decide_anosov(partition, k).admits == (k < core)
-    report(3, "verdict table: K_n iff n > k; 4-cycle all k; magnet iff k < |C|", ok,
+    report(3, "verdict table: K_n iff n > k; 4-cycle iff k <= 3; magnet iff k < |C|", ok,
            "K_n for 2<=n<=7, 2<=k<=6; magnet |C| in {2,3,4}")
 
 

@@ -23,17 +23,19 @@ from anosograph.anosov import (
     verify_certificate,
 )
 from anosograph.derivations import build_quotient
-from anosograph.graphs import coherent_components, parse_graph
+from anosograph.graphs import coherent_components, graph_from_edges, parse_graph
 from anosograph.intpoly import IntPolynomial
 from anosograph.liealg import block_char_polys, combine, quotient_algebra
 from anosograph.linalg import mat_mul
 from anosograph.spectra import products_off_circle, unit_root_free
 from oracles import (
+    all_graphs_up_to_iso,
     all_labeled_graphs,
     bipartite_graph,
     complete_graph,
     cycle_graph,
     decide_anosov_brute,
+    induces_connected,
     magnet_graph,
 )
 from test_derivations import s6_spec
@@ -49,8 +51,32 @@ def test_complete_graph_table():
 
 
 def test_four_cycle_all_steps():
+    # the classes {a, c} and {b, d} are independent and adjacent: their
+    # union, the whole 4-cycle, is connected with 4 vertices
     for k in range(2, 7):
-        assert decide_anosov(coherent_components(C4), k).admits
+        verdict = decide_anosov(coherent_components(C4), k)
+        assert verdict.admits == (k <= 3)
+        pair = {"class_index": 0, "reason": "small-adjacent-class-pair",
+                "offending_edge": ["a", "b"]}
+        assert [v.to_json() for v in verdict.violations] == ([] if k <= 3 else [pair])
+
+
+@pytest.mark.parametrize("graph, k, pairs", [
+    (C4, 4, 1),
+    (bipartite_graph(2, 3), 5, 1),
+    (graph_from_edges("abcdef", ["ac", "ad", "ae", "af", "bc", "bd", "be", "bf",
+                                 "ce", "cf", "de", "df"]), 4, 3),
+], ids=["C4-k4", "K23-k5", "K222-k4"])
+def test_small_adjacent_class_pairs_are_refused(graph, k, pairs):
+    # every rung of the exponent ladder fails on these, so synthesize
+    # refuses before it walks the ladder
+    verdict = decide_anosov(coherent_components(graph), k)
+    assert [v.reason for v in verdict.violations] == ["small-adjacent-class-pair"] * pairs
+    assert decide_anosov(coherent_components(graph), k - 1).admits
+    start = time.perf_counter()
+    with pytest.raises(NotAdmissibleError):
+        synthesize(graph, k)
+    assert time.perf_counter() - start < 1
 
 
 def test_magnet_table():
@@ -81,6 +107,32 @@ def test_brute_force_soundness_small():
             partition = coherent_components(g)
             for k in (2, 3, 4):
                 assert decide_anosov(partition, k).admits == decide_anosov_brute(g, k)
+
+
+def test_census_of_graphs_up_to_five_vertices():
+    # every graph on <= 5 vertices up to isomorphism, at k = 2..5: an
+    # admitted one synthesizes a certificate that verifies, and each
+    # violation of a refused one names a class, or an adjacent class pair,
+    # of <= k vertices that induces a connected subgraph
+    counts = {True: 0, False: 0}
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            partition = coherent_components(g)
+            for k in range(2, 6):
+                verdict = decide_anosov(partition, k)
+                assert verdict.admits == decide_anosov_brute(g, k), (g.edge_list(), k)
+                counts[verdict.admits] += 1
+                if verdict.admits:
+                    ok, report = verify_certificate(g, synthesize(g, k))
+                    assert ok, (g.edge_list(), k, report["first_failure"])
+                for v in verdict.violations:
+                    union = list(partition.classes[v.class_index])
+                    if v.reason == "small-adjacent-class-pair":
+                        other = g.index[v.offending_edge[1]]
+                        union += next(cls for cls in partition.classes if other in cls)
+                    assert len(union) <= k and induces_connected(g, union), (
+                        g.edge_list(), k, v.to_json())
+    assert counts == {True: 29, False: 179}
 
 
 def test_component_matrix_golden():

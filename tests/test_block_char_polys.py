@@ -14,15 +14,18 @@ from hypothesis import given, settings, strategies as st
 from anosograph import anosov
 from anosograph.anosov import (
     LadderExhaustedError,
+    _check_polys,
+    _exponent_ladder,
     _powered_degree_one,
     companion_matrix,
     decide_anosov,
     extend_to_algebra,
+    find_component_matrix,
     synthesize,
 )
 from anosograph.graphs import coherent_components, graph_from_edges
 from anosograph.liealg import block_char_polys, quotient_algebra
-from anosograph.spectra import char_poly
+from anosograph.spectra import char_poly, unit_root_free
 from oracles import all_graphs_up_to_iso, bipartite_graph, complete_graph
 
 
@@ -86,10 +89,20 @@ def test_every_rung_on_larger_graphs(monkeypatch, graph, k):
     assert rungs_checked(monkeypatch, graph, k)
 
 
-def test_the_four_cycle_at_k4_fails_every_rung_alike(monkeypatch):
-    # the whole ladder fails at degree 4, for Berkowitz as for the closed form
+def test_the_four_cycle_at_k4_fails_every_rung_alike():
+    # every rung has a unit-modulus eigenvalue, for Berkowitz as for the
+    # closed form; `synthesize` refuses C4 at k = 4 before the ladder, so the test
+    # walks the ladder itself
     c4 = graph_from_edges("abcd", ["ab", "bc", "cd", "da"])
-    assert len(rungs_checked(monkeypatch, c4, 4)) == 28
+    partition = coherent_components(c4)
+    component = find_component_matrix(2, 4)
+    rungs = list(_exponent_ladder(len(partition.classes), anosov.MAX_EXPONENT))
+    assert len(rungs) == 28
+    for exponents in rungs:
+        polys = block_char_polys(partition, [component.poly] * 2, exponents, 4)
+        assert polys == berkowitz_polys(c4, partition, [component.matrix] * 2, exponents, 4)
+        ok, (kind, _) = _check_polys(sorted(polys), polys.get, unit_root_free)
+        assert not ok and kind == "unit-root-freeness", exponents
 
 
 @st.composite

@@ -170,23 +170,23 @@ def test_block_shape_of_a_large_k_is_quick(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["dims", "verify"])
 def test_recursion_past_the_limit_is_one_error_line(capsys, tmp_path, command):
-    # the independence sum of 1,100 disjoint edges at k = 1100 recurses
-    # 1,101 deep, as no two of the 2,200 vertices are false twins; verify
-    # reaches it through the block-shape check of a certificate that passes
-    # every earlier check, one class per edge
-    n = 1100
-    text = "".join(f"u{i} v{i}\n" for i in range(n))
-    graph = tmp_path / "matching.edges"
+    # the independence sum of a 2,200-vertex path at k = 1100 recurses
+    # 1,101 deep: the path is connected and no two of its vertices are
+    # twins; verify reaches it through the block-shape check of a
+    # certificate that passes every earlier check, one class per vertex
+    n, k = 2200, 1100
+    text = "".join(f"v{i} v{i + 1}\n" for i in range(n - 1))
+    graph = tmp_path / "path.edges"
     graph.write_text(text)
     g = parse_graph(text)
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps({
-        "schema": 1, "graph_digest": g.digest(), "k": n,
+        "schema": 1, "graph_digest": g.digest(), "k": k,
         "classes": coherent_components(g).class_labels(),
-        "components": [{"matrix": [[0, 0], [0, 0]]}] * n, "exponents": [1] * n,
-        "degree_blocks": {str(m): [] for m in range(1, n + 1)},
+        "components": [{"matrix": [[0]]}] * n, "exponents": [1] * n,
+        "degree_blocks": {str(m): [] for m in range(1, k + 1)},
         "char_polys": {}, "unit_root_certs": {}, "determinants": {}}))
-    argv = {"dims": ["dims", str(graph), "--k", str(n)],
+    argv = {"dims": ["dims", str(graph), "--k", str(k)],
             "verify": ["verify", str(graph), "--certificate", str(cert)]}[command]
     code = main(argv)
     captured = capsys.readouterr()
@@ -204,6 +204,23 @@ def test_dims_of_1000_isolated_vertices_at_k_1000(capsys, tmp_path):
     assert time.perf_counter() - start < 5
     assert code == 0
     assert json.loads(out)["dims"] == [1000] + [0] * 999
+
+
+def test_dims_of_a_480_edge_matching_at_k_960(capsys, tmp_path):
+    # no two vertices are twins, but each edge is a component of the
+    # independence sum, so I(-t) = (1 - 2t)^e is taken as a product.  Then
+    # -log I(-t) = e sum_m (2t)^m / m, so e 2^m = sum_{d | m} d dims[d]
+    e, k = 480, 960
+    graph = tmp_path / "matching.edges"
+    graph.write_text("".join(f"u{i} v{i}\n" for i in range(e)))
+    start = time.perf_counter()
+    code, out = run(capsys, "dims", str(graph), "--k", str(k))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    dims = json.loads(out)["dims"]
+    assert len(dims) == k
+    for m in range(1, k + 1):
+        assert sum(d * dims[d - 1] for d in range(1, m + 1) if m % d == 0) == e * 2 ** m, m
 
 
 def test_edgeless_pair_at_large_k(capsys, tmp_path):
