@@ -28,7 +28,6 @@ for the block polynomials.  The sum takes each connected component of
 the groups separately and multiplies the components' series.
 """
 
-from itertools import repeat
 from math import comb
 from operator import add, mul, sub
 
@@ -340,17 +339,13 @@ def _independence_sum(neighbours, weights, top, one=1, zero=0, mul=mul, add=add)
             memo[mask, room] = out
         return out
 
-    parts = _components(neighbours, weights, top)
-    if len(parts) <= 1:
-        return total((1 << len(weights)) - 1, top)
-    (first, reach), *rest = parts
-    out = total(first, reach) + [zero] * (top - reach)
-    for part, degree in rest:
+    out, reach = [one] + [zero] * top, 0
+    for part, degree in _components(neighbours, weights, top):
         series = total(part, degree)
         product = [zero] * (top + 1)
         for b, x in enumerate(series):
-            width = min(reach, top - b) + 1
-            product[b:b + width] = map(add, product[b:b + width], map(mul, out[:width], repeat(x)))
+            for a, y in enumerate(out[:min(reach, top - b) + 1], b):
+                product[a] = add(product[a], mul(y, x))
         out, reach = product, min(top, reach + degree)
     return out
 

@@ -39,6 +39,8 @@ CASES = [
      ["verify", "{golden}/c4.edges", "--certificate",
       "{golden}/synthesize_c4_k3.schema1.cert.json"], 0),
     ("synthesize_k3_refused", ["synthesize", "{golden}/k3.edges", "--k", "3"], 2),
+    # C4's two classes of two are adjacent: a connected union of 4 vertices
+    ("synthesize_c4_k4_refused", ["synthesize", "{golden}/c4.edges", "--k", "4"], 2),
     ("synthesize_k33_k3", ["synthesize", "{golden}/k33.edges", "--k", "3"], 0),
     ("derivations_c4_k3", ["derivations", "{golden}/c4.edges", "--k", "3"], 0),
     ("derivations_step2",
