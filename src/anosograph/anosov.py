@@ -523,7 +523,7 @@ def verify_certificate(graph, cert):
     blocks = cert.degree_blocks
     if len(blocks) != cert.k or not all(1 <= m <= cert.k for m in blocks):
         return fail("block-shape", f"blocks for degrees {sorted(blocks)}, not 1..{cert.k}")
-    for m, dim in enumerate(graph_algebra_dims(graph, cert.k), 1):
+    for m, dim in enumerate(graph_algebra_dims(partition, cert.k), 1):
         if len(blocks[m]) != dim:
             return fail("block-shape", f"degree-{m} block missing or of wrong size")
     passed("block-shape")

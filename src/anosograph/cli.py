@@ -97,7 +97,9 @@ def _emit_text(doc, prefix=""):
 def _doc(args, **fields):
     """The JSON document of a run, schema and command first.  Each `_cmd_*`
     handler returns (exit code, document or None) and `_run` emits the
-    document; None means the handler printed its own output, if any."""
+    document, or prints the `error:` line of the ValueError it raises.
+    None comes only from `synthesize`'s success path, which prints the
+    certificate itself because it encodes it once, for --out and stdout."""
     return {"schema": SCHEMA, "command": args.command, **fields}
 
 
@@ -113,7 +115,7 @@ def _cmd_dims(args):
     g = _load_graph(args.graph)
     if args.k < 2:
         raise ValueError("step k must be >= 2")
-    dims = graph_algebra_dims(g, args.k)
+    dims = graph_algebra_dims(coherent_components(g), args.k)
     return 0, _doc(args, k=args.k, dims=dims, total=sum(dims),
                    ideal_dims=[witt_number(g.n, m) - d for m, d in enumerate(dims, 1)])
 
@@ -135,8 +137,7 @@ def _cmd_synthesize(args):
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 1, None
+            raise ValueError(f"cannot write {args.out}: {e}") from None
     if args.format == "json":
         print(text)
     else:
@@ -150,8 +151,7 @@ def _cmd_verify(args):
         with open(args.certificate, encoding="utf-8") as fh:
             cert = AutomorphismCertificate.from_json(json.load(fh))
     except (OSError, KeyError, ValueError, RecursionError) as e:
-        print(f"error: cannot load certificate: {e}", file=sys.stderr)
-        return 1, None
+        raise ValueError(f"cannot load certificate: {e}") from None
     ok, report = verify_certificate(g, cert)
     return (0 if ok else 3), _doc(args, ok=ok, report=report)
 

@@ -162,6 +162,15 @@ class CoherentPartition:
         }
 
 
+def _neighbour_masks(n, pairs):
+    """Per item 0..n-1, the bitmask of its neighbours in the 2-sets pairs."""
+    masks = [0] * n
+    for i, j in pairs:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
 def coherent_components(g):
     """Partition the vertex set into coherent components.
 
@@ -170,31 +179,28 @@ def coherent_components(g):
     with N(a) = N(b).  No vertex has twins of both kinds: if b is a true
     twin of a and c a false twin, then b ∈ N(a) = N(c), so c ∈ N[b] = N[a],
     which contradicts c ∉ N(a).  So the relation is an equivalence, and a
-    vertex's class is the larger of its open- and closed-neighborhood
-    groups.
+    vertex's class is its group of equal open-neighborhood bitmasks if
+    that has other members, else its group of equal closed ones.  A class
+    is an independent set of false twins or a clique of true twins, so one
+    adjacency test of its first and last members gives its internal edges:
+    none, or all of its pairs.
     """
-    n = g.n
-    nbrs = [set() for _ in range(n)]
-    for u, v in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    open_nb = [frozenset(s) for s in nbrs]
-    closed_nb = [s | {v} for v, s in enumerate(open_nb)]
+    masks = _neighbour_masks(g.n, g.edges)
     open_groups, closed_groups = {}, {}
-    for v in range(n):
-        open_groups.setdefault(open_nb[v], []).append(v)
-        closed_groups.setdefault(closed_nb[v], []).append(v)
-    class_of = [-1] * n
+    for v, mask in enumerate(masks):
+        open_groups.setdefault(mask, []).append(v)
+        closed_groups.setdefault(mask | 1 << v, []).append(v)
+    class_of = [-1] * g.n
     classes = []
-    for v in range(n):
+    for v, mask in enumerate(masks):
         if class_of[v] >= 0:
             continue
-        members = max(open_groups[open_nb[v]], closed_groups[closed_nb[v]], key=len)
+        members = open_groups[mask]
+        if len(members) == 1:
+            members = closed_groups[mask | 1 << v]
         for w in members:
             class_of[w] = len(classes)
         classes.append(tuple(members))
-    internal = [tuple((u, v) for u, v in combinations(cls, 2) if v in nbrs[u])
-                for cls in classes]
     pairs = set()
     for u, v in g.edges:
         cu, cv = class_of[u], class_of[v]
@@ -203,6 +209,7 @@ def coherent_components(g):
     return CoherentPartition(
         graph=g,
         classes=tuple(classes),
-        internal_edges=tuple(internal),
+        internal_edges=tuple([tuple(combinations(cls, 2)) if masks[cls[0]] >> cls[-1] & 1 else ()
+                              for cls in classes]),
         pair_edges=frozenset(pairs),
     )

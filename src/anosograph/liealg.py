@@ -22,16 +22,16 @@ here, word by word along the standard factorization.
 
 The closed forms `graph_algebra_dims` and `block_char_polys` both read the
 Cartier-Foata identity prod_m det(1 - t^m g_m) = I_G(-t; g) and take its
-independence sum with one routine, `_independence_sum`, over groups of
-vertices: the false-twin groups for the dimensions, the coherent classes
-for the block polynomials.  The sum takes each connected component of
-the groups separately and multiplies the components' series.
+independence sum with one routine, `_independence_sum`, over the coherent
+classes, each class one item.  The sum takes each connected component of
+the classes separately and multiplies the components' series.
 """
 
 from math import comb
 from operator import add, mul, sub
 
 from . import linalg
+from .graphs import _neighbour_masks
 from .intpoly import IntPolynomial, from_power_sums, power_sums
 from .lyndon import (free_bracket_words, lyndon_basis, mobius_inversion, standard_factorization,
                      witt_number)
@@ -252,41 +252,30 @@ def quotient_algebra(graph, k):
     return build_graded_quotient(graph, k, non_edge_relations(graph))
 
 
-def graph_algebra_dims(graph, k):
-    """`quotient_algebra(graph, k).dims` in closed form, without building it.
+def graph_algebra_dims(partition, k):
+    """`quotient_algebra(graph, k).dims` in closed form, from the graph's
+    coherent partition, without building the algebra.
 
     Non-adjacent vertices commute, so the graph algebra is the free
     partially commutative Lie algebra truncated at step k, and its degree
     dimensions d_m satisfy prod_m (1 - t^m)^(d_m) = I(-t), with I the
     independence polynomial of the graph (Cartier-Foata and PBW), each
     vertex weighted -t, needed up to t^min(k, n) as I has degree at most n.
-    False twins (equal neighbour sets) are never adjacent, so an independent
-    set meets a group of d of them in any subset: `_independence_sum` takes
-    the group as one item of weight (1 - t)^d - 1, and a thousand isolated
-    vertices are one item, not a thousand levels of its recursion; each
-    connected component is summed apart, so a perfect matching is a
-    product of quadratics.  Mobius inversion of -log I(-t) gives d_1..d_k.
+    An independent set meets an independent class of d vertices in any
+    subset and a clique class in at most one vertex: `_independence_sum`
+    takes the class as one item of weight (1 - t)^d - 1 or -d t, as
+    `block_char_polys` does at g = 1, so a thousand isolated vertices are one
+    item and a perfect matching is a product of quadratics.  Mobius
+    inversion of -log I(-t) gives d_1..d_k.
     """
-    n, top = graph.n, min(k, graph.n)
-    groups = {}
-    for v, mask in enumerate(_neighbour_masks(n, graph.edges)):
-        groups.setdefault(mask, []).append(v)
-    item = {v: i for i, members in enumerate(groups.values()) for v in members}
-    weights = [[(-1) ** a * comb(len(members), a) for a in range(1, min(len(members), top) + 1)]
-               for members in groups.values()]
-    masks = _neighbour_masks(len(groups), [(item[u], item[v]) for u, v in graph.edges])
+    top = min(k, partition.graph.n)
+    weights = [[-len(cls)] if edges else
+               [(-1) ** a * comb(len(cls), a) for a in range(1, min(len(cls), top) + 1)]
+               for cls, edges in zip(partition.classes, partition.internal_edges)]
+    masks = _neighbour_masks(len(weights), partition.pair_edges)
     coeffs = _independence_sum(masks, weights, top)
     b = power_sums(coeffs, k)  # b[m] = m [t^m] -log I(-t)
     return [mobius_inversion(m)(b.__getitem__) for m in range(1, k + 1)]
-
-
-def _neighbour_masks(n, pairs):
-    """Per item 0..n-1, the bitmask of its neighbours in the 2-sets pairs."""
-    masks = [0] * n
-    for i, j in pairs:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
 
 
 def _components(neighbours, weights, top):
@@ -421,7 +410,7 @@ def block_char_polys(partition, class_polys, exponents, k):
         b = _columns_power_sums(total, top)
         return {s: [0] + [b[n][w] for n in range(1, top + 1)] for w, s in enumerate(ss)}
 
-    dims = graph_algebra_dims(partition.graph, k)
+    dims = graph_algebra_dims(partition, k)
     # the s with b_e(g^s) needed, s = rm/e for some r <= dim g_m, by the
     # largest such e
     top = {}

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,6 +122,12 @@ def test_partition_covers_exhaustively_up_to_six_vertices():
             seen = sorted(v for cls in p.classes for v in cls)
             assert seen == list(range(n))
             _assert_matches_oracle(g, p)
+            # internal edges in `combinations` order; pair edges by brute scan
+            for cls, edges in zip(p.classes, p.internal_edges):
+                assert edges == tuple((u, v) for u, v in combinations(cls, 2) if g.adjacent(u, v))
+            assert p.pair_edges == {
+                frozenset((i, j)) for i, j in combinations(range(len(p.classes)), 2)
+                if any(g.adjacent(u, v) for u in p.classes[i] for v in p.classes[j])}
 
 
 def test_pair_edges_against_brute_scan():

@@ -3,13 +3,14 @@ import json
 import math
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from anosograph import liealg
-from anosograph.graphs import parse_graph
+from anosograph.graphs import coherent_components, graph_from_edges, parse_graph
 from anosograph.liealg import (
     build_graded_quotient,
     graph_algebra_dims,
@@ -25,8 +26,10 @@ from oracles import (
     cycle_graph,
     deg3_dim_tensor,
     edgeless_graph,
+    magnet_graph,
 )
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 C4 = parse_graph("a b\nb c\nc d\nd a")
 
 
@@ -140,7 +143,7 @@ def test_projection_recursion_matches_elimination():
 def test_closed_form_dims_match_elimination():
     def check(g, k):
         h = quotient_algebra(g, k)
-        dims = graph_algebra_dims(g, k)
+        dims = graph_algebra_dims(coherent_components(g), k)
         assert dims == h.dims
         assert h.ideal_dims == [witt_number(g.n, m) - d for m, d in enumerate(dims, 1)]
 
@@ -150,11 +153,17 @@ def test_closed_form_dims_match_elimination():
                 check(g, k)
     for g in (cycle_graph(6), bipartite_graph(3, 3)):
         check(g, 5)
-    # groups of false twins (equal neighbour sets), one item each of the
-    # independence sum
+    # coherent classes of several vertices, one item each of the independence
+    # sum: independent ones, clique ones next to independent ones, clique
+    # parts of a blow-up of P3, and the interleaved classes of K_{3,3}
+    a, b, c = ["a0", "a1"], ["b0", "b1", "b2"], ["c0", "c1"]
+    p3_cliques = graph_from_edges(a + b + c, [*combinations(a, 2), *combinations(b, 2),
+                                              *combinations(c, 2), *product(a, b), *product(b, c)])
     for g in (edgeless_graph(6), bipartite_graph(1, 5), bipartite_graph(2, 4),
               parse_graph("a b\nb c\nb d\nc e\nd e\ne f"),
-              parse_graph("a x\nb x\nc x\na y\nb y\nc y\nx z\nvertex: w")):
+              parse_graph("a x\nb x\nc x\na y\nb y\nc y\nx z\nvertex: w"),
+              magnet_graph(3, 3), magnet_graph(2, 4), p3_cliques,
+              parse_graph((GOLDEN / "k33.edges").read_text())):
         for k in (2, 3, 4, 5):
             check(g, k)
 
@@ -163,9 +172,10 @@ def test_dims_and_witt_numbers_share_an_exact_inversion():
     # K_n has no relation: its algebra is free; the edgeless one is abelian
     for n in range(1, 7):
         for k in (2, 5, 9):
-            assert graph_algebra_dims(complete_graph(n), k) == [
+            assert graph_algebra_dims(coherent_components(complete_graph(n)), k) == [
                 witt_number(n, m) for m in range(1, k + 1)]
-            assert graph_algebra_dims(edgeless_graph(n), k) == [n] + [0] * (k - 1)
+            assert graph_algebra_dims(coherent_components(edgeless_graph(n)), k) == (
+                [n] + [0] * (k - 1))
     # mu(2) b(1) + mu(1) b(2) = 1 is not divisible by 2
     with pytest.raises(AssertionError):
         mobius_inversion(2)(lambda e: int(e == 2))
@@ -183,7 +193,7 @@ def test_dims_count_independent_sets_only_up_to_n(monkeypatch):
 
     monkeypatch.setattr(liealg, "power_sums", spy)
     k = 50
-    dims = graph_algebra_dims(C4, k)
+    dims = graph_algebra_dims(coherent_components(C4), k)
     assert lengths and max(lengths) <= C4.n + 1
     # I_C4(-t) = 1 - 4t + 2t^2
     assert _cartier_foata_series(dims, k) == [1, -4, 2] + [0] * (k - 2)
@@ -239,7 +249,7 @@ def test_dims_of_a_long_path_are_quick():
     n, k = 300, 8
     path = parse_graph("\n".join(f"v{i} v{i + 1}" for i in range(n - 1)))
     start = time.perf_counter()
-    dims = graph_algebra_dims(path, k)
+    dims = graph_algebra_dims(coherent_components(path), k)
     assert time.perf_counter() - start < 4
     before, independence = [1] + [0] * k, [1, -1] + [0] * (k - 1)
     for _ in range(n - 1):
@@ -254,7 +264,7 @@ def test_dims_of_a_large_star_are_quick():
     # independence sum: I(-t) = (1 - t)^120 - t
     n, k = 120, 121
     start = time.perf_counter()
-    dims = graph_algebra_dims(bipartite_graph(1, n), k)
+    dims = graph_algebra_dims(coherent_components(bipartite_graph(1, n)), k)
     assert time.perf_counter() - start < 1
     independence = [(-1) ** s * math.comb(n, s) for s in range(k + 1)]
     independence[1] -= 1
