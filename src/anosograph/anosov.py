@@ -97,27 +97,27 @@ class AnosovVerdict:
 
 def decide_anosov(partition, k):
     """Evaluate the admissibility criterion on a coherent partition: one
-    violation per singleton class, per clique class of at most k vertices,
-    and per adjacent pair of independent classes, neither a singleton, with
-    at most k vertices together (in sorted pair order)."""
+    violation per singleton class, per clique class of at most k vertices
+    (naming the edge of its first two members), and per adjacent pair of
+    independent classes, neither a singleton, with at most k vertices
+    together (in sorted pair order)."""
     if k < 2:
         raise ValueError("step k must be >= 2")
     g = partition.graph
-    classes, internal = partition.classes, partition.internal_edges
+    classes, cliques = partition.classes, partition.cliques
     violations = []
     for ci, cls in enumerate(classes):
         if len(cls) < 2:
             violations.append(Violation(ci, "singleton-class"))
             continue
-        if 2 <= len(cls) <= k and internal[ci]:
-            u, v = internal[ci][0]
+        if len(cls) <= k and cliques[ci]:
             violations.append(Violation(
                 ci, "internal-edge-in-small-class",
-                offending_edge=(g.vertices[u], g.vertices[v]),
+                offending_edge=(g.vertices[cls[0]], g.vertices[cls[1]]),
             ))
-    for ci, cj in sorted(sorted(pair) for pair in partition.pair_edges):
+    for ci, cj in partition.class_pairs():
         a, b = classes[ci], classes[cj]
-        if (not internal[ci] and not internal[cj] and len(a) >= 2 and len(b) >= 2
+        if (not cliques[ci] and not cliques[cj] and len(a) >= 2 and len(b) >= 2
                 and len(a) + len(b) <= k):
             # cross-class adjacency is uniform, so the first members are adjacent
             violations.append(Violation(
@@ -443,11 +443,12 @@ def synthesize(graph, k):
                   for d in dict.fromkeys(map(len, partition.classes))}
     per_class = [components[len(cls)] for cls in partition.classes]
     class_polys = [c.poly for c in per_class]
+    dims = graph_algebra_dims(partition, k)
     algebra = None
     last_failure = None
     ladder = _exponent_ladder(len(partition.classes), MAX_EXPONENT)
     for exponents in itertools.islice(ladder, MAX_RUNGS):
-        polys = block_char_polys(partition, class_polys, exponents, k)
+        polys = block_char_polys(partition, class_polys, exponents, dims)
         ok, payload = _check_polys(sorted(polys), polys.get, unit_root_free)
         if not ok:
             last_failure = f"exponents {exponents}: {payload[1]}"

@@ -3,7 +3,9 @@
 Vertices are arbitrary string labels; their first-appearance order in the
 input is the canonical basis order used by every downstream matrix.  The
 coherent components are the graph's twin classes: vertices with equal
-open neighborhoods, or equal closed ones.
+open neighborhoods, or equal closed ones.  A `CoherentPartition` is the
+graph on the classes that `liealg` and `anosov` read: a clique flag and a
+bitmask of adjacent classes per class; only its `to_json` lists vertex pairs.
 """
 
 import hashlib
@@ -134,41 +136,39 @@ def parse_graph(text):
 
 
 class CoherentPartition:
-    """Equivalence classes of the coherence relation, with edge metadata.
+    """Equivalence classes of the coherence relation, as a graph on classes.
 
     `classes` holds vertex indices, ordered by smallest member; cross-class
-    adjacency is uniform, so `pair_edges` is a set of class-index pairs.
+    adjacency is uniform, so the per-class clique flags `cliques` and
+    bitmasks of adjacent classes `masks` carry every edge.
     """
 
-    __slots__ = ("graph", "classes", "internal_edges", "pair_edges")
+    __slots__ = ("graph", "classes", "cliques", "masks")
 
-    def __init__(self, graph, classes, internal_edges, pair_edges):
+    def __init__(self, graph, classes, cliques, masks):
         self.graph = graph
         self.classes = classes  # tuple of tuples of vertex indices
-        self.internal_edges = internal_edges  # per class, tuple of (u, v) index pairs
-        self.pair_edges = pair_edges  # frozenset of frozenset class-index pairs
+        self.cliques = cliques  # per class, true for a clique of >= 2 vertices
+        self.masks = masks  # per class, the int bitmask of its adjacent classes
 
     def class_labels(self):
         return [[self.graph.vertices[i] for i in cls] for cls in self.classes]
 
+    def class_pairs(self):
+        """The adjacent class pairs (ci, cj), ci < cj, in ascending order."""
+        return [(ci, cj) for ci, mask in enumerate(self.masks)
+                for cj in range(ci + 1, mask.bit_length()) if mask >> cj & 1]
+
     def to_json(self):
+        labels = self.class_labels()
         return {
-            "classes": self.class_labels(),
-            "pair_edges": sorted(sorted(p) for p in self.pair_edges),
+            "classes": labels,
+            "pair_edges": [list(pair) for pair in self.class_pairs()],
             "internal_edges": {
-                str(c): [[self.graph.vertices[u], self.graph.vertices[v]] for u, v in es]
-                for c, es in enumerate(self.internal_edges)
+                str(c): [list(pair) for pair in combinations(names, 2)] if clique else []
+                for c, (names, clique) in enumerate(zip(labels, self.cliques))
             },
         }
-
-
-def _neighbour_masks(n, pairs):
-    """Per item 0..n-1, the bitmask of its neighbours in the 2-sets pairs."""
-    masks = [0] * n
-    for i, j in pairs:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
 
 
 def coherent_components(g):
@@ -181,11 +181,14 @@ def coherent_components(g):
     which contradicts c ∉ N(a).  So the relation is an equivalence, and a
     vertex's class is its group of equal open-neighborhood bitmasks if
     that has other members, else its group of equal closed ones.  A class
-    is an independent set of false twins or a clique of true twins, so one
-    adjacency test of its first and last members gives its internal edges:
-    none, or all of its pairs.
+    is an independent set of false twins or a clique of true twins, so an
+    edge inside it, which sets its own bit in the class masks, makes it a
+    clique.
     """
-    masks = _neighbour_masks(g.n, g.edges)
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     open_groups, closed_groups = {}, {}
     for v, mask in enumerate(masks):
         open_groups.setdefault(mask, []).append(v)
@@ -201,15 +204,13 @@ def coherent_components(g):
         for w in members:
             class_of[w] = len(classes)
         classes.append(tuple(members))
-    pairs = set()
+    class_masks = [0] * len(classes)
     for u, v in g.edges:
-        cu, cv = class_of[u], class_of[v]
-        if cu != cv:
-            pairs.add(frozenset((cu, cv)))
+        class_masks[class_of[u]] |= 1 << class_of[v]
+        class_masks[class_of[v]] |= 1 << class_of[u]
     return CoherentPartition(
         graph=g,
         classes=tuple(classes),
-        internal_edges=tuple([tuple(combinations(cls, 2)) if masks[cls[0]] >> cls[-1] & 1 else ()
-                              for cls in classes]),
-        pair_edges=frozenset(pairs),
+        cliques=tuple(bool(m >> c & 1) for c, m in enumerate(class_masks)),
+        masks=tuple(m & ~(1 << c) for c, m in enumerate(class_masks)),
     )

@@ -31,7 +31,6 @@ from math import comb
 from operator import add, mul, sub
 
 from . import linalg
-from .graphs import _neighbour_masks
 from .intpoly import IntPolynomial, from_power_sums, power_sums
 from .lyndon import (free_bracket_words, lyndon_basis, mobius_inversion, standard_factorization,
                      witt_number)
@@ -262,18 +261,18 @@ def graph_algebra_dims(partition, k):
     independence polynomial of the graph (Cartier-Foata and PBW), each
     vertex weighted -t, needed up to t^min(k, n) as I has degree at most n.
     An independent set meets an independent class of d vertices in any
-    subset and a clique class in at most one vertex: `_independence_sum`
-    takes the class as one item of weight (1 - t)^d - 1 or -d t, as
-    `block_char_polys` does at g = 1, so a thousand isolated vertices are one
-    item and a perfect matching is a product of quadratics.  Mobius
+    subset, a clique class (`partition.cliques`) in at most one vertex, and
+    no two adjacent classes (`partition.masks`): `_independence_sum` takes
+    each class as one item of weight (1 - t)^d - 1 or -d t, as
+    `block_char_polys` does at g = 1, so a thousand isolated vertices are
+    one item and a perfect matching is a product of quadratics.  Mobius
     inversion of -log I(-t) gives d_1..d_k.
     """
     top = min(k, partition.graph.n)
-    weights = [[-len(cls)] if edges else
+    weights = [[-len(cls)] if clique else
                [(-1) ** a * comb(len(cls), a) for a in range(1, min(len(cls), top) + 1)]
-               for cls, edges in zip(partition.classes, partition.internal_edges)]
-    masks = _neighbour_masks(len(weights), partition.pair_edges)
-    coeffs = _independence_sum(masks, weights, top)
+               for cls, clique in zip(partition.classes, partition.cliques)]
+    coeffs = _independence_sum(partition.masks, weights, top)
     b = power_sums(coeffs, k)  # b[m] = m [t^m] -log I(-t)
     return [mobius_inversion(m)(b.__getitem__) for m in range(1, k + 1)]
 
@@ -364,7 +363,7 @@ def _columns_from_power_sums(p, n):
     return f
 
 
-def block_char_polys(partition, class_polys, exponents, k):
+def block_char_polys(partition, class_polys, exponents, dims):
     """det(x - g_m) for m = 1..k, as {m: IntPolynomial}, without building g_m.
 
     g is the automorphism of the k-step graph algebra induced by the
@@ -383,15 +382,13 @@ def block_char_polys(partition, class_polys, exponents, k):
         tr(g_m^r) = (1/m) sum_{e | m} mu(m/e) b_e(g^(rm/e)),
 
     and Newton's identities turn tr(g_m^r), r = 1..dim g_m, into
-    det(x - g_m), with dim g_m from `graph_algebra_dims`.  A class's power
-    sums tr(B_i^s) follow the linear recurrence of its characteristic
-    polynomial.  Every division is exact; a remainder raises
+    det(x - g_m); dims is [dim g_1, .., dim g_k] from `graph_algebra_dims`.
+    A class's power sums tr(B_i^s) follow the linear recurrence of its
+    characteristic polynomial.  Every division is exact; a remainder raises
     AssertionError.
     """
-    independent = [not edges for edges in partition.internal_edges]
-    sizes = [len(cls) for cls in partition.classes]
-    invert = [None] + [mobius_inversion(m) for m in range(1, k + 1)]
-    masks = _neighbour_masks(len(sizes), partition.pair_edges)
+    cliques, sizes = partition.cliques, [len(cls) for cls in partition.classes]
+    invert = [None] + [mobius_inversion(m) for m in range(1, len(dims) + 1)]
 
     def log_coefficients(class_sums, ss, top):
         """{s: b} for the s in ss, b[n] = b_n(g^s) for 1 <= n <= top, where
@@ -399,18 +396,17 @@ def block_char_polys(partition, class_polys, exponents, k):
         coefficient is a column, one entry per s."""
         factors = []
         for i, p in enumerate(class_sums):
-            if independent[i]:
+            if not cliques[i]:
                 room = min(top, sizes[i])
                 factors.append(_columns_from_power_sums(
                     [None] + [[p[j * s] for s in ss] for j in range(1, room + 1)], room)[1:])
             else:
                 factors.append([[-p[s] for s in ss]])
-        total = _independence_sum(masks, factors, top, [1] * len(ss), [0] * len(ss),
+        total = _independence_sum(partition.masks, factors, top, [1] * len(ss), [0] * len(ss),
                                   lambda x, y: [*map(mul, x, y)], lambda x, y: [*map(add, x, y)])
         b = _columns_power_sums(total, top)
         return {s: [0] + [b[n][w] for n in range(1, top + 1)] for w, s in enumerate(ss)}
 
-    dims = graph_algebra_dims(partition, k)
     # the s with b_e(g^s) needed, s = rm/e for some r <= dim g_m, by the
     # largest such e
     top = {}
@@ -425,7 +421,7 @@ def block_char_polys(partition, class_polys, exponents, k):
     class_sums = []
     for i, (poly, exponent) in enumerate(zip(class_polys, exponents)):
         d = poly.degree
-        reach = max((max(ss) * (min(e, d) if independent[i] else 1)
+        reach = max((max(ss) * (1 if cliques[i] else min(e, d))
                      for e, ss in groups.items()), default=0)
         f = list(reversed(poly.coeffs))  # det(1 - tA)
         if exponent != 1:  # det(1 - tA^e) from tr(A^(je)), j <= d

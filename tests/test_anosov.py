@@ -101,6 +101,31 @@ def test_internal_edge_violation_names_edge():
     assert v.offending_edge is not None
 
 
+# all three kinds of violation at k = 4: a 2,2,2,2 blow-up of the path
+# a-b-c-d with d1 declared first, a triangle, and two false twins p1, p2
+# joined to one vertex q
+MULTI_VIOLATION = parse_graph(
+    "vertex: d1\n"
+    + "".join(f"{x}{i} {y}{j}\n" for x, y in ("ab", "bc", "cd") for i in (1, 2) for j in (1, 2))
+    + "t1 t2\nt1 t3\nt2 t3\np1 q\np2 q\n")
+
+
+def test_violations_of_every_kind_in_order():
+    partition = coherent_components(MULTI_VIOLATION)
+    assert partition.class_labels() == [
+        ["d1", "d2"], ["a1", "a2"], ["b1", "b2"], ["c1", "c2"], ["t1", "t2", "t3"],
+        ["p1", "p2"], ["q"]]
+    verdict = decide_anosov(partition, 4)
+    assert verdict.to_json()["violations"] == [
+        {"class_index": 4, "reason": "internal-edge-in-small-class",
+         "offending_edge": ["t1", "t2"]},
+        {"class_index": 6, "reason": "singleton-class"},
+        {"class_index": 0, "reason": "small-adjacent-class-pair", "offending_edge": ["d1", "c1"]},
+        {"class_index": 1, "reason": "small-adjacent-class-pair", "offending_edge": ["a1", "b1"]},
+        {"class_index": 2, "reason": "small-adjacent-class-pair", "offending_edge": ["b1", "c1"]},
+    ]
+
+
 def test_brute_force_soundness_small():
     for n in range(1, 7):
         for g in all_labeled_graphs(n):
@@ -356,9 +381,9 @@ def test_synthesize_walks_the_ladder_once(monkeypatch):
     # failing rung is never extended to the algebra
     evaluated, extended = [], []
 
-    def counted(partition, class_polys, exponents, k):
+    def counted(partition, class_polys, exponents, dims):
         evaluated.append(exponents)
-        return block_char_polys(partition, class_polys, exponents, k)
+        return block_char_polys(partition, class_polys, exponents, dims)
 
     def extend(algebra, g):
         extended.append(g)

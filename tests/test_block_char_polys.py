@@ -24,7 +24,7 @@ from anosograph.anosov import (
     synthesize,
 )
 from anosograph.graphs import coherent_components, graph_from_edges
-from anosograph.liealg import block_char_polys, quotient_algebra
+from anosograph.liealg import block_char_polys, graph_algebra_dims, quotient_algebra
 from anosograph.spectra import char_poly, unit_root_free
 from oracles import all_graphs_up_to_iso, bipartite_graph, complete_graph
 
@@ -40,10 +40,10 @@ def rungs_checked(monkeypatch, graph, k):
     rung it tries, passing or failing; returns the rungs."""
     rungs = []
 
-    def checked(partition, class_polys, exponents, step):
-        polys = block_char_polys(partition, class_polys, exponents, step)
+    def checked(partition, class_polys, exponents, dims):
+        polys = block_char_polys(partition, class_polys, exponents, dims)
         matrices = [companion_matrix(p) for p in class_polys]
-        assert polys == berkowitz_polys(graph, partition, matrices, exponents, step), (
+        assert polys == berkowitz_polys(graph, partition, matrices, exponents, len(dims)), (
             graph.edge_list(), k, exponents)
         rungs.append(exponents)
         return polys
@@ -98,8 +98,9 @@ def test_the_four_cycle_at_k4_fails_every_rung_alike():
     component = find_component_matrix(2, 4)
     rungs = list(_exponent_ladder(len(partition.classes), anosov.MAX_EXPONENT))
     assert len(rungs) == 28
+    dims = graph_algebra_dims(partition, 4)
     for exponents in rungs:
-        polys = block_char_polys(partition, [component.poly] * 2, exponents, 4)
+        polys = block_char_polys(partition, [component.poly] * 2, exponents, dims)
         assert polys == berkowitz_polys(c4, partition, [component.matrix] * 2, exponents, 4)
         ok, (kind, _) = _check_polys(sorted(polys), polys.get, unit_root_free)
         assert not ok and kind == "unit-root-freeness", exponents
@@ -141,5 +142,6 @@ def test_drawn_unimodular_class_maps(case):
     # not be companions nor avoid the unit circle
     graph, partition, matrices, exponents, k = case
     class_polys = [char_poly(a) for a in matrices]
-    assert block_char_polys(partition, class_polys, exponents, k) == berkowitz_polys(
+    dims = graph_algebra_dims(partition, k)
+    assert block_char_polys(partition, class_polys, exponents, dims) == berkowitz_polys(
         graph, partition, matrices, exponents, k)

@@ -106,9 +106,9 @@ def test_synthesize_verify_round_trip_k33_k4(capsys, tmp_path):
 def test_verify_failure_exit_3(capsys, c4_path, tmp_path):
     cert_path = str(tmp_path / "cert.json")
     run(capsys, "synthesize", c4_path, "--k", "2", "--out", cert_path)
-    doc = json.loads(open(cert_path).read())
+    doc = json.loads(Path(cert_path).read_text())
     doc["degree_blocks"]["2"][0][0] += 1
-    open(cert_path, "w").write(json.dumps(doc))
+    Path(cert_path).write_text(json.dumps(doc))
     code, out = run(capsys, "verify", c4_path, "--certificate", cert_path)
     assert code == 3
     assert json.loads(out)["ok"] is False
@@ -126,9 +126,9 @@ def test_verify_failure_exit_3(capsys, c4_path, tmp_path):
 def test_malformed_certificate_exit_1(capsys, c4_path, tmp_path, tamper):
     cert_path = str(tmp_path / "cert.json")
     run(capsys, "synthesize", c4_path, "--k", "2", "--out", cert_path)
-    doc = json.loads(open(cert_path).read())
+    doc = json.loads(Path(cert_path).read_text())
     tamper(doc)
-    open(cert_path, "w").write(json.dumps(doc))
+    Path(cert_path).write_text(json.dumps(doc))
     code = main(["verify", c4_path, "--certificate", cert_path])
     captured = capsys.readouterr()
     assert code == 1

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -70,20 +71,21 @@ def test_four_cycle_partition():
     g = parse_graph("a b\nb c\nc d\nd a")
     p = coherent_components(g)
     assert p.class_labels() == [["a", "c"], ["b", "d"]]
-    assert all(not es for es in p.internal_edges)
-    assert sorted(sorted(x) for x in p.pair_edges) == [[0, 1]]
+    assert p.cliques == (False, False)
+    assert p.masks == (0b10, 0b01)
 
 
 def test_complete_graph_single_class():
     p = coherent_components(complete_graph(5))
     assert len(p.classes) == 1 and len(p.classes[0]) == 5
-    assert len(p.internal_edges[0]) == 10
+    assert p.cliques == (True,) and p.masks == (0,)
+    assert len(p.to_json()["internal_edges"]["0"]) == 10
 
 
 def test_edgeless_single_class():
     p = coherent_components(edgeless_graph(4))
     assert len(p.classes) == 1
-    assert p.internal_edges == ((),)
+    assert p.cliques == (False,) and p.masks == (0,)
 
 
 def test_magnet_partition():
@@ -91,8 +93,10 @@ def test_magnet_partition():
     g = magnet_graph(3, 2)
     p = coherent_components(g)
     assert p.class_labels() == [["c0", "c1", "c2"], ["t0", "t1"]]
-    assert len(p.internal_edges[0]) == 3
-    assert p.internal_edges[1] == ()
+    assert p.cliques == (True, False)
+    assert p.masks == (0b10, 0b01)
+    assert p.to_json()["internal_edges"] == {
+        "0": [["c0", "c1"], ["c0", "c2"], ["c1", "c2"]], "1": []}
 
 
 def test_partition_json_shape():
@@ -105,6 +109,33 @@ def test_partition_json_shape():
 
 def _assert_matches_oracle(g, p):
     assert [list(cls) for cls in p.classes] == coherent_classes_brute(g)
+
+
+def _classes_adjacent(g, a, b):
+    return any(g.adjacent(u, v) for u in a for v in b)
+
+
+def _assert_class_graph_brute(g, p):
+    """`cliques` and `masks` against a scan of g.edges, and `to_json`
+    against the document listed pair by pair: internal edges in
+    `combinations` order, adjacent class pairs sorted."""
+    inside = [[(u, v) for u, v in combinations(cls, 2) if g.adjacent(u, v)]
+              for cls in p.classes]
+    assert p.cliques == tuple(bool(edges) for edges in inside)
+    assert p.masks == tuple(
+        sum(1 << j for j, other in enumerate(p.classes)
+            if j != i and _classes_adjacent(g, cls, other))
+        for i, cls in enumerate(p.classes))
+    labels = g.vertices
+    document = {
+        "classes": [[labels[v] for v in cls] for cls in p.classes],
+        "pair_edges": sorted(
+            [i, j] for i, j in combinations(range(len(p.classes)), 2)
+            if _classes_adjacent(g, p.classes[i], p.classes[j])),
+        "internal_edges": {str(c): [[labels[u], labels[v]] for u, v in edges]
+                           for c, edges in enumerate(inside)},
+    }
+    assert json.dumps(p.to_json()) == json.dumps(document)
 
 
 def test_partition_covers_exhaustively_up_to_six_vertices():
@@ -122,23 +153,18 @@ def test_partition_covers_exhaustively_up_to_six_vertices():
             seen = sorted(v for cls in p.classes for v in cls)
             assert seen == list(range(n))
             _assert_matches_oracle(g, p)
-            # internal edges in `combinations` order; pair edges by brute scan
-            for cls, edges in zip(p.classes, p.internal_edges):
-                assert edges == tuple((u, v) for u, v in combinations(cls, 2) if g.adjacent(u, v))
-            assert p.pair_edges == {
-                frozenset((i, j)) for i, j in combinations(range(len(p.classes)), 2)
-                if any(g.adjacent(u, v) for u in p.classes[i] for v in p.classes[j])}
+            _assert_class_graph_brute(g, p)
 
 
 def test_pair_edges_against_brute_scan():
     for g in all_labeled_graphs(4):
         p = coherent_components(g)
+        pairs = p.to_json()["pair_edges"]
         for i in range(len(p.classes)):
             for j in range(i + 1, len(p.classes)):
-                brute = any(
-                    g.adjacent(u, v) for u in p.classes[i] for v in p.classes[j]
-                )
-                assert (frozenset((i, j)) in p.pair_edges) == brute
+                brute = _classes_adjacent(g, p.classes[i], p.classes[j])
+                assert ([i, j] in pairs) == brute == bool(p.masks[i] >> j & 1)
+                assert p.masks[i] >> j & 1 == p.masks[j] >> i & 1
 
 
 def test_cross_class_adjacency_uniform():

@@ -3,7 +3,8 @@
 Only `lyndon` and `liealg` know the free-algebra coordinates: free Lyndon
 words are pushed into a quotient by `liealg` alone (its `image_map` and
 `free_derivation`), so no other module needs the standard factorization
-or the per-degree relation row spaces.
+or the per-degree relation row spaces.  Only `graphs` lists the vertex
+pairs of a coherent partition; every other module reads its class graph.
 
 No module touches floating point: the package calls no `float(` and
 imports neither cmath nor mpmath, and importing the CLI does not load
@@ -36,6 +37,12 @@ def test_standard_factorization_only_in_lyndon_and_liealg():
 def test_reductions_read_only_in_liealg():
     users = {name for name, text in sources().items() if ".reductions" in text}
     assert users <= {"liealg.py"}
+
+
+def test_partition_vertex_pairs_only_in_graphs():
+    for word in ("internal_edges", "pair_edges", "_neighbour_masks"):
+        users = {name for name, text in sources().items() if word in text}
+        assert users <= {"graphs.py"}, word
 
 
 def _trees():
