@@ -160,8 +160,10 @@ def _cmd_derivations(args):
     g = _load_graph(args.graph)
     doc = _doc(args, k=args.k)
     if args.quotient:
-        spec = _load_spec(args.quotient)
-        algebra = build_quotient(g, spec)
+        spec = _load_spec(args.quotient)  # its step, not --k, is the algebra's
+        base = quotient_algebra(g, spec.step)
+        x = spec.relation(base)
+        algebra = base.quotient(x)
         doc["quotient_step"] = spec.step
         doc["quotient_dims"] = list(algebra.dims)
     else:
@@ -173,9 +175,8 @@ def _cmd_derivations(args):
     v_stable = [m for m, w in zip(der.maps, der.weights) if w == 0]
     doc["dim_der_v_stable"] = len(v_stable)
     if args.quotient and spec.step == 2:
-        indices = spec.validate(g)
-        doc["span_report"] = _span_report(algebra, indices, v_stable).to_json()
-        doc["lift_check"] = _lift_check(algebra, indices, v_stable)
+        doc["span_report"] = _span_report(algebra, spec, v_stable).to_json()
+        doc["lift_check"] = _lift_check(base, x, v_stable)
     return 0, doc
 
 

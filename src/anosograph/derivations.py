@@ -2,7 +2,9 @@
 
 Covers the one-dimensional central quotients: the 2-step algebra modulo
 <[a,b] + [c,d]> for a distinct vertex quadruple with edges ab, cd, ac, ad,
-and the 3-step algebra modulo a nonzero central degree-3 vector.  Both
+and the 3-step algebra modulo a nonzero central degree-3 vector, each
+built as the graph algebra of its step with X's row added to its
+top-degree elimination (`GradedLieAlgebra.quotient`).  Both
 families are predicted to admit no hyperbolic automorphism with integer
 characteristic polynomial and unit constant term; `hyperbolic_search`
 hunts for counterexamples over a bounded box and is expected to come back
@@ -33,7 +35,7 @@ from fractions import Fraction
 from . import linalg
 from .graphs import _echo, coherent_components
 from .intpoly import IntPolynomial
-from .liealg import build_graded_quotient, combine, non_edge_relations, quotient_algebra
+from .liealg import combine, quotient_algebra
 from .spectra import unit_root_free
 from .anosov import ExtensionError, _check_blocks, _scatter_block_diagonal, extend_to_algebra
 
@@ -58,7 +60,14 @@ class QuotientSpec:
         self.vertices = vertices
         self.vector = vector
 
-    def validate(self, graph):
+    def relation(self, base):
+        """X as {free Lyndon word: coeff}, checked against `base`, the
+        step-`step` graph algebra.  A step-2 X = +-[a, b] +- [c, d] on four
+        distinct vertices with edges ab and cd is two distinct basis
+        brackets, and a step-3 X a nonzero sum of degree-3 basis words, the
+        non-pivot words of the relation rows: either way X lies outside the
+        relations and the quotient loses exactly one top-degree dimension."""
+        graph = base.graph
         if self.step == 2:
             if not self.vertices or len(self.vertices) != 4:
                 raise SpecError("step-2 spec needs exactly four vertices")
@@ -72,21 +81,14 @@ class QuotientSpec:
                                 (a, c, "alpha gamma"), (a, d, "alpha delta")):
                 if not graph.adjacent(u, v):
                     raise SpecError(f"required edge {which} is missing")
-            return (a, b, c, d)
-        if self.step == 3:
-            return self._vector_in(quotient_algebra(graph, 3))
-        raise SpecError(f"step must be 2 or 3, not {self.step}")
-
-    def _vector_in(self, base):
-        """Step-3 X as {word: coeff} over the degree-3 basis words of the
-        3-step graph algebra `base`."""
+            return {(min(u, v), max(u, v)): 1 if u < v else -1 for u, v in ((a, b), (c, d))}
         if not self.vector:
             raise SpecError("step-3 spec needs a nonzero degree-3 vector")
         words3 = set(base.basis_words[3])
         coeffs = {}
         for labels, c in self.vector:
             try:
-                word = tuple(base.graph.index[l] for l in labels)
+                word = tuple(graph.index[l] for l in labels)
             except KeyError as e:
                 raise SpecError(f"unknown vertex {_echo(e.args[0])!r}") from None
             if word not in words3:
@@ -140,32 +142,14 @@ def _coefficient(word, c):
                     f"(got a {type(c).__name__})")
 
 
-def _step2_relation(indices):
-    a, b, c, d = indices
-    rel = {}
-    for u, v in ((a, b), (c, d)):
-        if u < v:
-            rel[(u, v)] = rel.get((u, v), 0) + 1
-        else:
-            rel[(v, u)] = rel.get((v, u), 0) - 1
-    return rel
-
-
 def build_quotient(graph, spec):
-    """The graph algebra modulo the one-dimensional central ideal <X>.
-
-    X is a top-degree vector outside the relations, so the quotient loses
-    exactly one dimension: `validate` makes a step-2 X = +-[a, b] +- [c, d]
-    on four distinct vertices with edges ab and cd, two distinct basis
-    brackets, and `_vector_in` a step-3 X a nonzero sum of basis words,
-    the non-pivot words of the relation rows.
-    """
-    if spec.step == 3:
-        base = quotient_algebra(graph, 3)
-        gens = non_edge_relations(graph) + [(3, spec._vector_in(base))]
-        return build_graded_quotient(graph, 3, gens)
-    rel = _step2_relation(spec.validate(graph))
-    return build_graded_quotient(graph, 2, non_edge_relations(graph) + [(2, rel)])
+    """The graph algebra modulo the one-dimensional central ideal <X>: the
+    step-`spec.step` graph algebra's elimination, with X's row added at
+    the top degree (`GradedLieAlgebra.quotient`)."""
+    if spec.step not in (2, 3):
+        raise SpecError(f"step must be 2 or 3, not {spec.step}")
+    base = quotient_algebra(graph, spec.step)
+    return base.quotient(spec.relation(base))
 
 
 # -- derivations --------------------------------------------------------------
@@ -308,14 +292,13 @@ def span_report(graph, spec):
     if spec.step != 2:
         raise SpecError("span_report applies to step-2 quotient specs")
     algebra = build_quotient(graph, spec)
-    return _span_report(algebra, spec.validate(graph),
-                        derivation_algebra(algebra, v_stable=True).maps)
+    return _span_report(algebra, spec, derivation_algebra(algebra, v_stable=True).maps)
 
 
-def _span_report(algebra, indices, computed):
-    """`span_report` on the built step-2 quotient, given the vertex indices
-    of its spec and the maps of its V-stable derivations."""
-    a, b, c, d = indices
+def _span_report(algebra, spec, computed):
+    """`span_report` on the step-2 quotient built from spec, given the maps
+    of its V-stable derivations."""
+    a, b, c, d = (algebra.graph.index[v] for v in spec.vertices)
     n = len(algebra.generators)
     conditions = [(rel, {}) for _, rel in algebra.relation_generators]
     sprime = {a, b, c, d}
@@ -369,21 +352,18 @@ def lift_check(graph, spec):
     """
     if spec.step != 2:
         raise SpecError("lift_check applies to step-2 quotient specs")
-    algebra = build_quotient(graph, spec)
-    return _lift_check(algebra, spec.validate(graph),
-                       derivation_algebra(algebra, v_stable=True).maps)
-
-
-def _lift_check(algebra, indices, q_maps):
-    """`lift_check` on the built step-2 quotient, given the vertex indices
-    of its spec and the maps of its V-stable derivations."""
-    graph = algebra.graph
     base = quotient_algebra(graph, 2)
-    xrel = _step2_relation(indices)
-    x = combine((c, base.project(w)) for w, c in xrel.items())
+    x = spec.relation(base)
+    return _lift_check(base, x, derivation_algebra(base.quotient(x), v_stable=True).maps)
+
+
+def _lift_check(base, x, q_maps):
+    """`lift_check` given the 2-step graph algebra `base`, the relation X
+    of the spec and the maps of the quotient's V-stable derivations."""
+    n = base.graph.n
     conditions = [(rel, {}) for _, rel in base.relation_generators]
-    conditions.append((xrel, linalg.rref([x])))
-    all_pairs = [(i, j) for j in range(graph.n) for i in range(graph.n)]
+    conditions.append((x, linalg.rref([combine((c, base.project(w)) for w, c in x.items())])))
+    all_pairs = [(i, j) for j in range(n) for i in range(n)]
     lifted = _derivations_in_span(base, conditions, all_pairs)
 
     # every lift restricts to a quotient derivation; onto-ness is the claim

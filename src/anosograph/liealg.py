@@ -8,7 +8,9 @@ free Lyndon words, and the surviving (non-pivot) words form the quotient
 basis.  Pivots are the lexicographically smallest words, so structure
 constants are reproducible bit for bit.  The elimination is stored as one
 normal-form table from each free word to its image in the quotient, which
-is the projection (`project`) and gives every structure constant.
+is the projection (`project`) and gives every structure constant.  A
+one-dimensional central quotient (`GradedLieAlgebra.quotient`) keeps the
+elimination below the top degree and adds one row at the top.
 
 An element of a `GradedLieAlgebra` is a sparse dict {basis index: coeff}
 with no zero entries.  Lyndon expansions are integral and `linalg.rref`
@@ -27,6 +29,7 @@ classes, each class one item.  The sum takes each connected component of
 the classes separately and multiplies the components' series.
 """
 
+from functools import cached_property
 from math import comb
 from operator import add, mul, sub
 
@@ -63,8 +66,8 @@ class GradedLieAlgebra:
 
     The generators are the vertices of `graph`.  Basis elements are the
     surviving Lyndon words, globally indexed degree by degree;
-    `struct[(i, j)]` holds the bracket [e_i, e_j] for i < j as a sparse map
-    into basis indices.
+    `struct[(i, j)]`, built on first use, holds the bracket [e_i, e_j] for
+    i < j as a sparse map into basis indices.
     """
 
     def __init__(self, graph, k, reductions, relation_generators):
@@ -93,8 +96,18 @@ class GradedLieAlgebra:
         for red in reductions.values():
             for p, row in red.relations.items():
                 self._normal_form[p] = {index[w]: -c for w, c in row.items() if w != p}
-        self.struct = {}
-        self._build_structure(max(reductions))
+
+    def quotient(self, x):
+        """This algebra modulo the central ideal of x, a sparse {free word:
+        coeff} of the top degree k: x's row joins the degree-k rows, which
+        rref keeps unique, so `build_graded_quotient` would give the same."""
+        k = self.k
+        red = self.reductions.get(k)
+        if red is None or not set(x) <= set(red.words):
+            raise ValueError(f"the relation is not over the degree-{k} Lyndon words")
+        top = Reduction(red.words, linalg.rref([*red.relations.values(), x]))
+        return GradedLieAlgebra(self.graph, k, {**self.reductions, k: top},
+                                self.relation_generators + [(k, x)])
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -114,16 +127,19 @@ class GradedLieAlgebra:
 
     # -- brackets ----------------------------------------------------------
 
-    def _build_structure(self, top):
+    @cached_property
+    def struct(self):
         # degrees ascend with the index, so the partners j of i with
         # deg i + deg j <= top end where degree top - deg i + 1 begins;
         # brackets past the last built degree `top` are 0
+        top, struct = max(self.reductions), {}
         for i in range(self.dim):
             for j in range(i + 1, self.offsets[top - len(self._word[i]) + 1]):
                 expansion = free_bracket_words(self._word[i], self._word[j])
                 entry = combine((c, self._normal_form[w]) for w, c in expansion.items())
                 if entry:
-                    self.struct[(i, j)] = entry
+                    struct[(i, j)] = entry
+        return struct
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a sparse dict, for any index order."""

@@ -15,8 +15,8 @@ from anosograph.derivations import (
     lift_check,
     span_report,
 )
-from anosograph.graphs import parse_graph
-from anosograph.liealg import quotient_algebra
+from anosograph.graphs import graph_from_edges, parse_graph
+from anosograph.liealg import build_graded_quotient, non_edge_relations, quotient_algebra
 from anosograph import linalg
 from oracles import (
     all_graphs_up_to_iso,
@@ -80,7 +80,8 @@ def test_spec_missing_edge_rejected():
 
 def test_spec_requires_distinct_vertices():
     with pytest.raises(SpecError, match="distinct"):
-        QuotientSpec(step=2, vertices=("a", "a", "c", "d")).validate(S5_GRAPH)
+        QuotientSpec(step=2, vertices=("a", "a", "c", "d")).relation(
+            quotient_algebra(S5_GRAPH, 2))
 
 
 def test_spec_single_edge_vector_not_expressible():
@@ -91,33 +92,92 @@ def test_spec_single_edge_vector_not_expressible():
 
 def test_spec_zero_vector_rejected():
     with pytest.raises(SpecError, match="nonzero"):
-        QuotientSpec(step=3, vector=()).validate(C4)
+        QuotientSpec(step=3, vector=()).relation(quotient_algebra(C4, 3))
     spec = QuotientSpec(step=3, vector=((("a", "a", "b"), Fraction(1)),
                                         (("a", "a", "b"), Fraction(-1))))
     with pytest.raises(SpecError, match="nonzero"):
-        spec.validate(C4)
+        spec.relation(quotient_algebra(C4, 3))
 
 
 def test_spec_unknown_word_rejected():
     spec = QuotientSpec(step=3, vector=((("a", "c", "a"), Fraction(1)),))
     with pytest.raises(SpecError):
-        spec.validate(C4)
+        spec.relation(quotient_algebra(C4, 3))
 
 
 def test_step3_quotient_builds_graph_algebra_once(monkeypatch):
-    # validation and the nonvanishing check share one 3-step graph algebra
+    # validation and the quotient share one 3-step graph algebra: one
+    # elimination, and the structure constants of the quotient alone
     import anosograph.derivations as derivations
+    import anosograph.liealg as liealg
 
     spec = s6_spec(C4)
-    calls = []
+    bases, eliminations = [], []
 
     def counting(graph, k):
-        calls.append(k)
-        return quotient_algebra(graph, k)
+        bases.append(quotient_algebra(graph, k))
+        return bases[-1]
+
+    def eliminating(*args):
+        eliminations.append(args[1])
+        return build_graded_quotient(*args)
 
     monkeypatch.setattr(derivations, "quotient_algebra", counting)
-    assert build_quotient(C4, spec).dims == [4, 4, 11]
-    assert calls == [3]
+    monkeypatch.setattr(liealg, "build_graded_quotient", eliminating)
+    q = build_quotient(C4, spec)
+    assert q.dims == [4, 4, 11] and q.struct
+    assert [b.k for b in bases] == [3] and eliminations == [3]
+    assert "struct" not in vars(bases[0])
+
+
+def _assert_same_algebra(q, ref):
+    assert q.basis_words == ref.basis_words
+    assert q.relation_generators == ref.relation_generators
+    assert q.struct == ref.struct
+    for red in ref.reductions.values():
+        for w in red.words:
+            assert q.project(w) == ref.project(w), w
+
+
+def _step2_spec_graphs():
+    """The core abcd (edges ab, cd, ac, ad) with optional bc and bd, and
+    an optional fifth vertex e adjacent to any subset of abcd."""
+    core = [("a", "b"), ("c", "d"), ("a", "c"), ("a", "d")]
+    for extra in itertools.product((False, True), repeat=2):
+        edges = core + [e for e, on in zip((("b", "c"), ("b", "d")), extra) if on]
+        yield graph_from_edges("abcd", edges)
+        for r in range(5):
+            for nbrs in itertools.combinations("abcd", r):
+                yield graph_from_edges("abcde", edges + [(v, "e") for v in nbrs])
+
+
+def test_step2_quotient_equals_the_elimination_with_x():
+    count = 0
+    for g in _step2_spec_graphs():
+        x = S5_SPEC.relation(quotient_algebra(g, 2))
+        ref = build_graded_quotient(g, 2, non_edge_relations(g) + [(2, x)])
+        _assert_same_algebra(build_quotient(g, S5_SPEC), ref)
+        count += 1
+    assert count == 4 * 17
+
+
+def test_step3_quotient_equals_the_elimination_with_x():
+    count = 0
+    for g in all_graphs_up_to_iso(4):
+        if not g.edges:
+            continue
+        words = quotient_algebra(g, 3).basis_words[3]
+        for i, w in enumerate(words):
+            label = tuple(g.vertices[v] for v in w)
+            second = tuple(g.vertices[v] for v in words[(i + 1) % len(words)])
+            for vector in (((label, Fraction(1)),),
+                           ((label, Fraction(-3, 2)), (second, Fraction(2, 5)))):
+                spec = QuotientSpec(step=3, vector=vector)
+                x = spec.relation(quotient_algebra(g, 3))
+                ref = build_graded_quotient(g, 3, non_edge_relations(g) + [(3, x)])
+                _assert_same_algebra(build_quotient(g, spec), ref)
+                count += 1
+    assert count > 50
 
 
 def test_spec_json_round_trip():

@@ -87,6 +87,17 @@ def test_rejects_relation_above_step():
         build_graded_quotient(parse_graph("a b"), 2, [(3, {(0, 0, 1): Fraction(1)})])
 
 
+def test_quotient_rejects_a_relation_off_the_top_degree():
+    h = quotient_algebra(C4, 3)
+    for x in ({(0, 1): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1, (1, 2): 1}):
+        with pytest.raises(ValueError, match="degree-3 Lyndon words"):
+            h.quotient(x)
+    assert h.quotient({(0, 0, 1): 1}).dims == [4, 4, 11]
+    # an algebra whose top degree lies wholly in the ideal has no row to add to
+    with pytest.raises(ValueError, match="degree-3"):
+        quotient_algebra(edgeless_graph(2), 3).quotient({(0, 0, 1): 1})
+
+
 def test_build_stops_at_a_degree_inside_the_ideal():
     # the algebra is generated in degree one, so a zero degree makes every
     # later one zero; those degrees are neither listed nor eliminated
